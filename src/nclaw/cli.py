@@ -2,7 +2,8 @@
 
 Exit codes: 0 = all checks pass, 2 = some check failed, 3 = verdict
 inconclusive (headline numbers not grid-converged), 1 = usage or
-configuration error.
+configuration error, 4 = numerical failure (characteristics crossed, CFL
+violated, support reached the domain boundary, ...).
 """
 
 from __future__ import annotations
@@ -11,13 +12,42 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, LabConfig, parse_config
+from .config import (
+    CHOICES,
+    CONFIG_KEYS,
+    DEFAULTS,
+    SCENARIOS,
+    ConfigError,
+    LabConfig,
+    parse_config,
+)
 from .records import emit_report
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_NUMERICAL = 4
+
+# lab <scenario>: its help line and the flags that override its config keys
+# (each flag is --<name> with dashes; --no-gate is common to all)
+SCENARIO_FLAGS = {
+    "ce1": ("run counterexample scenario ce1",
+            {"eps": "epsilon", "n": "n_particles", "t_end": "t_end",
+             "godunov_n": "godunov_n", "solver": "solver"}),
+    "ce2": ("run counterexample scenario ce2",
+            {"eps": "epsilon", "n": "n_particles", "t_end": "t_end", "godunov_n": "godunov_n"}),
+    "ce3": ("run counterexample scenario ce3",
+            {"eps": "epsilon", "n": "n_particles", "t_end": "t_end", "godunov_n": "godunov_n"}),
+    "rate": ("order in eps of the viscous nonlocal-to-local distance",
+             {"nu": "nu", "p": "p", "eps_list": "eps_list", "kernel_shape": "kernel_shape"}),
+    "visc": ("vanishing-viscosity sweep at fixed eps",
+             {"eps": "epsilon", "nu_list": "nu_list"}),
+}
+
+
+def _float_list(raw: str) -> list:
+    return [float(x) for x in raw.split(",")]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,41 +61,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-emit", action="store_true", help="do not write run records")
     sub = p.add_subparsers(dest="command", required=True)
 
-    for name, extra in (
-        ("ce1", ("--solver",)),
-        ("ce2", ()),
-        ("ce3", ()),
-    ):
-        sp = sub.add_parser(name, help=f"run counterexample scenario {name}")
-        sp.add_argument("--eps", type=float)
-        sp.add_argument("--n", type=int, help="particle count in the datum support")
-        sp.add_argument("--t-end", type=float)
-        sp.add_argument("--godunov-n", type=int)
+    for name, (help_line, flags) in SCENARIO_FLAGS.items():
+        sp = sub.add_parser(name, help=help_line)
+        for flag, key in flags.items():
+            default = DEFAULTS[name][key]
+            if key in CHOICES:
+                kw = {"choices": CHOICES[key]}
+            elif isinstance(default, list):
+                kw = {"type": _float_list, "help": f"comma-separated; config key {key}"}
+            else:
+                kw = {"type": type(default), "help": f"config key {key}"}
+            sp.add_argument("--" + flag.replace("_", "-"), **kw)
         sp.add_argument("--no-gate", action="store_true")
-        if "--solver" in extra:
-            sp.add_argument("--solver", choices=("particles", "lax_friedrichs"))
-
-    sp = sub.add_parser("rate", help="order in eps of the viscous nonlocal-to-local distance")
-    sp.add_argument("--nu", type=float)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--eps-list", help="comma-separated eps values")
-    sp.add_argument("--kernel-shape", choices=("even_bump", "one_sided_left"))
-    sp.add_argument("--no-gate", action="store_true")
-
-    sp = sub.add_parser("visc", help="vanishing-viscosity sweep at fixed eps")
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--nu-list", help="comma-separated nu values")
-    sp.add_argument("--no-gate", action="store_true")
 
     sp = sub.add_parser("oracle", help="sample a closed-form entropy solution to CSV")
-    sp.add_argument("--variant", choices=("step", "odd"))
+    sp.add_argument("--variant", choices=CHOICES["variant"])
     sp.add_argument("--t", type=float)
     sp.add_argument("--x-min", type=float)
     sp.add_argument("--x-max", type=float)
     sp.add_argument("--n-cells", type=int)
-
-    sp = sub.add_parser("convergence", help="rerun a scenario's refinement gate")
-    sp.add_argument("--scenario", required=True, choices=("ce1", "ce2", "ce3", "rate", "visc"))
 
     sp = sub.add_parser("selftest", help="run the structural property battery")
     sp.add_argument("--seed", type=int)
@@ -78,81 +92,19 @@ def _load_config(path) -> LabConfig:
     return parse_config(Path(path).read_text())
 
 
-def _scenario_kwargs(section: dict, args, mapping: dict) -> dict:
-    out = dict(section)
-    for arg_name, key in mapping.items():
-        v = getattr(args, arg_name, None)
-        if v is not None:
-            out[key] = v
-    if getattr(args, "no_gate", False):
-        out["gate"] = False
-    return out
-
-
 def _run_scenario(args, cfg: LabConfig):
-    from . import experiments as ex
+    from . import experiments
 
-    name = args.command
-    if name == "ce1":
-        kw = _scenario_kwargs(
-            cfg["ce1"], args,
-            {"eps": "epsilon", "n": "n_particles", "t_end": "t_end",
-             "godunov_n": "godunov_n", "solver": "solver"},
-        )
-        return ex.counterexample_1(
-            eps=kw["epsilon"], n_particles=kw["n_particles"], t_end=kw["t_end"],
-            godunov_n=kw["godunov_n"], solver=kw["solver"], gate=kw["gate"],
-        )
-    if name == "ce2":
-        kw = _scenario_kwargs(
-            cfg["ce2"], args,
-            {"eps": "epsilon", "n": "n_particles", "t_end": "t_end",
-             "godunov_n": "godunov_n"},
-        )
-        return ex.counterexample_2(
-            eps=kw["epsilon"], n_particles=kw["n_particles"], t_end=kw["t_end"],
-            godunov_n=kw["godunov_n"], gate=kw["gate"],
-        )
-    if name == "ce3":
-        kw = _scenario_kwargs(
-            cfg["ce3"], args,
-            {"eps": "epsilon", "n": "n_particles", "t_end": "t_end",
-             "godunov_n": "godunov_n"},
-        )
-        return ex.counterexample_3(
-            eps=kw["epsilon"], n_particles=kw["n_particles"], t_end=kw["t_end"],
-            godunov_n=kw["godunov_n"], gate=kw["gate"],
-        )
-    if name == "rate":
-        kw = dict(cfg["rate"])
-        if args.nu is not None:
-            kw["nu"] = args.nu
-        if args.p is not None:
-            kw["p"] = args.p
-        if args.eps_list is not None:
-            kw["eps_list"] = [float(x) for x in args.eps_list.split(",")]
-        if args.kernel_shape is not None:
-            kw["kernel_shape"] = args.kernel_shape
-        if args.no_gate:
-            kw["gate"] = False
-        return ex.singular_limit_rate(
-            nu=kw["nu"], p=kw["p"], eps_list=tuple(kw["eps_list"]),
-            kernel_shape=kw["kernel_shape"], t_end=kw["t_end"],
-            width=kw["width"], gate=kw["gate"],
-        )
-    if name == "visc":
-        kw = dict(cfg["visc"])
-        if args.eps is not None:
-            kw["epsilon"] = args.eps
-        if args.nu_list is not None:
-            kw["nu_list"] = [float(x) for x in args.nu_list.split(",")]
-        if args.no_gate:
-            kw["gate"] = False
-        return ex.vanishing_viscosity(
-            eps=kw["epsilon"], nu_list=tuple(kw["nu_list"]), t_end=kw["t_end"],
-            width=kw["width"], gate=kw["gate"],
-        )
-    raise AssertionError(name)
+    kw = dict(cfg[args.command])
+    for flag, key in SCENARIO_FLAGS[args.command][1].items():
+        value = getattr(args, flag)
+        if value is not None:
+            kw[key] = value
+    if args.no_gate:
+        kw["gate"] = False
+    param_of = {key: param for param, key in CONFIG_KEYS.items()}
+    scenario = getattr(experiments, SCENARIOS[args.command])
+    return scenario(**{param_of.get(key, key): value for key, value in kw.items()})
 
 
 def main(argv=None) -> int:
@@ -181,12 +133,9 @@ def main(argv=None) -> int:
         from .local_entropy import ExactSolution, sample_exact
 
         o = dict(cfg["oracle"])
-        for k_arg, k_cfg in (("variant", "variant"), ("t", "t"),
-                             ("x_min", "x_min"), ("x_max", "x_max"),
-                             ("n_cells", "n_cells")):
-            v = getattr(args, k_arg, None)
-            if v is not None:
-                o[k_cfg] = v
+        for key in o:
+            if getattr(args, key) is not None:
+                o[key] = getattr(args, key)
         try:
             sol = ExactSolution(o["variant"])
             fld = sample_exact(sol, o["t"], Grid1D(o["x_min"], o["x_max"], o["n_cells"]))
@@ -200,24 +149,14 @@ def main(argv=None) -> int:
         print(path)
         return EXIT_PASS
 
-    if args.command == "convergence":
-        args.command = args.scenario
-        args.no_gate = False
-        report = _run_scenario(args, cfg)
-        print(f"[{report.scenario}] gate: {report.gate.status}")
-        for cmp in report.gate.comparisons:
-            print(
-                f"  {cmp['name']}: coarse={cmp['coarse']:.6g} fine={cmp['fine']:.6g} "
-                f"delta={cmp['delta']:.3g} threshold={cmp['threshold']:.3g} "
-                f"{'ok' if cmp['converged'] else 'NOT CONVERGED'}"
-            )
-        return EXIT_PASS if report.gate.status == "CONVERGED" else EXIT_INCONCLUSIVE
-
     try:
         report = _run_scenario(args, cfg)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     for line in report.summary_lines():
         print(line)
     if not args.no_emit:

@@ -1,61 +1,55 @@
 """Flat key = value configuration files with one section per scenario.
 
-An empty file is a valid configuration (all defaults). Unknown sections or
-keys are rejected with the offending line number; values are typed after
-the defaults. parse/serialize round-trips exactly.
+An empty file is a valid configuration (all defaults). The scenario
+sections take their keys and defaults from the signatures of the scenario
+functions. Unknown sections or keys are rejected with the offending line
+number; values are typed after the defaults. parse/serialize round-trips
+exactly.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field as dc_field
 
-__all__ = ["ConfigError", "LabConfig", "parse_config", "DEFAULTS"]
+from . import experiments
+
+__all__ = ["ConfigError", "LabConfig", "parse_config", "DEFAULTS", "SCENARIOS"]
 
 
 class ConfigError(ValueError):
     pass
 
 
+# section -> the function in nclaw.experiments whose signature holds its defaults
+SCENARIOS = {
+    "ce1": "counterexample_1",
+    "ce2": "counterexample_2",
+    "ce3": "counterexample_3",
+    "rate": "singular_limit_rate",
+    "visc": "vanishing_viscosity",
+}
+# parameter -> config key, where users' config files spell it differently
+CONFIG_KEYS = {"eps": "epsilon"}
+# keys with a fixed set of values, shared with the CLI flags
+CHOICES = {
+    "solver": ("particles", "lax_friedrichs"),
+    "kernel_shape": ("even_bump", "one_sided_left"),
+    "variant": ("step", "odd"),
+}
+
+
+def _signature_defaults(fn_name: str) -> dict:
+    out = {}
+    for p in inspect.signature(getattr(experiments, fn_name)).parameters.values():
+        default = list(p.default) if isinstance(p.default, tuple) else p.default
+        out[CONFIG_KEYS.get(p.name, p.name)] = default
+    return out
+
+
 DEFAULTS = {
     "lab": {"out_dir": "runs", "seed": 0},
-    "ce1": {
-        "epsilon": 0.05,
-        "n_particles": 2400,
-        "t_end": 0.25,
-        "godunov_n": 4096,
-        "solver": "particles",
-        "gate": True,
-    },
-    "ce2": {
-        "epsilon": 0.05,
-        "n_particles": 1500,
-        "t_end": 0.5,
-        "godunov_n": 4096,
-        "gate": True,
-    },
-    "ce3": {
-        "epsilon": 0.05,
-        "n_particles": 2000,
-        "t_end": 0.5,
-        "godunov_n": 4096,
-        "gate": True,
-    },
-    "rate": {
-        "nu": 0.1,
-        "p": 2.0,
-        "eps_list": [0.2, 0.1, 0.05, 0.025],
-        "kernel_shape": "one_sided_left",
-        "t_end": 1.0,
-        "width": 0.3,
-        "gate": True,
-    },
-    "visc": {
-        "epsilon": 0.1,
-        "nu_list": [0.1, 0.03, 0.01, 0.003],
-        "t_end": 0.5,
-        "width": 0.6,
-        "gate": True,
-    },
+    **{section: _signature_defaults(fn) for section, fn in SCENARIOS.items()},
     "oracle": {
         "variant": "step",
         "t": 0.5,
@@ -136,14 +130,8 @@ def _validate(section: str, key: str, value, lineno: int):
     if key in ("eps_list", "nu_list"):
         if not value or any(x <= 0 for x in value):
             raise ConfigError(f"line {lineno}: {key} entries must be > 0")
-    if key == "solver" and value not in ("particles", "lax_friedrichs"):
-        raise ConfigError(f"line {lineno}: solver must be particles|lax_friedrichs")
-    if key == "kernel_shape" and value not in ("even_bump", "one_sided_left"):
-        raise ConfigError(
-            f"line {lineno}: kernel_shape must be even_bump|one_sided_left"
-        )
-    if key == "variant" and value not in ("step", "odd"):
-        raise ConfigError(f"line {lineno}: variant must be step|odd")
+    if key in CHOICES and value not in CHOICES[key]:
+        raise ConfigError(f"line {lineno}: {key} must be {'|'.join(CHOICES[key])}")
     return value
 
 

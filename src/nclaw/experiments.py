@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .data import gaussian_datum, odd_datum, step_datum
-from .grids import Field, Grid1D, lp_norm, snap_window, window_mass
+from .grids import Field, Grid1D, entropy_functional, lp_norm, snap_window, window_mass
 from .kernels import EVEN_BUMP, ONE_SIDED_LEFT, Kernel
 from .local_entropy import (
     ExactSolution,
@@ -139,6 +139,12 @@ class ScenarioReport:
             )
         if self.gate is not None:
             lines.append(f"  [gate] {self.gate.status}")
+            for cmp in self.gate.comparisons:
+                lines.append(
+                    f"    {cmp['name']}: coarse={cmp['coarse']:.6g} fine={cmp['fine']:.6g} "
+                    f"delta={cmp['delta']:.3g} threshold={cmp['threshold']:.3g} "
+                    f"{'ok' if cmp['converged'] else 'NOT CONVERGED'}"
+                )
         return lines
 
     def to_json(self) -> dict:
@@ -165,6 +171,52 @@ def _support_datum_grid(x_min, x_max, support_len, n_particles):
     return Grid1D(x_min, x_max, n)
 
 
+def _nonlocal(scheme, grid, kernel, t_end, n_outputs, initial, **cfg):
+    """An inviscid nonlocal run with the identity law (cfg: further config fields)."""
+    return run_nonlocal(
+        NonlocalRunConfig(
+            grid=grid,
+            kernel=kernel,
+            law=identity_law(),
+            t_end=t_end,
+            scheme=scheme,
+            n_outputs=n_outputs,
+            **cfg,
+        ),
+        initial,
+    )
+
+
+def _scenario(name: str, params: dict, measure, judge) -> ScenarioReport:
+    """Run a scenario through the steps every scenario shares.
+
+    ``measure(k)`` computes the headline numbers with the scenario's
+    resolution parameter divided by k (the particle and Godunov cell counts
+    for the counterexamples, the cell width for the viscous experiments)
+    and returns them with whatever runs ``judge`` needs. It runs at k = 1,
+    and again at k = 2 when ``params["gate"]`` is set; the
+    grid-convergence gate compares the two runs on the keys of the margins.
+    ``judge(main, rerun)`` returns the checks, the gate margins, the side
+    numbers, the provenance and optionally the series and trajectories to
+    record; ``rerun`` is None without the gate. The manifest records
+    ``params`` and the wall time.
+    """
+    t0 = time.monotonic()
+    main = measure(1)
+    rerun = measure(2) if params["gate"] else None
+    out = judge(main, rerun)
+    margins = out.pop("margins")
+    gate = None if rerun is None else grid_convergence_gate(rerun, main, margins)
+    manifest = RunManifest(
+        scenario=name,
+        params=params,
+        provenance=out.pop("provenance"),
+        code_version=__version__,
+        wall_time_s=time.monotonic() - t0,
+    )
+    return ScenarioReport(name, gate=gate, manifest=manifest, **out)
+
+
 # ---------------------------------------------------------------------------
 # counterexample 1: half-line mass (odd datum, even kernel)
 
@@ -184,115 +236,80 @@ def counterexample_1(
     solver="lax_friedrichs" the masking behavior of a dissipative scheme is
     exposed instead (the check is then expected to fail).
     """
-    t0 = time.monotonic()
+    params = dict(locals())  # the manifest records every argument
     law = identity_law()
     kernel = Kernel(EVEN_BUMP, eps)
     window = (-4.0, 0.0)
     diag_grid = Grid1D(-4.5, 4.5, 4500)
 
-    def nonlocal_run(n):
-        cfg = NonlocalRunConfig(
-            grid=diag_grid,
-            kernel=kernel,
-            law=law,
-            t_end=t_end,
-            scheme=solver,
-            n_outputs=25,
-            windows=(window,),
-            signed_masses=True,
+    def measure(k):
+        datum_grid = diag_grid
+        if solver != "lax_friedrichs":
+            # multiples of 4 keep the datum edges and the origin on cell edges
+            # of the sampling grid, so the sampled window mass starts at exactly 1
+            n = 4 * max(1, round(n_particles // k / 4))
+            datum_grid = _support_datum_grid(-4.5, 4.5, 2.0, n)
+        nl = _nonlocal(
+            solver, diag_grid, kernel, t_end, 25, odd_datum(datum_grid),
+            windows=(window,), signed_masses=True,
         )
-        # multiples of 4 keep the datum edges and the origin on cell edges
-        # of the sampling grid, so the sampled window mass starts at exactly 1
-        n = 4 * max(1, round(n / 4))
-        datum_grid = _support_datum_grid(-4.5, 4.5, 2.0, n)
-        if solver == "lax_friedrichs":
-            datum_grid = diag_grid
-        return run_nonlocal(cfg, odd_datum(datum_grid))
-
-    def godunov_run(n):
-        g = Grid1D(-4.5, 4.5, n)
-        return run_local(
-            odd_datum(g), law, t_end, cfl=0.9, windows=(window,), n_outputs=25
+        gd = run_local(
+            odd_datum(Grid1D(-4.5, 4.5, godunov_n // k)), law, t_end, cfl=0.9,
+            windows=(window,), n_outputs=25,
         )
+        return {
+            "nonlocal_window_mass": nl.diagnostics.last("window_mass"),
+            "entropy_window_mass": gd.diagnostics.last("window_mass"),
+            "runs": (nl, gd),
+        }
 
-    nl = nonlocal_run(n_particles)
-    gd = godunov_run(godunov_n)
-    nl_wm = nl.diagnostics.last("window_mass")
-    gd_wm = gd.diagnostics.last("window_mass")
-
-    oracle_grid = Grid1D(-4.5, 4.5, 9000)
-    oracle_wm = window_mass(sample_exact(ExactSolution("odd"), t_end, oracle_grid), *window)
-
-    checks = [
-        Check("nonlocal_window_mass", nl_wm, 0.98, 1.02, provenance=solver),
-        Check("entropy_window_mass", gd_wm, 0.73, 0.77, provenance="godunov"),
-    ]
-
-    gate_result = None
-    if gate:
-        nl_h = nonlocal_run(n_particles // 2)
-        gd_h = godunov_run(godunov_n // 2)
-        gate_result = grid_convergence_gate(
-            {
-                "nonlocal_window_mass": nl_h.diagnostics.last("window_mass"),
-                "entropy_window_mass": gd_h.diagnostics.last("window_mass"),
+    def judge(main, rerun):
+        nl, gd = main["runs"]
+        oracle_grid = Grid1D(-4.5, 4.5, 9000)
+        oracle_wm = window_mass(sample_exact(ExactSolution("odd"), t_end, oracle_grid), *window)
+        # coarse Lax-Friedrichs counterpart (dx ~ eps): numerical viscosity
+        # drains the window mass, masking the conservation; logged, not judged
+        lf_grid = Grid1D(-4.5, 4.5, int(round(9.0 / eps)))
+        lf = _nonlocal(
+            "lax_friedrichs", lf_grid, kernel, t_end, 10, odd_datum(lf_grid),
+            windows=(window,), signed_masses=True,
+        )
+        return {
+            "checks": [
+                Check("nonlocal_window_mass", main["nonlocal_window_mass"], 0.98, 1.02,
+                      provenance=solver),
+                Check("entropy_window_mass", main["entropy_window_mass"], 0.73, 0.77,
+                      provenance="godunov"),
+            ],
+            "margins": {"nonlocal_window_mass": 0.02, "entropy_window_mass": 0.02},
+            "numbers": {
+                "oracle_window_mass": oracle_wm,
+                "window": list(window),
+                "nonlocal_mass_total": nl.diagnostics.last("mass"),
+                "nonlocal_window_mass_initial": nl.diagnostics.array("window_mass")[0],
+                "lf_coarse_window_mass": lf.diagnostics.last("window_mass"),
+                "lf_coarse_dx": lf_grid.dx,
+                "godunov_window_mass_slope_band": [-1.05, -0.95],
             },
-            {"nonlocal_window_mass": nl_wm, "entropy_window_mass": gd_wm},
-            {"nonlocal_window_mass": 0.02, "entropy_window_mass": 0.02},
-        )
+            "provenance": {
+                "nonlocal_window_mass": solver,
+                "entropy_window_mass": f"godunov N={godunov_n}",
+                "lf_coarse_window_mass": f"lax_friedrichs N={lf_grid.n_cells}",
+            },
+            "series": {
+                "nonlocal": nl.diagnostics,
+                "godunov": gd.diagnostics,
+                "lf_coarse": lf.diagnostics,
+            },
+            "trajectories": {
+                "nonlocal": [
+                    s if isinstance(s, Field) else deposit(s, diag_grid) for s in nl.states
+                ],
+                "godunov": gd.states,
+            },
+        }
 
-    # coarse Lax-Friedrichs counterpart (dx ~ eps): numerical viscosity
-    # drains the window mass, masking the conservation; logged, not judged
-    lf_grid = Grid1D(-4.5, 4.5, int(round(9.0 / eps)))
-    lf = run_nonlocal(
-        NonlocalRunConfig(
-            grid=lf_grid,
-            kernel=kernel,
-            law=law,
-            t_end=t_end,
-            scheme="lax_friedrichs",
-            n_outputs=10,
-            windows=(window,),
-            signed_masses=True,
-        ),
-        odd_datum(lf_grid),
-    )
-
-    numbers = {
-        "oracle_window_mass": oracle_wm,
-        "window": list(window),
-        "nonlocal_mass_total": nl.diagnostics.last("mass"),
-        "nonlocal_window_mass_initial": nl.diagnostics.array("window_mass")[0],
-        "lf_coarse_window_mass": lf.diagnostics.last("window_mass"),
-        "lf_coarse_dx": lf_grid.dx,
-        "godunov_window_mass_slope_band": [-1.05, -0.95],
-    }
-    manifest = RunManifest(
-        scenario="ce1",
-        params={
-            "eps": eps,
-            "n_particles": n_particles,
-            "t_end": t_end,
-            "godunov_n": godunov_n,
-            "solver": solver,
-            "gate": gate,
-        },
-        provenance={
-            "nonlocal_window_mass": solver,
-            "entropy_window_mass": f"godunov N={godunov_n}",
-            "lf_coarse_window_mass": f"lax_friedrichs N={lf_grid.n_cells}",
-        },
-        code_version=__version__,
-        wall_time_s=time.monotonic() - t0,
-    )
-    series = {"nonlocal": nl.diagnostics, "godunov": gd.diagnostics, "lf_coarse": lf.diagnostics}
-    trajectories = {
-        "nonlocal": [
-            deposit(s, diag_grid) if not isinstance(s, Field) else s for s in nl.states
-        ],
-        "godunov": gd.states,
-    }
-    return ScenarioReport("ce1", checks, gate_result, numbers, manifest, series, trajectories)
+    return _scenario("ce1", params, measure, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -310,182 +327,132 @@ def counterexample_2(
     entropy solution, including the first-moment contradiction for confined
     distributional solutions.
     """
-    t0 = time.monotonic()
+    params = dict(locals())  # the manifest records every argument
     law = identity_law()
     kernel = Kernel(ONE_SIDED_LEFT, eps)
     diag_grid = Grid1D(-1.5, 0.5, 2000)
     right_window = (0.0, 0.5)
+    t_godunov = max(t_end, 0.75)  # extended run for the moment contradiction
 
-    def particle_run(n):
-        cfg = NonlocalRunConfig(
-            grid=diag_grid,
-            kernel=kernel,
-            law=law,
-            t_end=t_end,
-            scheme="particles",
-            n_outputs=25,
+    def measure(k):
+        nl = _nonlocal(
+            "particles", diag_grid, kernel, t_end, 25,
+            step_datum(_support_datum_grid(-1.5, 0.5, 1.0, n_particles // k)),
             windows=(right_window,),
         )
-        return run_nonlocal(cfg, step_datum(_support_datum_grid(-1.5, 0.5, 1.0, n)))
-
-    t_godunov = max(t_end, 0.75)  # extended run for the moment contradiction
-    def godunov_run(n):
-        g = Grid1D(-2.0, 2.0, n)
-        return run_local(
-            step_datum(g), law, t_godunov, cfl=0.9, windows=((0.0, 1.0),), n_outputs=75
+        gd = run_local(
+            step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), law, t_godunov, cfl=0.9,
+            windows=((0.0, 1.0),), n_outputs=75,
         )
+        # entropy-solution right-half-line mass at t_end and its time integral
+        tg = gd.diagnostics.t
+        right = gd.diagnostics.array("window_mass")
+        sel = tg <= t_end + 1e-12
+        return {
+            "nonlocal_right_mass": nl.diagnostics.last("window_mass"),
+            "entropy_right_mass_at_T": float(right[int(np.argmin(np.abs(tg - t_end)))]),
+            "entropy_right_mass_time_integral": float(np.trapezoid(right[sel], tg[sel])),
+            "runs": (nl, gd),
+        }
 
-    nl = particle_run(n_particles)
-    gd = godunov_run(godunov_n)
-
-    nl_right = nl.diagnostics.last("window_mass")
-    nl_lo = float(nl.diagnostics.array("support_lo").min())
-    nl_hi = float(nl.diagnostics.array("support_hi").max())
-    nl_bar = nl.diagnostics.last("baricenter")
-
-    # entropy-solution right-half-line mass at t_end and its time integral
-    tg = gd.diagnostics.t
-    right = gd.diagnostics.array("window_mass")
-    i_end = int(np.argmin(np.abs(tg - t_end)))
-    gd_right_at_T = float(right[i_end])
-    sel = tg <= t_end + 1e-12
-    gd_right_integral = float(np.trapezoid(right[sel], tg[sel]))
-
-    # first-moment bounds for a solution confined to (a, b): the Godunov
-    # solution escapes the window and violates them for t >= 0.6
-    a, b = -1.05, 0.05
-    datum_grid = Grid1D(-2.0, 2.0, godunov_n)
-    u0 = step_datum(datum_grid)
-    win_mass0 = window_mass(u0, a, b)
-    win_mom0 = _window_moment(u0, a, b)
-    gaps_plain, gaps_jensen, viol_times = [], [], []
-    for state in gd.states:
-        if state.time_stamp < 0.6 - 1e-9:
-            continue
-        bounds = baricenter_lower_bound(win_mass0, win_mom0, state.time_stamp, a, b)
-        mom = _window_moment(state, a, b)
-        gaps_plain.append(bounds["plain"] - mom)
-        gaps_jensen.append(bounds["jensen"] - mom)
-        viol_times.append(state.time_stamp)
-
-    checks = [
-        Check("nonlocal_right_mass", nl_right, -1e-12, 0.01, provenance="particles"),
-        Check("nonlocal_support_lo", nl_lo, -1.01, 0.0, provenance="particles"),
-        Check("nonlocal_support_hi", nl_hi, -1.0, 0.01, provenance="particles"),
-        Check("nonlocal_baricenter", nl_bar, -1.0, 0.01, provenance="particles"),
-        Check(
-            "entropy_right_mass_at_T", gd_right_at_T, 0.48, 0.52, provenance="godunov"
-        ),
-        Check(
-            "entropy_right_mass_time_integral",
-            gd_right_integral,
-            0.125 * 0.95,
-            0.125 * 1.05,
-            provenance="godunov",
-        ),
-        Check(
-            "godunov_moment_violation_gap",
-            float(min(gaps_plain)),
-            0.0,
-            math.inf,
-            provenance="godunov",
-            note="plain-form first-moment bound minus windowed moment, min over t>=0.6; "
-            "positive = bound violated (support escaped the window)",
-        ),
-    ]
-
-    gate_result = None
-    if gate:
-        nl_h = particle_run(n_particles // 2)
-        gd_h = godunov_run(godunov_n // 2)
-        right_h = gd_h.diagnostics.array("window_mass")
-        tg_h = gd_h.diagnostics.t
-        sel_h = tg_h <= t_end + 1e-12
-        gate_result = grid_convergence_gate(
-            {
-                "nonlocal_right_mass": nl_h.diagnostics.last("window_mass"),
-                "entropy_right_mass_at_T": float(
-                    right_h[int(np.argmin(np.abs(tg_h - t_end)))]
+    def judge(main, rerun):
+        nl, gd = main["runs"]
+        # first-moment bounds for a solution confined to (a, b): the Godunov
+        # solution escapes the window and violates them for t >= 0.6
+        a, b = -1.05, 0.05
+        u0 = step_datum(Grid1D(-2.0, 2.0, godunov_n))
+        win_mass0 = window_mass(u0, a, b)
+        win_mom0 = _window_moment(u0, a, b)
+        gaps_plain, gaps_jensen, viol_times = [], [], []
+        for state in gd.states:
+            if state.time_stamp < 0.6 - 1e-9:
+                continue
+            bounds = baricenter_lower_bound(win_mass0, win_mom0, state.time_stamp, a, b)
+            mom = _window_moment(state, a, b)
+            gaps_plain.append(bounds["plain"] - mom)
+            gaps_jensen.append(bounds["jensen"] - mom)
+            viol_times.append(state.time_stamp)
+        # dx = eps/2 is the coarsest grid with an interior sample of the
+        # one-sided kernel; still far too coarse to keep the confinement sharp
+        # (wide domain: the scheme smear travels one cell per step)
+        lf_grid = Grid1D(-3.5, 2.5, max(int(round(6.0 / (eps / 2.0))), 8))
+        lf = _nonlocal(
+            "lax_friedrichs", lf_grid, kernel, t_end, 10, step_datum(lf_grid),
+            windows=(right_window,),
+        )
+        return {
+            "checks": [
+                Check("nonlocal_right_mass", main["nonlocal_right_mass"], -1e-12, 0.01,
+                      provenance="particles"),
+                Check("nonlocal_support_lo", float(nl.diagnostics.array("support_lo").min()),
+                      -1.01, 0.0, provenance="particles"),
+                Check("nonlocal_support_hi", float(nl.diagnostics.array("support_hi").max()),
+                      -1.0, 0.01, provenance="particles"),
+                Check("nonlocal_baricenter", nl.diagnostics.last("baricenter"), -1.0, 0.01,
+                      provenance="particles"),
+                Check("entropy_right_mass_at_T", main["entropy_right_mass_at_T"], 0.48, 0.52,
+                      provenance="godunov"),
+                Check(
+                    "entropy_right_mass_time_integral",
+                    main["entropy_right_mass_time_integral"],
+                    0.125 * 0.95,
+                    0.125 * 1.05,
+                    provenance="godunov",
                 ),
-                "entropy_right_mass_time_integral": float(
-                    np.trapezoid(right_h[sel_h], tg_h[sel_h])
+                Check(
+                    "godunov_moment_violation_gap",
+                    float(min(gaps_plain)),
+                    0.0,
+                    math.inf,
+                    provenance="godunov",
+                    note="plain-form first-moment bound minus windowed moment, min over "
+                    "t>=0.6; positive = bound violated (support escaped the window)",
                 ),
-            },
-            {
-                "nonlocal_right_mass": nl_right,
-                "entropy_right_mass_at_T": gd_right_at_T,
-                "entropy_right_mass_time_integral": gd_right_integral,
-            },
-            {
+            ],
+            "margins": {
                 "nonlocal_right_mass": 0.01,
                 "entropy_right_mass_at_T": 0.02,
                 "entropy_right_mass_time_integral": 0.125 * 0.05,
             },
-        )
+            "numbers": {
+                "right_window": list(right_window),
+                "moment_window": [a, b],
+                "moment_bound_crosses_zero_at": {
+                    "plain": -win_mom0 / win_mass0**2,
+                    "jensen": -win_mom0 * (b - a) / win_mass0**2,
+                },
+                "moment_bound_exceeds_confinement_cap_at": {
+                    "plain": (b * win_mass0 - win_mom0) / win_mass0**2,
+                    "jensen": (b * win_mass0 - win_mom0) * (b - a) / win_mass0**2,
+                },
+                "moment_violation_times": viol_times,
+                "moment_gaps_plain": gaps_plain,
+                "moment_gaps_jensen": gaps_jensen,
+                "window_mass0": win_mass0,
+                "window_moment0": win_mom0,
+                "lf_coarse_right_mass": float(
+                    np.sum(lf.final.values[lf.final.grid.centers > 0.0]) * lf_grid.dx
+                ),
+                "lf_coarse_dx": lf_grid.dx,
+            },
+            "provenance": {
+                "nonlocal_*": "particles",
+                "entropy_*": f"godunov N={godunov_n}",
+                "lf_coarse_right_mass": f"lax_friedrichs N={lf_grid.n_cells}",
+                "moment_bound_form": "plain for the check; jensen variant reported",
+            },
+            "series": {
+                "nonlocal": nl.diagnostics,
+                "godunov": gd.diagnostics,
+                "lf_coarse": lf.diagnostics,
+            },
+            "trajectories": {
+                "nonlocal": [deposit(s, diag_grid) for s in nl.states],
+                "godunov": gd.states,
+            },
+        }
 
-    # dx = eps/2 is the coarsest grid with an interior sample of the
-    # one-sided kernel; still far too coarse to keep the confinement sharp
-    # (wide domain: the scheme smear travels one cell per step)
-    lf_grid = Grid1D(-3.5, 2.5, max(int(round(6.0 / (eps / 2.0))), 8))
-    lf = run_nonlocal(
-        NonlocalRunConfig(
-            grid=lf_grid,
-            kernel=kernel,
-            law=law,
-            t_end=t_end,
-            scheme="lax_friedrichs",
-            n_outputs=10,
-            windows=(right_window,),
-        ),
-        step_datum(lf_grid),
-    )
-    lf_right = float(
-        np.sum(lf.final.values[lf.final.grid.centers > 0.0]) * lf_grid.dx
-    )
-
-    numbers = {
-        "right_window": list(right_window),
-        "moment_window": [a, b],
-        "moment_bound_crosses_zero_at": {
-            "plain": -win_mom0 / win_mass0**2,
-            "jensen": -win_mom0 * (b - a) / win_mass0**2,
-        },
-        "moment_bound_exceeds_confinement_cap_at": {
-            "plain": (b * win_mass0 - win_mom0) / win_mass0**2,
-            "jensen": (b * win_mass0 - win_mom0) * (b - a) / win_mass0**2,
-        },
-        "moment_violation_times": viol_times,
-        "moment_gaps_plain": gaps_plain,
-        "moment_gaps_jensen": gaps_jensen,
-        "window_mass0": win_mass0,
-        "window_moment0": win_mom0,
-        "lf_coarse_right_mass": lf_right,
-        "lf_coarse_dx": lf_grid.dx,
-    }
-    manifest = RunManifest(
-        scenario="ce2",
-        params={
-            "eps": eps,
-            "n_particles": n_particles,
-            "t_end": t_end,
-            "godunov_n": godunov_n,
-            "gate": gate,
-        },
-        provenance={
-            "nonlocal_*": "particles",
-            "entropy_*": f"godunov N={godunov_n}",
-            "lf_coarse_right_mass": f"lax_friedrichs N={lf_grid.n_cells}",
-            "moment_bound_form": "plain for the check; jensen variant reported",
-        },
-        code_version=__version__,
-        wall_time_s=time.monotonic() - t0,
-    )
-    series = {"nonlocal": nl.diagnostics, "godunov": gd.diagnostics, "lf_coarse": lf.diagnostics}
-    trajectories = {
-        "nonlocal": [deposit(s, diag_grid) for s in nl.states],
-        "godunov": gd.states,
-    }
-    return ScenarioReport("ce2", checks, gate_result, numbers, manifest, series, trajectories)
+    return _scenario("ce2", params, measure, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -508,139 +475,80 @@ def counterexample_3(
     deposit-based value and its grid scale are reported alongside, as is the
     finite-volume run whose numerical viscosity visibly dissipates.
     """
-    t0 = time.monotonic()
+    params = dict(locals())  # the manifest records every argument
     law = identity_law()
     kernel = Kernel(EVEN_BUMP, eps)
     diag_grid = Grid1D(-2.0, 1.5, 1400)
 
-    def particle_run(n):
-        cfg = NonlocalRunConfig(
-            grid=diag_grid,
-            kernel=kernel,
-            law=law,
-            t_end=t_end,
-            scheme="particles",
-            n_outputs=25,
+    def measure(k):
+        nl = _nonlocal(
+            "particles", diag_grid, kernel, t_end, 25,
+            step_datum(_support_datum_grid(-2.0, 1.5, 1.0, n_particles // k)),
         )
-        return run_nonlocal(cfg, step_datum(_support_datum_grid(-2.0, 1.5, 1.0, n)))
-
-    def godunov_run(n):
-        g = Grid1D(-2.0, 2.0, n)
-        return run_local(step_datum(g), law, t_end, cfl=0.9, n_outputs=50)
-
-    nl = particle_run(n_particles)
-    gd = godunov_run(godunov_n)
-
-    ent_lagr = nl.diagnostics.last("entropy_lagrangian")
-    ent_dep = nl.diagnostics.last("entropy")
-    gd_ent = gd.diagnostics.last("entropy")
-
-    oracle_grid = Grid1D(-2.0, 2.0, 16000)
-    from .grids import entropy_functional
-
-    oracle_ent = entropy_functional(sample_exact(ExactSolution("step"), t_end, oracle_grid))
-
-    # finite-volume nonlocal run at dx = eps/20: resolved in eps but its
-    # numerical viscosity still dissipates a visible amount of entropy
-    fv_grid = Grid1D(-2.0, 1.5, int(round(3.5 / (eps / 20.0))))
-    fv = run_nonlocal(
-        NonlocalRunConfig(
-            grid=fv_grid,
-            kernel=kernel,
-            law=law,
-            t_end=t_end,
-            scheme="lax_friedrichs",
-            n_outputs=25,
-        ),
-        step_datum(fv_grid),
-    )
-
-    checks = [
-        Check(
-            "nonlocal_entropy_at_T",
-            ent_lagr,
-            -0.05,
-            0.05,
-            provenance="particles (lagrangian gap density)",
-        ),
-        Check("entropy_solution_entropy_at_T", gd_ent, -0.27, -0.23, provenance="godunov"),
-    ]
-
-    gate_result = None
-    if gate:
-        nl_h = particle_run(n_particles // 2)
-        gd_h = godunov_run(godunov_n // 2)
-        gate_result = grid_convergence_gate(
-            {
-                "nonlocal_entropy_at_T": nl_h.diagnostics.last("entropy_lagrangian"),
-                "entropy_solution_entropy_at_T": gd_h.diagnostics.last("entropy"),
-            },
-            {
-                "nonlocal_entropy_at_T": ent_lagr,
-                "entropy_solution_entropy_at_T": gd_ent,
-            },
-            {"nonlocal_entropy_at_T": 0.05, "entropy_solution_entropy_at_T": 0.02},
+        gd = run_local(
+            step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), law, t_end, cfl=0.9, n_outputs=50
         )
+        return {
+            "nonlocal_entropy_at_T": nl.diagnostics.last("entropy_lagrangian"),
+            "entropy_solution_entropy_at_T": gd.diagnostics.last("entropy"),
+            "runs": (nl, gd),
+        }
 
-    # wide domain: the coarse scheme smear travels one cell per step
-    lf_grid = Grid1D(-3.5, 3.5, max(int(round(7.0 / eps)), 8))
-    lf = run_nonlocal(
-        NonlocalRunConfig(
-            grid=lf_grid,
-            kernel=kernel,
-            law=law,
-            t_end=t_end,
-            scheme="lax_friedrichs",
-            n_outputs=10,
-        ),
-        step_datum(lf_grid),
-    )
+    def judge(main, rerun):
+        nl, gd = main["runs"]
+        oracle_grid = Grid1D(-2.0, 2.0, 16000)
+        oracle_ent = entropy_functional(sample_exact(ExactSolution("step"), t_end, oracle_grid))
+        # finite-volume nonlocal run at dx = eps/20: resolved in eps but its
+        # numerical viscosity still dissipates a visible amount of entropy
+        fv_grid = Grid1D(-2.0, 1.5, int(round(3.5 / (eps / 20.0))))
+        fv = _nonlocal("lax_friedrichs", fv_grid, kernel, t_end, 25, step_datum(fv_grid))
+        # wide domain: the coarse scheme smear travels one cell per step
+        lf_grid = Grid1D(-3.5, 3.5, max(int(round(7.0 / eps)), 8))
+        lf = _nonlocal("lax_friedrichs", lf_grid, kernel, t_end, 10, step_datum(lf_grid))
+        return {
+            "checks": [
+                Check("nonlocal_entropy_at_T", main["nonlocal_entropy_at_T"], -0.05, 0.05,
+                      provenance="particles (lagrangian gap density)"),
+                Check("entropy_solution_entropy_at_T", main["entropy_solution_entropy_at_T"],
+                      -0.27, -0.23, provenance="godunov"),
+            ],
+            "margins": {"nonlocal_entropy_at_T": 0.05, "entropy_solution_entropy_at_T": 0.02},
+            "numbers": {
+                "oracle_entropy": oracle_ent,
+                "oracle_entropy_closed_form": -t_end / 2.0,
+                "nonlocal_entropy_deposit": nl.diagnostics.last("entropy"),
+                "nonlocal_entropy_deposit_dx": nl.info["entropy_grid_dx"],
+                "nonlocal_entropy_deposit_bias_order": nl.info["entropy_bias_order"],
+                "nonlocal_entropy_initial": nl.diagnostics.array("entropy_lagrangian")[0],
+                "fv_entropy_at_T": fv.diagnostics.last("entropy"),
+                "fv_dx_over_eps": fv_grid.dx / eps,
+                "lf_coarse_entropy": lf.diagnostics.last("entropy"),
+                "lf_coarse_dx": lf_grid.dx,
+                "godunov_entropy_nonincreasing": bool(
+                    np.all(np.diff(gd.diagnostics.array("entropy")) <= 1e-10)
+                ),
+            },
+            "provenance": {
+                "nonlocal_entropy_at_T": "particles, lagrangian gap density",
+                "nonlocal_entropy_deposit":
+                    f"particles, deposit dx={nl.info['entropy_grid_dx']:.4g}",
+                "entropy_solution_entropy_at_T": f"godunov N={godunov_n}",
+                "fv_entropy_at_T": f"lax_friedrichs N={fv_grid.n_cells}",
+                "lf_coarse_entropy": f"lax_friedrichs N={lf_grid.n_cells}",
+            },
+            "series": {
+                "nonlocal": nl.diagnostics,
+                "godunov": gd.diagnostics,
+                "fv": fv.diagnostics,
+                "lf_coarse": lf.diagnostics,
+            },
+            "trajectories": {
+                "nonlocal": [deposit(s, diag_grid) for s in nl.states],
+                "godunov": gd.states,
+            },
+        }
 
-    numbers = {
-        "oracle_entropy": oracle_ent,
-        "oracle_entropy_closed_form": -t_end / 2.0,
-        "nonlocal_entropy_deposit": ent_dep,
-        "nonlocal_entropy_deposit_dx": nl.info["entropy_grid_dx"],
-        "nonlocal_entropy_deposit_bias_order": nl.info["entropy_bias_order"],
-        "nonlocal_entropy_initial": nl.diagnostics.array("entropy_lagrangian")[0],
-        "fv_entropy_at_T": fv.diagnostics.last("entropy"),
-        "fv_dx_over_eps": fv_grid.dx / eps,
-        "lf_coarse_entropy": lf.diagnostics.last("entropy"),
-        "lf_coarse_dx": lf_grid.dx,
-        "godunov_entropy_nonincreasing": bool(
-            np.all(np.diff(gd.diagnostics.array("entropy")) <= 1e-10)
-        ),
-    }
-    manifest = RunManifest(
-        scenario="ce3",
-        params={
-            "eps": eps,
-            "n_particles": n_particles,
-            "t_end": t_end,
-            "godunov_n": godunov_n,
-            "gate": gate,
-        },
-        provenance={
-            "nonlocal_entropy_at_T": "particles, lagrangian gap density",
-            "nonlocal_entropy_deposit": f"particles, deposit dx={nl.info['entropy_grid_dx']:.4g}",
-            "entropy_solution_entropy_at_T": f"godunov N={godunov_n}",
-            "fv_entropy_at_T": f"lax_friedrichs N={fv_grid.n_cells}",
-            "lf_coarse_entropy": f"lax_friedrichs N={lf_grid.n_cells}",
-        },
-        code_version=__version__,
-        wall_time_s=time.monotonic() - t0,
-    )
-    series = {
-        "nonlocal": nl.diagnostics,
-        "godunov": gd.diagnostics,
-        "fv": fv.diagnostics,
-        "lf_coarse": lf.diagnostics,
-    }
-    trajectories = {
-        "nonlocal": [deposit(s, diag_grid) for s in nl.states],
-        "godunov": gd.states,
-    }
-    return ScenarioReport("ce3", checks, gate_result, numbers, manifest, series, trajectories)
+    return _scenario("ce3", params, measure, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -662,76 +570,55 @@ def singular_limit_rate(
     bad stability constants and is explicitly not checked. The one-sided
     kernel has nonzero first moment, which makes the distance genuinely
     first order in eps for smooth data (an even kernel would show order ~2).
+    The gate reruns the sweep at half the cell width.
     """
-    t0 = time.monotonic()
-    law = identity_law()
     eps_list = tuple(sorted(eps_list, reverse=True))
+    params = dict(locals())  # the manifest records every argument
+    law = identity_law()
+    dx = min(eps_list) / 10.0
 
-    def sweep(dx: float):
-        n = int(round(7.5 / dx))
-        grid = Grid1D(-3.5, 4.0, n)
+    def measure(k):
+        grid = Grid1D(-3.5, 4.0, int(round(7.5 / (dx / k))))
         u0 = gaussian_datum(grid, mass=1.0, width=width)
         umax = float(np.max(np.abs(u0.values)))
         dt = 0.45 * grid.dx / (1.4 * 2.0 * umax)  # shared by all runs
         base = dict(grid=grid, law=law, nu=nu, t_end=t_end, dt=dt, n_outputs=10)
         loc = run_viscous(ViscousRunConfig(kernel=None, **base), u0)
-        dists = {}
+        ds = []
         for eps in eps_list:
-            k = Kernel(kernel_shape, eps)
-            nl = run_viscous(ViscousRunConfig(kernel=k, **base), u0)
-            dists[eps] = max(
+            nl = run_viscous(ViscousRunConfig(kernel=Kernel(kernel_shape, eps), **base), u0)
+            ds.append(max(
                 lp_norm(Field(grid, a.values - b.values), p)
                 for a, b in zip(nl.states[1:], loc.states[1:])
-            )
-        es = np.array(eps_list)
-        ds = np.array([dists[e] for e in eps_list])
-        slope = float(np.polyfit(np.log(es), np.log(ds), 1)[0])
-        return dists, slope
+            ))
+        slope = float(np.polyfit(np.log(np.array(eps_list)), np.log(np.array(ds)), 1)[0])
+        return {"fitted_order_in_eps": slope, "distances": ds}
 
-    dx = min(eps_list) / 10.0
-    dists, slope = sweep(dx)
+    def judge(main, rerun):
+        ds = main["distances"]
+        return {
+            "checks": [
+                Check("fitted_order_in_eps", main["fitted_order_in_eps"], 0.9, math.inf,
+                      provenance="imex pair"),
+            ],
+            "margins": {"fitted_order_in_eps": 0.15},
+            "numbers": {
+                "nu": nu,
+                "p": p,
+                "beta_exponent": (p + 1.0) / (p - 1.0),
+                "eps_list": list(eps_list),
+                "distances": ds,
+                "halving_ratios": [ds[i] / ds[i + 1] for i in range(len(ds) - 1)],
+                "dx": dx,
+                "distances_refined": None if rerun is None else rerun["distances"],
+                "fitted_order_refined": None if rerun is None else rerun["fitted_order_in_eps"],
+                "constant_not_checked":
+                    "prefactor exp(C nu^-beta) is a stability constant, not reproduced",
+            },
+            "provenance": {"distances": "viscous IMEX, shared grid and dt per pair"},
+        }
 
-    checks = [Check("fitted_order_in_eps", slope, 0.9, math.inf, provenance="imex pair")]
-
-    gate_result = None
-    dists_h, slope_h = (None, None)
-    if gate:
-        dists_h, slope_h = sweep(dx / 2.0)
-        gate_result = grid_convergence_gate(
-            {"fitted_order_in_eps": slope_h},
-            {"fitted_order_in_eps": slope},
-            {"fitted_order_in_eps": 0.15},
-        )
-
-    ds = [dists[e] for e in eps_list]
-    numbers = {
-        "nu": nu,
-        "p": p,
-        "beta_exponent": (p + 1.0) / (p - 1.0),
-        "eps_list": list(eps_list),
-        "distances": ds,
-        "halving_ratios": [ds[i] / ds[i + 1] for i in range(len(ds) - 1)],
-        "dx": dx,
-        "distances_refined": None if dists_h is None else [dists_h[e] for e in eps_list],
-        "fitted_order_refined": slope_h,
-        "constant_not_checked": "prefactor exp(C nu^-beta) is a stability constant, not reproduced",
-    }
-    manifest = RunManifest(
-        scenario="rate",
-        params={
-            "nu": nu,
-            "p": p,
-            "eps_list": list(eps_list),
-            "kernel_shape": kernel_shape,
-            "t_end": t_end,
-            "width": width,
-            "gate": gate,
-        },
-        provenance={"distances": "viscous IMEX, shared grid and dt per pair"},
-        code_version=__version__,
-        wall_time_s=time.monotonic() - t0,
-    )
-    return ScenarioReport("rate", checks, gate_result, numbers, manifest)
+    return _scenario("rate", params, measure, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -752,28 +639,24 @@ def vanishing_viscosity(
     Distances are measured on a comparison grid with spacing eps/10: the
     viscous fields are averaged onto it exactly, the particle reference is
     deposited onto it (several particles per cell, no deposition aliasing).
+    The gate reruns the sweep at half the cell width.
     """
-    t0 = time.monotonic()
+    nu_list = tuple(sorted(nu_list, reverse=True))
+    params = dict(locals())  # the manifest records every argument
     law = identity_law()
     kernel = Kernel(EVEN_BUMP, eps)
-    nu_list = tuple(sorted(nu_list, reverse=True))
+    dx = 0.0025
 
-    def sweep(dx: float):
-        n = int(round(9.5 / dx))
-        factor = max(1, int(round((eps / 10.0) / dx)))
+    def measure(k):
+        n = int(round(9.5 / (dx / k)))
+        factor = max(1, int(round((eps / 10.0) / (dx / k))))
         n_cmp = n // factor
         grid = Grid1D(-4.75, 4.75, n_cmp * factor)
         cmp_grid = Grid1D(-4.75, 4.75, n_cmp)
         u0 = gaussian_datum(grid, mass=1.0, width=width)
-        ref = run_nonlocal(
-            NonlocalRunConfig(
-                grid=grid, kernel=kernel, law=law, t_end=t_end,
-                scheme="particles", n_outputs=5,
-            ),
-            u0,
-        )
+        ref = _nonlocal("particles", grid, kernel, t_end, 5, u0)
         ref_dep = deposit(ref.final, cmp_grid)
-        dists, weak_mass, weak_moment = [], [], []
+        out = {"distances": [], "weak_mass": [], "weak_moment": []}
         for nu in nu_list:
             vis = run_viscous(
                 ViscousRunConfig(
@@ -783,112 +666,72 @@ def vanishing_viscosity(
                 u0,
             )
             vc = Field(cmp_grid, vis.final.values.reshape(-1, factor).mean(axis=1))
-            dists.append(lp_norm(Field(cmp_grid, vc.values - ref_dep.values), 1))
-            weak_mass.append(
+            out["distances"].append(lp_norm(Field(cmp_grid, vc.values - ref_dep.values), 1))
+            out["weak_mass"].append(
                 abs(window_mass(vc, -4.75, 0.0) - window_mass(ref_dep, -4.75, 0.0))
             )
-            weak_moment.append(
+            out["weak_moment"].append(
                 abs(_window_moment(vc, -4.75, 4.75) - _window_moment(ref_dep, -4.75, 4.75))
             )
-        return dists, weak_mass, weak_moment
+        out.update((f"distance_nu_{nu}", d) for nu, d in zip(nu_list, out["distances"]))
+        return out
 
-    dx = 0.0025
-    dists, weak_mass, weak_moment = sweep(dx)
-    ratios = [dists[i + 1] / dists[i] for i in range(len(dists) - 1)]
-    steps_ok = all(r <= 0.9 or abs(r - 1.0) <= 0.05 for r in ratios)
-
-    checks = [
-        Check(
-            "final_over_first",
-            dists[-1] / dists[0],
-            0.0,
-            0.3,
-            provenance="imex vs particles",
-        ),
-        Check(
-            "max_step_ratio",
-            max(ratios),
-            0.0,
-            1.05,
-            provenance="imex vs particles",
-            note="every step must shrink by >=10% or sit in a 5% noise band",
-        ),
-        Check(
-            "steps_decreasing_fraction",
-            1.0 if steps_ok else 0.0,
-            1.0,
-            1.0,
-            provenance="imex vs particles",
-        ),
-    ]
-
-    gate_result = None
-    dists_h = None
-    if gate:
-        dists_h, _, _ = sweep(dx / 2.0)
-        gate_result = grid_convergence_gate(
-            {f"distance_nu_{nu}": d for nu, d in zip(nu_list, dists_h)},
-            {f"distance_nu_{nu}": d for nu, d in zip(nu_list, dists)},
-            {f"distance_nu_{nu}": max(0.15 * d, 0.01) for nu, d in zip(nu_list, dists)},
+    def judge(main, rerun):
+        dists = main["distances"]
+        ratios = [dists[i + 1] / dists[i] for i in range(len(dists) - 1)]
+        steps_ok = all(r <= 0.9 or abs(r - 1.0) <= 0.05 for r in ratios)
+        # diagram-corner consistency: the inviscid nonlocal solution with a
+        # one-sided kernel stays far from the local entropy solution
+        corner_grid = Grid1D(-1.5, 0.5, 1200)
+        corner = _nonlocal(
+            "particles", corner_grid, Kernel(ONE_SIDED_LEFT, eps), 0.5, 2,
+            step_datum(_support_datum_grid(-1.5, 0.5, 1.0, 800)),
         )
+        corner_dep = deposit(corner.final, corner_grid)
+        gd_grid = Grid1D(-2.0, 2.0, 2048)
+        gd = run_local(step_datum(gd_grid), law, 0.5, cfl=0.9, n_outputs=2)
+        gd_on_corner = np.interp(corner_grid.centers, gd_grid.centers, gd.final.values)
+        corner_dist = lp_norm(Field(corner_grid, corner_dep.values - gd_on_corner), 1)
+        return {
+            "checks": [
+                Check("final_over_first", dists[-1] / dists[0], 0.0, 0.3,
+                      provenance="imex vs particles"),
+                Check(
+                    "max_step_ratio",
+                    max(ratios),
+                    0.0,
+                    1.05,
+                    provenance="imex vs particles",
+                    note="every step must shrink by >=10% or sit in a 5% noise band",
+                ),
+                Check("steps_decreasing_fraction", 1.0 if steps_ok else 0.0, 1.0, 1.0,
+                      provenance="imex vs particles"),
+                Check(
+                    "corner_inviscid_vs_entropy_distance",
+                    corner_dist,
+                    0.1,
+                    math.inf,
+                    provenance="particles vs godunov",
+                    note="the inviscid eps->0 edge does not close: distance stays macroscopic",
+                ),
+            ],
+            "margins": {
+                f"distance_nu_{nu}": max(0.15 * d, 0.01) for nu, d in zip(nu_list, dists)
+            },
+            "numbers": {
+                "eps": eps,
+                "nu_list": list(nu_list),
+                "distances": dists,
+                "ratios": ratios,
+                "weak_window_mass_diffs": main["weak_mass"],
+                "weak_moment_diffs": main["weak_moment"],
+                "distances_refined": None if rerun is None else rerun["distances"],
+                "comparison_dx": eps / 10.0,
+            },
+            "provenance": {
+                "distances": "imex (cfl 0.9) vs particle deposit on eps/10 grid",
+                "corner_inviscid_vs_entropy_distance": "particles vs godunov N=2048",
+            },
+        }
 
-    # diagram-corner consistency: the inviscid nonlocal solution with a
-    # one-sided kernel stays far from the local entropy solution
-    corner_grid = Grid1D(-1.5, 0.5, 1200)
-    corner = run_nonlocal(
-        NonlocalRunConfig(
-            grid=corner_grid,
-            kernel=Kernel(ONE_SIDED_LEFT, eps),
-            law=law,
-            t_end=0.5,
-            scheme="particles",
-            n_outputs=2,
-        ),
-        step_datum(_support_datum_grid(-1.5, 0.5, 1.0, 800)),
-    )
-    corner_dep = deposit(corner.final, corner_grid)
-    gd_grid = Grid1D(-2.0, 2.0, 2048)
-    gd = run_local(step_datum(gd_grid), law, 0.5, cfl=0.9, n_outputs=2)
-    gd_on_corner = Field(
-        corner_grid,
-        np.interp(corner_grid.centers, gd_grid.centers, gd.final.values),
-    )
-    corner_dist = lp_norm(Field(corner_grid, corner_dep.values - gd_on_corner.values), 1)
-    checks.append(
-        Check(
-            "corner_inviscid_vs_entropy_distance",
-            corner_dist,
-            0.1,
-            math.inf,
-            provenance="particles vs godunov",
-            note="the inviscid eps->0 edge does not close: distance stays macroscopic",
-        )
-    )
-
-    numbers = {
-        "eps": eps,
-        "nu_list": list(nu_list),
-        "distances": dists,
-        "ratios": ratios,
-        "weak_window_mass_diffs": weak_mass,
-        "weak_moment_diffs": weak_moment,
-        "distances_refined": dists_h,
-        "comparison_dx": eps / 10.0,
-    }
-    manifest = RunManifest(
-        scenario="visc",
-        params={
-            "eps": eps,
-            "nu_list": list(nu_list),
-            "t_end": t_end,
-            "width": width,
-            "gate": gate,
-        },
-        provenance={
-            "distances": "imex (cfl 0.9) vs particle deposit on eps/10 grid",
-            "corner_inviscid_vs_entropy_distance": "particles vs godunov N=2048",
-        },
-        code_version=__version__,
-        wall_time_s=time.monotonic() - t0,
-    )
-    return ScenarioReport("visc", checks, gate_result, numbers, manifest)
+    return _scenario("visc", params, measure, judge)

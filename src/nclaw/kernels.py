@@ -99,13 +99,6 @@ class Kernel:
         xs = np.linspace(lo, hi, 20001)
         return float(np.max(np.abs(np.gradient(self.eval(xs), xs))))
 
-    def manifest_entry(self) -> dict:
-        return {
-            "shape": self.shape,
-            "epsilon": self.epsilon,
-            "normalization_constant": self.normalization,
-        }
-
 
 def kernel_eval(k: Kernel, x: float) -> float:
     """Pointwise value of the scaled kernel eta_eps at x."""

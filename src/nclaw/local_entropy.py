@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Field, Grid1D
-from .records import DiagnosticSeries, RunResult, field_diagnostics
+from .records import RunResult, field_diagnostics, march
 from .velocity import VelocityLaw, flux, flux_speed_bound
 
 __all__ = [
@@ -91,30 +91,26 @@ def run_local(
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
-    u = initial.copy()
-    speed = flux_speed_bound(vl, float(u.values.min()), float(u.values.max()))
-    dt = cfl * u.grid.dx / max(speed, 1e-12)
+    speed = flux_speed_bound(vl, float(initial.values.min()), float(initial.values.max()))
+    dt = cfl * initial.grid.dx / max(speed, 1e-12)
     n_steps = max(1, int(math.ceil(t_end / dt)))
     dt = t_end / n_steps
     out_every = max(1, n_steps // max(n_outputs, 1))
-
-    diags = DiagnosticSeries()
-    states = []
-
-    def record(fld):
-        diags.append(fld.time_stamp, field_diagnostics(fld, windows))
-        states.append(fld.copy())
-
-    record(u)
-    for k in range(n_steps):
-        u = godunov_step(u, vl, dt, cfl=min(1.0, cfl * 1.05))
-        if (k + 1) % out_every == 0 or k + 1 == n_steps:
-            record(u)
-    return RunResult(
-        states,
-        diags,
-        info={"scheme": "godunov", "dt": dt, "n_steps": n_steps, "cfl": cfl},
+    # output times summed step by step, exactly as godunov_step stamps the
+    # state, so every output is reached after a whole number of steps
+    targets, t = [], initial.time_stamp
+    for k in range(1, n_steps + 1):
+        t += dt
+        if k % out_every == 0 or k == n_steps:
+            targets.append(t)
+    res = march(
+        initial,
+        targets,
+        lambda u, target: godunov_step(u, vl, dt, cfl=min(1.0, cfl * 1.05)),
+        lambda u: field_diagnostics(u, windows),
     )
+    res.info.update(scheme="godunov", dt=dt, cfl=cfl)
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .grids import Field, Grid1D, entropy_functional
 from .kernels import Kernel, convolve, convolve_particles_slope
 from .kernels import convolve_particles as _convolve_atoms
 from .local_entropy import CFLError
-from .records import DiagnosticSeries, RunResult, field_diagnostics
+from .records import RunResult, field_diagnostics, march, output_times
 from .velocity import VelocityLaw
 
 __all__ = [
@@ -138,18 +138,23 @@ def lf_step(
     viscosity (coefficient dx^2/2dt). ``velocity`` lets drivers reuse an
     already computed V.
     """
-    u = f.values
     dx = f.grid.dx
     V = vl(convolve(f, k).values) if velocity is None else velocity
     vmax = float(np.max(np.abs(V))) if V.size else 0.0
     dt_adm = cfl * dx / max(vmax, 1e-14)
     if dt > dt_adm:
         raise CFLError(dt, dt_adm)
+    return Field(f.grid, _lf_update(f.values, V, dx, dt), f.time_stamp + dt)
+
+
+def _lf_update(u: np.ndarray, V: np.ndarray, dx: float, dt: float) -> np.ndarray:
+    # conservative update with the Lax-Friedrichs interface flux of u*V and
+    # zero states outside the domain; shared by lf_step and the IMEX
+    # advection substep
     uv = np.concatenate([[0.0], u * V, [0.0]])
     ue = np.concatenate([[0.0], u, [0.0]])
     F = 0.5 * (uv[:-1] + uv[1:]) - (dx / (2.0 * dt)) * (ue[1:] - ue[:-1])
-    out = u - (dt / dx) * (F[1:] - F[:-1])
-    return Field(f.grid, out, f.time_stamp + dt)
+    return u - (dt / dx) * (F[1:] - F[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +300,6 @@ class NonlocalRunConfig:
     t_end: float
     scheme: str = "particles"  # "particles" | "lax_friedrichs"
     cfl: float = 0.45
-    n_particles: Optional[int] = None  # particles scheme: resample to this count
     n_outputs: int = 40
     windows: tuple = ()
     signed_masses: bool = False
@@ -309,59 +313,14 @@ class NonlocalRunConfig:
         if self.scheme not in ("particles", "lax_friedrichs"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
-    def manifest_entry(self) -> dict:
-        return {
-            "grid": {
-                "x_min": self.grid.x_min,
-                "x_max": self.grid.x_max,
-                "n_cells": self.grid.n_cells,
-            },
-            "kernel": self.kernel.manifest_entry(),
-            "law": self.law.manifest_entry(),
-            "t_end": self.t_end,
-            "scheme": self.scheme,
-            "cfl": self.cfl,
-            "n_particles": self.n_particles,
-            "n_outputs": self.n_outputs,
-            "windows": [list(w) for w in self.windows],
-            "signed_masses": self.signed_masses,
-        }
 
-
-def _resample(cfg: NonlocalRunConfig, initial: Field) -> Field:
-    # particle count is controlled by restating the (piecewise-constant)
-    # datum on a finer grid before midpoint sampling; n_particles counts
-    # cells across the datum's support, not the whole domain
-    if cfg.n_particles is None:
-        return initial
-    from .data import _interval_overlap
-    from .grids import support_bounds
-
-    lo, hi = support_bounds(initial)
-    if hi <= lo:
-        return initial
-    span = cfg.grid.x_max - cfg.grid.x_min
-    n_cells = int(round(span / ((hi - lo) / cfg.n_particles)))
-    fine = Grid1D(cfg.grid.x_min, cfg.grid.x_max, n_cells)
-    vals = np.zeros(fine.n_cells)
-    edges = initial.grid.edges
-    nz = np.nonzero(initial.values)[0]
-    for j in nz:
-        seg = _interval_overlap(fine, edges[j], edges[j + 1])
-        vals += initial.values[j] * seg / fine.dx
-    return Field(fine, vals, initial.time_stamp)
-
-
-def _check_boundary_clear(f: Field):
+def _check_boundary_clear(f: Field, rel_tol: float):
+    """Raise if either edge cell holds more than rel_tol of the sup norm."""
     scale = float(np.max(np.abs(f.values)))
-    if scale == 0.0:
-        return
-    if abs(f.values[0]) > 1e-12 * scale or abs(f.values[-1]) > 1e-12 * scale:
+    if scale > 0.0 and (
+        abs(f.values[0]) > rel_tol * scale or abs(f.values[-1]) > rel_tol * scale
+    ):
         raise RuntimeError("domain too small: support reached the boundary")
-
-
-def _output_times(t_end: float, n_outputs: int) -> np.ndarray:
-    return np.linspace(0.0, t_end, max(n_outputs, 1) + 1)[1:]
 
 
 def run_nonlocal(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
@@ -383,35 +342,28 @@ def run_nonlocal(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
 
 
 def _run_lf(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
-    u = initial.copy()
-    diags = DiagnosticSeries()
-    states = []
+    def advance(u, target):
+        V = cfg.law(convolve(u, cfg.kernel).values)
+        vmax = max(float(np.max(np.abs(V))), 1e-12)
+        dt = min(cfg.cfl * u.grid.dx / vmax, target - u.time_stamp)
+        return lf_step(u, cfg.kernel, cfg.law, dt, cfl=cfg.cfl * 1.001, velocity=V)
 
-    def record(fld):
-        diags.append(fld.time_stamp, field_diagnostics(fld, cfg.windows))
-        states.append(fld.copy())
-
-    record(u)
-    n_steps = 0
-    for target in _output_times(cfg.t_end, cfg.n_outputs):
-        while u.time_stamp < target - 1e-13:
-            V = cfg.law(convolve(u, cfg.kernel).values)
-            vmax = max(float(np.max(np.abs(V))), 1e-12)
-            dt = min(cfg.cfl * u.grid.dx / vmax, target - u.time_stamp)
-            u = lf_step(u, cfg.kernel, cfg.law, dt, cfl=cfg.cfl * 1.001, velocity=V)
-            n_steps += 1
-        _check_boundary_clear(u)
-        record(u)
-    return RunResult(
-        states, diags, info={"scheme": "lax_friedrichs", "n_steps": n_steps}
+    res = march(
+        initial,
+        output_times(cfg.t_end, cfg.n_outputs),
+        advance,
+        lambda u: field_diagnostics(u, cfg.windows),
+        lambda u: _check_boundary_clear(u, 1e-12),
     )
+    res.info["scheme"] = "lax_friedrichs"
+    return res
 
 
 _MAX_HALVINGS = 30  # a crossing that survives dt / 2**30 is not a step-size issue
 
 
 def _run_particles(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
-    e = sample_particles(_resample(cfg, initial))
+    e = sample_particles(initial)
     if not cfg.signed_masses and np.any(e.masses < 0.0):
         raise ValueError("signed initial masses require signed_masses=True")
 
@@ -428,40 +380,25 @@ def _run_particles(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
         np.all(e.positions[e.masses > 0] < 0.0)
         and np.all(e.positions[e.masses < 0] > 0.0)
     )
+    n_rejected = 0
 
-    diags = DiagnosticSeries()
-    states = []
-
-    def record(ens):
-        diags.append(
-            ens.time_stamp, ensemble_diagnostics(ens, cfg.windows, ent_grid)
+    def advance(e, target):
+        nonlocal n_rejected
+        v1, bound = particle_velocity_and_bound(e, cfg.kernel, cfg.law)
+        vmax = max(float(np.max(np.abs(v1))), 1e-12)
+        dt = min(0.9 * bound, 0.1 * eps / vmax, target - e.time_stamp)
+        for _ in range(_MAX_HALVINGS):
+            try:
+                return particle_step(e, cfg.kernel, cfg.law, dt, stage1=(v1, bound))
+            except CharacteristicsCrossed:
+                n_rejected += 1
+                dt *= 0.5
+        raise CharacteristicsCrossed(
+            f"characteristics crossed after {_MAX_HALVINGS} halvings "
+            f"of the step at t={e.time_stamp:.6g}"
         )
-        states.append(ens.copy())
 
-    record(e)
-    mass0 = e.masses.copy()
-    n_steps = n_rejected = 0
-    for target in _output_times(cfg.t_end, cfg.n_outputs):
-        while e.time_stamp < target - 1e-13:
-            v1, bound = particle_velocity_and_bound(e, cfg.kernel, cfg.law)
-            vmax = max(float(np.max(np.abs(v1))), 1e-12)
-            dt = min(0.9 * bound, 0.1 * eps / vmax, target - e.time_stamp)
-            for _ in range(_MAX_HALVINGS):
-                try:
-                    e_next = particle_step(
-                        e, cfg.kernel, cfg.law, dt, stage1=(v1, bound)
-                    )
-                    break
-                except CharacteristicsCrossed:
-                    n_rejected += 1
-                    dt *= 0.5
-            else:
-                raise CharacteristicsCrossed(
-                    f"characteristics crossed after {_MAX_HALVINGS} halvings "
-                    f"of the step at t={e.time_stamp:.6g}"
-                )
-            e = e_next
-            n_steps += 1
+    def check(e):
         if not cfg.signed_masses and np.any(e.masses < 0.0):
             raise RuntimeError("nonnegative run produced negative masses")
         if partition_ok:
@@ -469,17 +406,21 @@ def _run_particles(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
                 e.positions[e.masses < 0] <= 0.0
             ):
                 raise RuntimeError("sign partition violated: mass crossed 0")
-        record(e)
-    assert np.array_equal(e.masses, mass0)  # transport never edits masses
-    return RunResult(
-        states,
-        diags,
-        info={
-            "scheme": "particles",
-            "n_steps": n_steps,
-            "n_rejected": n_rejected,
-            "n_particles": e.n,
-            "entropy_grid_dx": ent_grid.dx,
-            "entropy_bias_order": cfg.entropy_dx_over_eps,
-        },
+
+    mass0 = e.masses.copy()
+    res = march(
+        e,
+        output_times(cfg.t_end, cfg.n_outputs),
+        advance,
+        lambda e: ensemble_diagnostics(e, cfg.windows, ent_grid),
+        check,
     )
+    assert np.array_equal(res.final.masses, mass0)  # transport never edits masses
+    res.info.update(
+        scheme="particles",
+        n_rejected=n_rejected,
+        n_particles=e.n,
+        entropy_grid_dx=ent_grid.dx,
+        entropy_bias_order=cfg.entropy_dx_over_eps,
+    )
+    return res

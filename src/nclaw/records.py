@@ -29,6 +29,8 @@ __all__ = [
     "DiagnosticSeries",
     "RunManifest",
     "RunResult",
+    "march",
+    "output_times",
     "field_diagnostics",
     "manifest_hash",
     "emit_report",
@@ -123,6 +125,41 @@ class RunResult:
     @property
     def final(self):
         return self.states[-1]
+
+
+def output_times(t_end: float, n_outputs: int) -> np.ndarray:
+    """n_outputs evenly spaced output times in (0, t_end], t_end included."""
+    return np.linspace(0.0, t_end, max(n_outputs, 1) + 1)[1:]
+
+
+def march(state, targets, advance, diagnostics, after_output=None) -> RunResult:
+    """The time-marching loop shared by every solver.
+
+    Records ``diagnostics(state)`` and a copy of the state at the start and
+    at each output time in ``targets``. Between outputs it calls
+    ``advance(state, target)``, which returns the state one step later and
+    must not step past ``target``, until the state's time stamp is within
+    1e-13 of it. ``after_output(state)`` runs before each output is
+    recorded and may raise to abort the run. ``info["n_steps"]`` counts
+    the accepted steps; drivers add their own keys.
+    """
+    series = DiagnosticSeries()
+    states = []
+
+    def record(s):
+        series.append(s.time_stamp, diagnostics(s))
+        states.append(s.copy())
+
+    record(state)
+    n_steps = 0
+    for target in targets:
+        while state.time_stamp < target - 1e-13:
+            state = advance(state, target)
+            n_steps += 1
+        if after_output is not None:
+            after_output(state)
+        record(state)
+    return RunResult(states, series, info={"n_steps": n_steps})
 
 
 def _canonical(obj):

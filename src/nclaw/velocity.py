@@ -47,9 +47,6 @@ class VelocityLaw:
             out = np.asarray(self.fn(u), dtype=float) - self.shift
         return out
 
-    def manifest_entry(self) -> dict:
-        return {"variant": self.variant, "L": self.lipschitz_L, "shift": self.shift}
-
 
 def identity_law() -> VelocityLaw:
     return VelocityLaw(variant="identity", lipschitz_L=1.0, shift=0.0)

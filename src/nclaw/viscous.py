@@ -17,10 +17,11 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .grids import Field, Grid1D
+from .grids import Field, Grid1D, lp_norm, support_bounds
 from .kernels import Kernel, convolve
 from .local_entropy import CFLError
-from .records import DiagnosticSeries, RunResult, field_diagnostics
+from .nonlocal_solvers import _check_boundary_clear, _lf_update
+from .records import RunResult, field_diagnostics, march, output_times
 from .velocity import VelocityLaw
 
 __all__ = ["ViscousRunConfig", "imex_step", "diffusion_substep", "run_viscous"]
@@ -47,23 +48,6 @@ class ViscousRunConfig:
             raise ValueError("t_end must be positive")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl={self.cfl} must be in (0, 1]")
-
-    def manifest_entry(self) -> dict:
-        return {
-            "grid": {
-                "x_min": self.grid.x_min,
-                "x_max": self.grid.x_max,
-                "n_cells": self.grid.n_cells,
-            },
-            "kernel": None if self.kernel is None else self.kernel.manifest_entry(),
-            "law": self.law.manifest_entry(),
-            "nu": self.nu,
-            "t_end": self.t_end,
-            "cfl": self.cfl,
-            "dt": self.dt,
-            "n_outputs": self.n_outputs,
-            "windows": [list(w) for w in self.windows],
-        }
 
 
 def _advective_velocity(f: Field, cfg: ViscousRunConfig) -> np.ndarray:
@@ -96,29 +80,25 @@ def diffusion_substep(u: np.ndarray, nu: float, dt: float, dx: float) -> np.ndar
     return solve_banded((1, 1), ab, u)
 
 
-def imex_step(f: Field, cfg: ViscousRunConfig, dt: float) -> Field:
+def imex_step(
+    f: Field, cfg: ViscousRunConfig, dt: float, velocity: Optional[np.ndarray] = None
+) -> Field:
     """Advection (explicit LF) then diffusion (implicit), first order in dt.
 
     The CFL restriction applies to the advection substep only; diffusion is
-    unconditionally stable.
+    unconditionally stable. ``velocity`` lets drivers reuse an already
+    computed advective velocity of ``f``.
     """
-    u = f.values
     dx = f.grid.dx
-    V = _advective_velocity(f, cfg)
+    V = _advective_velocity(f, cfg) if velocity is None else velocity
     speed = _speed_bound(f, cfg, V)
     if speed > 1e-14 and dt > cfg.cfl * dx / speed:
         raise CFLError(dt, cfg.cfl * dx / speed)
-    uv = np.concatenate([[0.0], u * V, [0.0]])
-    ue = np.concatenate([[0.0], u, [0.0]])
-    F = 0.5 * (uv[:-1] + uv[1:]) - (dx / (2.0 * dt)) * (ue[1:] - ue[:-1])
-    star = u - (dt / dx) * (F[1:] - F[:-1])
-    out = diffusion_substep(star, cfg.nu, dt, dx)
-    return Field(f.grid, out, f.time_stamp + dt)
+    star = _lf_update(f.values, V, dx, dt)
+    return Field(f.grid, diffusion_substep(star, cfg.nu, dt, dx), f.time_stamp + dt)
 
 
 def _check_domain(cfg: ViscousRunConfig, initial: Field):
-    from .grids import support_bounds
-
     if float(np.max(np.abs(initial.values))) == 0.0:
         return
     lo, hi = support_bounds(initial, rel_tol=1e-8)
@@ -132,54 +112,42 @@ def _check_domain(cfg: ViscousRunConfig, initial: Field):
         )
 
 
-def _check_boundary_clear(f: Field):
-    # diffusion tails are never exactly zero; 1e-6 relative keeps the
-    # Dirichlet clipping error far below every experiment tolerance
-    scale = float(np.max(np.abs(f.values)))
-    if scale > 0.0 and (
-        abs(f.values[0]) > 1e-6 * scale or abs(f.values[-1]) > 1e-6 * scale
-    ):
-        raise RuntimeError("domain too small: support reached the boundary")
-
-
 def run_viscous(cfg: ViscousRunConfig, initial: Field) -> RunResult:
     """March the IMEX scheme to t_end, logging norm monotonicity channels.
 
     Besides the standard diagnostics, the series carries l1_norm and
     sup_norm so the contraction properties of the flow are visible per run.
     If cfg.dt is set it is used as a fixed step (after a CFL sanity check
-    each step); otherwise the step adapts to the CFL rule.
+    each step); otherwise the step adapts to the CFL rule, and the velocity
+    that sets it is passed on to ``imex_step``.
     """
     _check_domain(cfg, initial)
-    from .grids import lp_norm
 
-    u = initial.copy()
-    diags = DiagnosticSeries()
-    states = []
+    def advance(u, target):
+        if cfg.dt is not None:
+            return imex_step(u, cfg, min(cfg.dt, target - u.time_stamp))
+        V = _advective_velocity(u, cfg)
+        speed = _speed_bound(u, cfg, V)
+        if speed > 1e-14:
+            dt = min(cfg.cfl * u.grid.dx / speed, target - u.time_stamp)
+        else:
+            dt = target - u.time_stamp
+        return imex_step(u, cfg, dt, velocity=V)
 
-    def record(fld):
-        vals = field_diagnostics(fld, cfg.windows)
-        vals["l1_norm"] = lp_norm(fld, 1)
-        vals["sup_norm"] = lp_norm(fld, math.inf)
-        diags.append(fld.time_stamp, vals)
-        states.append(fld.copy())
+    def diagnostics(u):
+        vals = field_diagnostics(u, cfg.windows)
+        vals["l1_norm"] = lp_norm(u, 1)
+        vals["sup_norm"] = lp_norm(u, math.inf)
+        return vals
 
-    record(u)
-    n_steps = 0
-    out_times = np.linspace(0.0, cfg.t_end, max(cfg.n_outputs, 1) + 1)[1:]
-    for target in out_times:
-        while u.time_stamp < target - 1e-13:
-            if cfg.dt is not None:
-                dt = min(cfg.dt, target - u.time_stamp)
-            else:
-                V = _advective_velocity(u, cfg)
-                speed = _speed_bound(u, cfg, V)
-                if speed > 1e-14:
-                    dt = min(cfg.cfl * u.grid.dx / speed, target - u.time_stamp)
-                else:
-                    dt = target - u.time_stamp
-            u = imex_step(u, cfg, dt)
-            n_steps += 1
-        _check_boundary_clear(u)
-        record(u)
-    return RunResult(states, diags, info={"scheme": "imex", "n_steps": n_steps})
+    # diffusion tails are never exactly zero; 1e-6 relative keeps the
+    # Dirichlet clipping error far below every experiment tolerance
+    res = march(
+        initial,
+        output_times(cfg.t_end, cfg.n_outputs),
+        advance,
+        diagnostics,
+        lambda u: _check_boundary_clear(u, 1e-6),
+    )
+    res.info["scheme"] = "imex"
+    return res

@@ -108,6 +108,19 @@ def _tiny_report():
     )
 
 
+class TestSummaryLines:
+    def test_one_line_per_gate_comparison(self):
+        report = _tiny_report()
+        report.gate = grid_convergence_gate(
+            {"m": 1.0, "w": 0.5}, {"m": 1.001, "w": 0.6}, {"m": 0.02, "w": 0.02}
+        )
+        lines = report.summary_lines()
+        assert lines[-3] == "  [gate] INCONCLUSIVE"
+        assert lines[-2] == "    m: coarse=1 fine=1.001 delta=0.001 threshold=0.005 ok"
+        assert lines[-1].startswith("    w: coarse=0.5 fine=0.6 ")
+        assert lines[-1].endswith(" NOT CONVERGED")
+
+
 class TestEmitReport:
     def test_writes_expected_files(self, tmp_path):
         report = _tiny_report()
@@ -199,6 +212,19 @@ class TestCLI:
         assert len(runs) == 1
         assert (runs[0] / "manifest.json").exists()
         assert (runs[0] / "diagnostics.csv").exists()
+
+    def test_numerical_failure_has_its_own_exit_code(self, monkeypatch, capsys):
+        # the scenario is looked up when the command runs, so the patch applies
+        import nclaw.experiments
+        from nclaw.cli import EXIT_NUMERICAL
+        from nclaw.nonlocal_solvers import CharacteristicsCrossed
+
+        def crossing(**kwargs):
+            raise CharacteristicsCrossed("characteristics crossed: dt too large")
+
+        monkeypatch.setattr(nclaw.experiments, "counterexample_1", crossing)
+        assert main(["--no-emit", "ce1"]) == EXIT_NUMERICAL == 4
+        assert "characteristics crossed" in capsys.readouterr().err
 
     def test_exit_code_mapping(self):
         from nclaw.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE

@@ -158,3 +158,24 @@ class TestRunViscous:
         cfg = ViscousRunConfig(grid=grid, law=LAW, nu=0.5, t_end=1.0)
         with pytest.raises(ValueError, match="domain too small"):
             run_viscous(cfg, step_datum(grid))
+
+    def test_adaptive_step_convolves_once_per_step(self, monkeypatch):
+        # the velocity that sets the adaptive dt is the one imex_step uses
+        import nclaw.viscous as viscous
+
+        calls = []
+        convolve = viscous.convolve
+
+        def counting(f, k):
+            calls.append(f.time_stamp)
+            return convolve(f, k)
+
+        monkeypatch.setattr(viscous, "convolve", counting)
+        grid = Grid1D(-3.0, 3.0, 600)
+        cfg = ViscousRunConfig(
+            grid=grid, law=LAW, nu=0.05, t_end=0.1, kernel=Kernel(EVEN_BUMP, 0.2),
+            n_outputs=4,
+        )
+        res = run_viscous(cfg, gaussian_datum(grid, 1.0, 0.4))
+        assert res.info["n_steps"] > 4
+        assert len(calls) == res.info["n_steps"]
