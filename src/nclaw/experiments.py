@@ -191,11 +191,12 @@ def _scenario(name: str, params: dict, measure, judge) -> ScenarioReport:
     """Run a scenario through the steps every scenario shares.
 
     ``measure(k)`` computes the headline numbers with the scenario's
-    resolution parameter divided by k (the particle and Godunov cell counts
-    for the counterexamples, the cell width for the viscous experiments)
-    and returns them with whatever runs ``judge`` needs. It runs at k = 1,
-    and again at k = 2 when ``params["gate"]`` is set; the
-    grid-convergence gate compares the two runs on the keys of the margins.
+    resolution parameter divided by k (the particle or Lax-Friedrichs count
+    and the Godunov cell count for the counterexamples, the cell width for
+    the viscous experiments) and returns them with whatever runs ``judge``
+    needs. It runs at k = 1, and again at k = 2 when ``params["gate"]`` is
+    set; the grid-convergence gate compares the two runs on the keys of the
+    margins.
     ``judge(main, rerun)`` returns the checks, the gate margins, the side
     numbers, the provenance and optionally the series and trajectories to
     record; ``rerun`` is None without the gate. The manifest records
@@ -243,14 +244,16 @@ def counterexample_1(
     diag_grid = Grid1D(-4.5, 4.5, 4500)
 
     def measure(k):
-        datum_grid = diag_grid
-        if solver != "lax_friedrichs":
+        if solver == "lax_friedrichs":
+            run_grid = datum_grid = Grid1D(-4.5, 4.5, diag_grid.n_cells // k)
+        else:
+            run_grid = diag_grid
             # multiples of 4 keep the datum edges and the origin on cell edges
             # of the sampling grid, so the sampled window mass starts at exactly 1
             n = 4 * max(1, round(n_particles // k / 4))
             datum_grid = _support_datum_grid(-4.5, 4.5, 2.0, n)
         nl = _nonlocal(
-            solver, diag_grid, kernel, t_end, 25, odd_datum(datum_grid),
+            solver, run_grid, kernel, t_end, 25, odd_datum(datum_grid),
             windows=(window,), signed_masses=True,
         )
         gd = run_local(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -105,13 +105,16 @@ def kernel_eval(k: Kernel, x: float) -> float:
     return float(k.eval(np.array([x]))[0])
 
 
+@lru_cache(maxsize=8)
 def _weights(k: Kernel, dx: float) -> tuple[np.ndarray, int]:
     """Kernel samples at offsets j*dx, renormalized to unit sum.
 
     Returns (w, J) where w[J + j] is the weight of offset j, j in [-J, J].
     Renormalization makes the discrete convolution reproduce constants and
     preserve total mass exactly; the raw sampling error O((dx/eps)^2) becomes
-    a kernel perturbation instead.
+    a kernel perturbation instead. Memoized per (kernel, dx), since a run
+    convolves with one kernel on one grid at every step; w is read-only
+    because every caller shares it.
     """
     if k.epsilon < dx:
         raise ValueError(
@@ -129,7 +132,9 @@ def _weights(k: Kernel, dx: float) -> tuple[np.ndarray, int]:
         raise ValueError(
             f"kernel under-resolved: no interior samples at dx={dx}"
         )
-    return w * dx / total, J
+    w = w * dx / total
+    w.flags.writeable = False
+    return w, J
 
 
 def convolve(f: Field, k: Kernel) -> Field:

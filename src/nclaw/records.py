@@ -168,7 +168,9 @@ def _canonical(obj):
     if isinstance(obj, (list, tuple)):
         return [_canonical(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and math.isnan(obj):
+        return None  # JSON has no NaN; null marks a number that does not exist
     if isinstance(obj, Path):
         return str(obj)
     return obj

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grids import Field, Grid1D, lp_norm, support_bounds
 from .kernels import Kernel, convolve
@@ -65,19 +67,46 @@ def _speed_bound(f: Field, cfg: ViscousRunConfig, V: np.ndarray) -> float:
     return vmax
 
 
+@lru_cache(maxsize=1)
+def _backward_euler_factors(n: int, r: float) -> tuple:
+    """LAPACK LU factors (dgttrf) of I - r*D2 on n cells, zero-Dirichlet.
+
+    The matrix is bordered by one decoupled identity row, because SciPy's
+    dgttrf/dgttrs wrappers reject off-diagonals of length 1 (n = 2). The
+    border changes no operation on the first n rows and its unknown solves
+    to 0. The matrix is diagonally dominant, so nothing is pivoted and the
+    solve performs the operations of dgtsv (``solve_banded``) bit for bit.
+    One entry suffices: a run holds one grid and mostly one step size.
+    """
+    off = np.full(n, -r)
+    off[-1] = 0.0
+    diag = np.full(n + 1, 1.0 + 2.0 * r)
+    diag[-1] = 1.0
+    *factors, info = dgttrf(off, diag, off)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    return tuple(factors)
+
+
 def diffusion_substep(u: np.ndarray, nu: float, dt: float, dx: float) -> np.ndarray:
     """Backward-Euler solve of (I - nu*dt*D2) out = u with zero-Dirichlet walls.
 
     The matrix is a tridiagonal M-matrix, so the substep obeys the maximum
     principle min(u, 0) <= out <= max(u, 0) and is unconditionally stable.
+    Its LU factors are kept for the last cell count and nu*dt/dx^2, so while
+    the step size repeats each call only back-substitutes.
     """
     n = u.size
     r = nu * dt / (dx * dx)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
-    return solve_banded((1, 1), ab, u)
+    if not (math.isfinite(r) and np.isfinite(u).all()):
+        raise ValueError("diffusion substep: non-finite matrix or right-hand side")
+    b = np.empty(n + 1)
+    b[:n] = u
+    b[n] = 0.0  # the border unknown
+    out, info = dgttrs(*_backward_euler_factors(n, r), b, overwrite_b=True)
+    if info < 0:
+        raise ValueError(f"dgttrs: illegal value in argument {-info}")
+    return out[:n]
 
 
 def imex_step(

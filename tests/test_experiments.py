@@ -44,6 +44,14 @@ def test_tiny_scenario_rerun_is_bit_identical():
             assert a.channels[name] == b.channels[name]
 
 
+def test_ce1_lax_friedrichs_gate_reruns_on_half_the_cells():
+    # the gate must compare two resolutions, not a run with itself
+    r = counterexample_1(n_particles=300, godunov_n=512, t_end=0.05,
+                         solver="lax_friedrichs", gate=True)
+    (cmp,) = [c for c in r.gate.comparisons if c["name"] == "nonlocal_window_mass"]
+    assert cmp["coarse"] != cmp["fine"]
+
+
 def test_b_zero_viscous_distance_is_heat_smoothing():
     # with b = 0 the inviscid solution never moves, so the viscous-inviscid
     # distance is the pure diffusion smoothing error (closed-form Gaussian

@@ -10,6 +10,7 @@ from nclaw.kernels import (
     ONE_SIDED_LEFT,
     HeatKernelSpec,
     Kernel,
+    _weights,
     convolve,
     convolve_particles,
     convolve_particles_slope,
@@ -125,6 +126,28 @@ class TestConvolve:
         grid = Grid1D(-1.0, 1.0, 10)
         with pytest.raises(ValueError, match="under-resolved"):
             convolve(Field(grid, np.ones(10)), Kernel(EVEN_BUMP, 0.05))
+
+
+class TestWeights:
+    def test_memoized_read_only(self):
+        k = Kernel(EVEN_BUMP, 0.05)
+        w, J = _weights(k, 0.01)
+        assert _weights(k, 0.01)[0] is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[J] = 1.0
+
+    def test_one_kernel_at_two_dx(self, rng):
+        # weights memoized for one grid must not serve the other
+        k = Kernel(ONE_SIDED_LEFT, 0.05)
+        fields = [Field(Grid1D(-1.0, 1.0, n), rng.normal(size=n)) for n in (200, 400)]
+        fresh = []
+        for f in fields:
+            _weights.cache_clear()
+            fresh.append(convolve(f, k).values.tobytes())
+        for _ in range(2):
+            for f, ref in zip(fields, fresh):
+                assert convolve(f, k).values.tobytes() == ref
 
 
 class TestConvolveParticles:

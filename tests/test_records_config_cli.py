@@ -143,6 +143,16 @@ class TestEmitReport:
         assert c1 == c2
         assert p1["run_dir"].name == p2["run_dir"].name  # same manifest hash
 
+    def test_nan_number_written_as_null(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = _tiny_report()
+        report.numbers = {"n": 1, "entropy": math.nan, "entropy_np": np.float64("nan")}
+        paths = emit_report(report, tmp_path)
+        numbers = json.loads(paths["report"].read_text(), parse_constant=reject)["numbers"]
+        assert numbers == {"n": 1, "entropy": None, "entropy_np": None}
+
 
 class TestConfig:
     def test_empty_is_all_defaults(self):

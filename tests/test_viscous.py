@@ -2,13 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from nclaw.data import gaussian_datum, step_datum
 from nclaw.grids import Field, Grid1D, lp_norm
 from nclaw.kernels import EVEN_BUMP, Kernel
 from nclaw.local_entropy import CFLError, ExactSolution, sample_exact
 from nclaw.velocity import identity_law, normalize
-from nclaw.viscous import ViscousRunConfig, diffusion_substep, imex_step, run_viscous
+from nclaw.viscous import (
+    ViscousRunConfig,
+    _backward_euler_factors,
+    diffusion_substep,
+    imex_step,
+    run_viscous,
+)
 
 LAW = identity_law()
 
@@ -79,13 +86,52 @@ class TestImexStep:
             imex_step(step_datum(grid), cfg, dt=1.0)
 
 
+def banded_reference(u, nu, dt, dx):
+    """The backward-Euler substep as a fresh banded solve (LAPACK dgtsv)."""
+    r = nu * dt / (dx * dx)
+    ab = np.zeros((3, u.size))
+    ab[0, 1:] = -r
+    ab[1, :] = 1.0 + 2.0 * r
+    ab[2, :-1] = -r
+    return solve_banded((1, 1), ab, u)
+
+
+# (cells, dt): repeats reuse the factors, every change of either refactors;
+# 2 cells is the smallest grid Grid1D allows
+SOLVE_CASES = [
+    (400, 0.07), (400, 0.07), (400, 0.02), (401, 0.02), (400, 0.07),
+    (2, 0.07), (3, 0.07), (3000, 1e-4), (3000, 1e-4), (3000, 3e-5),
+]
+
+
 class TestDiffusionSubstep:
     def test_max_principle(self, rng):
-        for _ in range(100):
-            u = rng.normal(size=400)
-            out = diffusion_substep(u, nu=0.3, dt=0.07, dx=0.01)
+        for n, dt in SOLVE_CASES * 10:
+            u = rng.normal(size=n)
+            out = diffusion_substep(u, nu=0.3, dt=dt, dx=0.01)
             assert out.min() >= min(u.min(), 0.0) - 1e-12
             assert out.max() <= max(u.max(), 0.0) + 1e-12
+
+    def test_reused_factors_match_fresh_banded_solve(self, rng):
+        # stale factors from an earlier call would show as a mismatch
+        before = _backward_euler_factors.cache_info()
+        for n, dt in SOLVE_CASES * 2:
+            u = rng.normal(size=n)
+            u_in = u.copy()
+            out = diffusion_substep(u, 0.3, dt, 0.01)
+            assert out.shape == (n,)
+            assert out.tobytes() == banded_reference(u, 0.3, dt, 0.01).tobytes()
+            assert np.array_equal(u, u_in)  # the right-hand side is not overwritten
+        after = _backward_euler_factors.cache_info()
+        assert after.hits > before.hits and after.misses > before.misses
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_right_hand_side_rejected(self, bad):
+        u = np.ones(50)
+        diffusion_substep(u, 0.3, 0.07, 0.01)  # factors for this size now cached
+        u[17] = bad
+        with pytest.raises(ValueError):
+            diffusion_substep(u, 0.3, 0.07, 0.01)
 
     def test_matches_heat_kernel(self):
         # one long backward-Euler step vs the closed-form widened Gaussian:
