@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
@@ -149,22 +150,54 @@ def convolve(f: Field, k: Kernel) -> Field:
 
 
 _TINY = 1e-300
+_TILE_CELLS = 16384  # query points x atom offsets evaluated per tile
+
+
+def _tile_ends(count: np.ndarray) -> list[int]:
+    """End indices of consecutive tiles of query points, each >= 2 points.
+
+    A tile of rows query points, w the largest reach count among them,
+    holds rows x w cells and grows while that stays within ``_TILE_CELLS``.
+    A trailing single point joins the tile before it.
+    """
+    n = count.size
+    ends, a = [], 0
+    while a < n:
+        look = min(n - a, _TILE_CELLS // max(int(count[a]), 1))
+        cells = np.maximum.accumulate(count[a : a + look]) * np.arange(1, look + 1)
+        b = a + max(2, int(np.searchsorted(cells, _TILE_CELLS, side="right")))
+        a = n if n - b < 2 else b
+        ends.append(a)
+    return ends
 
 
 def _atom_sums(X, m, k: Kernel, xq, slope: bool):
     """Banded sums over the atoms inside the kernel support of each query point.
 
     Returns sum_j m_j eta_eps(xq - X_j) and, if ``slope``, also
-    sum_j |m_j| |eta_eps'(xq - X_j)|. Pass r adds the term j = j0 + r
-    (j0 = first atom in reach) for the contiguous run of query points
-    between the first and the last one that still has r + 1 atoms in reach,
-    so each query point is summed left to right in j with one exp per pair.
-    Atoms past the reach, and the zero-mass padding behind the last atom,
-    evaluate to an exact 0 and leave the sums unchanged; the normalization
-    is applied once at the end.
+    sum_j |m_j| |eta_eps'(xq - X_j)|, with one exp per pair and the
+    normalization applied once at the end.
+
+    Consecutive query points are evaluated together as one tile (see
+    ``_tile_ends``), a (w, rows) array whose column i holds the atoms
+    j0_i + r, r < w (j0_i = first atom in reach of point i, w = largest
+    reach count in the tile). The columns are gathered at once from a
+    transposed sliding-window view of the padded atoms. Atoms past a point's
+    reach, and the zero-mass padding behind the last atom, evaluate to an
+    exact +-0.
+
+    The terms go into a (w + 1, rows) buffer whose row 0 is +0.0, reduced
+    over axis 0. NumPy adds the rows one after another for each column (it
+    sums pairwise only along the contiguous axis), so every point is summed
+    left to right in j from +0.0, and the +-0 terms change no bit. A tile
+    therefore needs at least 2 columns: with one, axis 0 is the contiguous
+    axis. A lone query point is evaluated twice.
     """
     lo, hi = k.support
     n = xq.size
+    if n == 1:
+        acc, dacc = _atom_sums(X, m, k, np.repeat(xq, 2), slope)
+        return acc[:1], (dacc[:1] if slope else None)
     # eta_eps(x - X_j) != 0  <=>  X_j in (x - hi, x - lo)
     j0 = np.searchsorted(X, xq - hi, side="left")
     count = np.searchsorted(X, xq - lo, side="right") - j0
@@ -173,41 +206,40 @@ def _atom_sums(X, m, k: Kernel, xq, slope: bool):
     dacc = np.zeros_like(xq) if slope else None
     if width == 0:
         return acc, dacc
-    passes = np.arange(width)
-    first = np.searchsorted(np.maximum.accumulate(count), passes, side="right")
-    last = n - np.searchsorted(np.maximum.accumulate(count[::-1]), passes, side="right")
-    # finite far-right padding keeps every pass in bounds without masking
+    # finite far-right padding keeps every window in bounds without masking
     far = max(float(X[-1]), float(xq.max())) + 2.0 * (hi - lo)
-    Xp = np.concatenate([X, np.full(width, far)])
-    mp = np.concatenate([m, np.zeros(width)])
+    Xw = sliding_window_view(np.concatenate([X, np.full(width, far)]), width).T
+    mw = sliding_window_view(np.concatenate([m, np.zeros(width)]), width).T
     one_sided = k.shape == ONE_SIDED_LEFT
-    idx_buf = np.empty(n, dtype=j0.dtype)
-    s_buf, t_buf, m_buf = np.empty(n), np.empty(n), np.empty(n)
-    for r in range(width):
-        a, b = first[r], last[r]
-        idx, s, t, mj = idx_buf[: b - a], s_buf[: b - a], t_buf[: b - a], m_buf[: b - a]
-        np.add(j0[a:b], r, out=idx)
-        Xp.take(idx, out=s)
+    a = 0
+    for b in _tile_ends(count):
+        w = int(count[a:b].max())
+        s = Xw[:w, j0[a:b]]
         np.subtract(xq[a:b], s, out=s)
         s /= k.epsilon
         if one_sided:
             s *= 2.0
             s += 1.0
-        np.multiply(s, s, out=t)
+        t = np.multiply(s, s)
         np.subtract(1.0, t, out=t)
         np.maximum(t, _TINY, out=t)  # outside the support: exp(-1/tiny) == 0
-        mp.take(idx, out=mj)
+        mj = mw[:w, j0[a:b]]
+        terms = np.empty((w + 1, b - a))
+        terms[0] = 0.0
+        g = np.divide(-1.0, t, out=None if slope else t)
+        np.exp(g, out=g)
+        np.multiply(g, mj, out=terms[1:])
+        np.add.reduce(terms, axis=0, out=acc[a:b])
         if slope:
             # |d/dx exp(-1/(1-s^2))| = exp(...) * 2|s| / (1-s^2)^2 * ds/dx
-            g = np.exp(-1.0 / t)
-            dacc[a:b] += np.abs(mj) * (g / t / t * np.abs(s))
-            g *= mj
-            acc[a:b] += g
-        else:
-            np.divide(-1.0, t, out=t)
-            np.exp(t, out=t)
-            t *= mj
-            acc[a:b] += t
+            g /= t
+            g /= t
+            np.abs(s, out=s)
+            s *= g
+            np.abs(mj, out=mj)
+            np.multiply(mj, s, out=terms[1:])
+            np.add.reduce(terms, axis=0, out=dacc[a:b])
+        a = b
     acc *= k.normalization
     if slope:
         dacc *= k.normalization * 2.0 * (2.0 if one_sided else 1.0) / k.epsilon

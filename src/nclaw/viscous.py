@@ -26,7 +26,17 @@ from .nonlocal_solvers import _check_boundary_clear, _lf_update
 from .records import RunResult, field_diagnostics, march, output_times
 from .velocity import VelocityLaw
 
-__all__ = ["ViscousRunConfig", "imex_step", "diffusion_substep", "run_viscous"]
+__all__ = [
+    "NonFiniteState",
+    "ViscousRunConfig",
+    "imex_step",
+    "diffusion_substep",
+    "run_viscous",
+]
+
+
+class NonFiniteState(RuntimeError):
+    """The advected IMEX state holds NaN or inf: the run blew up."""
 
 
 @dataclass
@@ -116,7 +126,8 @@ def imex_step(
 
     The CFL restriction applies to the advection substep only; diffusion is
     unconditionally stable. ``velocity`` lets drivers reuse an already
-    computed advective velocity of ``f``.
+    computed advective velocity of ``f``. A non-finite advected state raises
+    ``NonFiniteState``; the diffusion substep's own finite check detects it.
     """
     dx = f.grid.dx
     V = _advective_velocity(f, cfg) if velocity is None else velocity
@@ -124,7 +135,15 @@ def imex_step(
     if speed > 1e-14 and dt > cfg.cfl * dx / speed:
         raise CFLError(dt, cfg.cfl * dx / speed)
     star = _lf_update(f.values, V, dx, dt)
-    return Field(f.grid, diffusion_substep(star, cfg.nu, dt, dx), f.time_stamp + dt)
+    try:
+        u = diffusion_substep(star, cfg.nu, dt, dx)
+    except ValueError as exc:
+        if np.isfinite(star).all():
+            raise
+        raise NonFiniteState(
+            f"non-finite advected state at t={f.time_stamp:.6g}"
+        ) from exc
+    return Field(f.grid, u, f.time_stamp + dt)
 
 
 def _check_domain(cfg: ViscousRunConfig, initial: Field):

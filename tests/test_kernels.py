@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nclaw.grids import Field, Grid1D, lp_norm
@@ -210,6 +212,89 @@ class TestConvolveParticles:
             expect = np.abs(d) @ np.abs(m)
             assert np.max(np.abs(slope - expect)) <= 1e-6 * np.max(expect)
             assert np.all(slope <= np.sum(np.abs(m)) * k.deriv_sup * (1.0 + 1e-6))
+
+
+KERNELS = {
+    (shape, eps): Kernel(shape, eps)
+    for shape in (EVEN_BUMP, ONE_SIDED_LEFT)
+    for eps in (0.05, 0.3)
+}
+
+
+def atom_sums_reference(X, m, k, xq):
+    """Per query point: NumPy terms of the atoms in reach, added left to right in j."""
+    lo, hi = k.support
+    one_sided = k.shape == ONE_SIDED_LEFT
+    conv, slope = [], []
+    for x in xq:
+        j = (X >= x - hi) & (X <= x - lo)
+        s = (x - X[j]) / k.epsilon
+        if one_sided:
+            s = s * 2.0 + 1.0
+        t = np.maximum(1.0 - s * s, 1e-300)
+        g = np.exp(-1.0 / t)
+        c = d = 0.0
+        for term in (g * m[j]).tolist():
+            c += term
+        for term in (np.abs(m[j]) * (g / t / t * np.abs(s))).tolist():
+            d += term
+        conv.append(c * k.normalization)
+        slope.append(d * (k.normalization * 2.0 * (2.0 if one_sided else 1.0) / k.epsilon))
+    return np.array(conv), np.array(slope)
+
+
+@st.composite
+def atoms_and_queries(draw):
+    """Sorted atoms (sparse ones plus a dense cluster of varying density),
+    signed masses and query points on, off and away from the atoms."""
+    sparse = draw(st.lists(st.floats(-1.0, 1.0), max_size=30))
+    n_dense = draw(st.integers(0, 400))
+    centre = draw(st.floats(-0.5, 0.5))
+    spread = draw(st.floats(1e-4, 0.3))
+    dense = centre + spread * np.linspace(-1.0, 1.0, n_dense) ** 3
+    X = np.unique(np.concatenate([np.array(sparse), dense]))
+    if X.size == 0:
+        X = np.array([0.0])
+    seed = draw(st.integers(0, 2**32 - 1))
+    m = np.random.default_rng(seed).uniform(-1.0, 1.0, X.size)
+    where = draw(st.sampled_from(["positions", "off", "scalar", "two", "empty"]))
+    if where == "positions":
+        xq = X.copy()
+    elif where == "off":
+        xq = X + draw(st.floats(-0.4, 0.4))
+    elif where == "scalar":
+        xq = draw(st.floats(-1.5, 1.5))
+    elif where == "two":
+        xq = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2)))
+    else:  # no atom in reach of any point
+        xq = X[-1] + 2.0 + np.arange(draw(st.integers(1, 5)), dtype=float)
+    return X, m, xq
+
+
+class TestAtomSumsBitExact:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([EVEN_BUMP, ONE_SIDED_LEFT]),
+        eps=st.sampled_from([0.05, 0.3]),
+        case=atoms_and_queries(),
+    )
+    @example(EVEN_BUMP, 0.05, (np.array([0.0]), np.array([1.0]), 0.0))
+    @example(
+        ONE_SIDED_LEFT,
+        0.3,
+        (np.linspace(-0.2, 0.2, 300), np.linspace(-1.0, 1.0, 300), np.array([0.1, 0.0])),
+    )
+    def test_matches_left_to_right_reference(self, shape, eps, case):
+        X, m, xq = case
+        k = KERNELS[shape, eps]
+        ref_conv, ref_slope = atom_sums_reference(X, m, k, np.atleast_1d(xq))
+        conv = convolve_particles(X, m, k, xq)
+        if np.ndim(xq) == 0:
+            assert isinstance(conv, float)
+        assert np.atleast_1d(conv).tobytes() == ref_conv.tobytes()
+        conv2, slope = convolve_particles_slope(X, m, k, xq)
+        assert conv2.tobytes() == ref_conv.tobytes()
+        assert slope.tobytes() == ref_slope.tobytes()
 
 
 class TestHeatKernel:

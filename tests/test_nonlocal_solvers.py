@@ -327,6 +327,33 @@ class TestRunNonlocal:
                 t_end=0.1, scheme="spectral",
             )
 
+    def test_particles_and_lax_friedrichs_solve_the_same_equation(self):
+        # smooth regime: the deposited fine particle run is the reference for
+        # LF, whose L1 error must halve with dx (first order); the particle
+        # runs self-converge in N, tested through the smooth u * eta_eps
+        k = Kernel(EVEN_BUMP, 0.2)
+
+        def final(scheme, n):
+            grid = Grid1D(-3.0, 3.0, n)
+            cfg = NonlocalRunConfig(
+                grid=grid, kernel=k, law=LAW, t_end=0.1, scheme=scheme, n_outputs=1
+            )
+            return run_nonlocal(cfg, gaussian_datum(grid, 1.0, 0.3)).final
+
+        ref = final("particles", 4800)
+        errs = []
+        for n in (100, 200, 400, 800):
+            u = final("lax_friedrichs", n)
+            errs.append(lp_norm(Field(u.grid, deposit(ref, u.grid).values - u.values), 1))
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(np.abs(orders - 1.0) <= 0.25), orders
+
+        xs = np.linspace(-1.0, 1.5, 51)
+        conv = [convolve_particles(final("particles", n), k, xs) for n in (300, 600, 1200, 2400)]
+        diffs = np.array([np.max(np.abs(a - b)) for a, b in zip(conv, conv[1:])])
+        orders = np.log2(diffs[:-1] / diffs[1:])
+        assert np.all(orders >= 1.5), orders
+
     def test_signed_masses_need_flag(self):
         grid = Grid1D(-3.0, 3.0, 600)
         cfg = NonlocalRunConfig(

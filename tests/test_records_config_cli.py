@@ -236,6 +236,17 @@ class TestCLI:
         assert main(["--no-emit", "ce1"]) == EXIT_NUMERICAL == 4
         assert "characteristics crossed" in capsys.readouterr().err
 
+    def test_viscous_blow_up_has_the_numerical_exit_code(self, monkeypatch, capsys):
+        # a NaN advected state must not read as a usage error (exit 1)
+        import nclaw.viscous
+        from nclaw.cli import EXIT_NUMERICAL
+
+        monkeypatch.setattr(
+            nclaw.viscous, "_lf_update", lambda u, V, dx, dt: np.full_like(u, np.nan)
+        )
+        assert main(["--no-emit", "rate"]) == EXIT_NUMERICAL
+        assert "non-finite advected state" in capsys.readouterr().err
+
     def test_exit_code_mapping(self):
         from nclaw.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE
 

@@ -10,6 +10,7 @@ from nclaw.kernels import EVEN_BUMP, Kernel
 from nclaw.local_entropy import CFLError, ExactSolution, sample_exact
 from nclaw.velocity import identity_law, normalize
 from nclaw.viscous import (
+    NonFiniteState,
     ViscousRunConfig,
     _backward_euler_factors,
     diffusion_substep,
@@ -84,6 +85,16 @@ class TestImexStep:
         cfg = ViscousRunConfig(grid=grid, law=LAW, nu=0.1, t_end=1.0)
         with pytest.raises(CFLError):
             imex_step(step_datum(grid), cfg, dt=1.0)
+
+    def test_non_finite_state_is_numerical_failure(self):
+        # a blown-up state is a RuntimeError, unlike a bad argument
+        grid = Grid1D(-3.0, 3.0, 300)
+        cfg = ViscousRunConfig(grid=grid, law=LAW, nu=0.1, t_end=1.0)
+        u = step_datum(grid)
+        u.values[140] = np.nan
+        with pytest.raises(NonFiniteState):
+            imex_step(u, cfg, dt=1e-3)
+        assert issubclass(NonFiniteState, RuntimeError)
 
 
 def banded_reference(u, nu, dt, dx):
