@@ -39,12 +39,12 @@ GOLDEN = [
      "5cde25bc78e0f916e0dad508e30c04ba105fb3aac2667d0f9af5f57eaa9892d0",
      "a3af12e09a20ece205a6435946864eb3f0e41ede6473a45ddb936df7a28614e3"),
     ("rate", "singular_limit_rate", dict(eps_list=(0.4, 0.2), t_end=0.2),
-     "rate-5d5d7e979357829b", "INCONCLUSIVE", 0,
-     "16861b2f6402278ff33c330d37c437ae9d0942a6d826d8305e6e097196cf7043",
+     "rate-5d5d7e979357829b", "FAIL", 0,
+     "8d137d18f5fb506c916038d9ddda3601aa5195e5956a6305543466edad31d2a6",
      hashlib.sha256(b"").hexdigest()),
     ("visc", "vanishing_viscosity", dict(nu_list=(0.1, 0.03), t_end=0.1),
      "visc-15a01de0cf99a9dd", "FAIL", 0,
-     "55d978d47fce0805c5fac139b66b1696c7838733187a015d2f602556d6c8b6b0",
+     "4726aa31379da36feabc840ba4e997e23e7255d7836e2d4ccc9c804ac5f12980",
      hashlib.sha256(b"").hexdigest()),
 ]
 

@@ -242,7 +242,7 @@ class TestCLI:
         from nclaw.cli import EXIT_NUMERICAL
 
         monkeypatch.setattr(
-            nclaw.viscous, "_lf_update", lambda u, V, dx, dt: np.full_like(u, np.nan)
+            nclaw.viscous, "_lf_update", lambda u, V, dx, dt, speed: np.full_like(u, np.nan)
         )
         assert main(["--no-emit", "rate"]) == EXIT_NUMERICAL
         assert "non-finite advected state" in capsys.readouterr().err

@@ -6,7 +6,7 @@ from scipy.linalg import solve_banded
 
 from nclaw.data import gaussian_datum, step_datum
 from nclaw.grids import Field, Grid1D, lp_norm
-from nclaw.kernels import EVEN_BUMP, Kernel
+from nclaw.kernels import EVEN_BUMP, ONE_SIDED_LEFT, Kernel
 from nclaw.local_entropy import CFLError, ExactSolution, sample_exact
 from nclaw.velocity import identity_law, normalize
 from nclaw.viscous import (
@@ -68,10 +68,28 @@ class TestImexStep:
             u = imex_step(u, cfg, dt)
             assert lp_norm(u, math.inf) <= sup0 + 1e-12
 
+    @pytest.mark.parametrize(
+        "datum", [lambda g: gaussian_datum(g, 1.0, 0.3), step_datum], ids=["gaussian", "step"]
+    )
+    def test_rusanov_monotone_at_cfl_09_local_problem(self, datum):
+        # the local LF flux is monotone up to CFL 1 only with the full wave
+        # speed |b(u) + u b'(u)| = 2|u|; half of it lets the sup norm grow
+        grid = Grid1D(-3.0, 3.0, 900)
+        cfg = ViscousRunConfig(grid=grid, law=LAW, nu=1e-3, t_end=1.0, cfl=0.9)
+        u = datum(grid)
+        sup0 = lp_norm(u, math.inf)
+        dt = 0.9 * grid.dx / (2 * sup0)
+        for _ in range(100):
+            u = imex_step(u, cfg, dt)
+            assert lp_norm(u, math.inf) <= sup0 + 1e-12
+            assert u.values.min() >= 0.0
+
     def test_advection_substep_conserves_mass(self):
+        # the nonlocal compression of the step lifts max|V| a little above 1,
+        # so the fixed dt = 0.4 dx needs more CFL headroom than the default
         grid = Grid1D(-3.0, 3.0, 900)
         k = Kernel(EVEN_BUMP, 0.1)
-        cfg = ViscousRunConfig(grid=grid, law=LAW, nu=1e-12, t_end=1.0, kernel=k)
+        cfg = ViscousRunConfig(grid=grid, law=LAW, nu=1e-12, t_end=1.0, kernel=k, cfl=0.9)
         u = step_datum(grid)
         m0 = float(np.sum(u.values) * grid.dx)
         dt = 0.4 * grid.dx
@@ -79,6 +97,23 @@ class TestImexStep:
             u = imex_step(u, cfg, dt)
         # with nu ~ 0 the diffusion solve is the identity; drift is advection only
         assert abs(float(np.sum(u.values) * grid.dx) - m0) <= 1e-12
+
+    def test_converged_in_dt_nonlocal(self):
+        # at fixed dx the Rusanov dissipation does not depend on dt, so a
+        # smooth nonlocal run moves by less than 1% in L1 when dt halves
+        # (the classic LF flux, viscosity dx^2/2dt, moves this pair by ~2%)
+        grid = Grid1D(-3.0, 3.5, 1000)
+        u0 = gaussian_datum(grid, 1.0, 0.3)
+        dt = 0.9 * grid.dx / (1.4 * lp_norm(u0, math.inf))
+        finals = []
+        for step in (dt, dt / 2):
+            cfg = ViscousRunConfig(
+                grid=grid, law=LAW, nu=0.1, t_end=0.5, kernel=Kernel(ONE_SIDED_LEFT, 0.1),
+                cfl=0.9, dt=step, n_outputs=1,
+            )
+            finals.append(run_viscous(cfg, u0).final)
+        moved = lp_norm(Field(grid, finals[0].values - finals[1].values), 1)
+        assert moved < 0.01 * lp_norm(finals[1], 1)
 
     def test_cfl_enforced(self):
         grid = Grid1D(-3.0, 3.0, 300)
