@@ -24,8 +24,6 @@ __all__ = [
     "baricenter",
     "support_bounds",
     "field_to_csv",
-    "field_to_json",
-    "field_from_json",
 ]
 
 # Fields whose values dip below -NEG_TOL are rejected by entropy_functional;
@@ -130,6 +128,8 @@ def snap_window(grid: Grid1D, a: float, b: float) -> tuple[int, int, float, floa
     i_lo = max(0, min(i_lo, grid.n_cells))
     i_hi = max(0, min(i_hi, grid.n_cells))
     if i_hi <= i_lo:
+        # widen a window that snapped to empty by one cell, inward at x_max
+        i_lo = min(i_lo, grid.n_cells - 1)
         i_hi = i_lo + 1
     snap_a = grid.x_min + i_lo * dx - a
     snap_b = grid.x_min + i_hi * dx - b
@@ -200,20 +200,3 @@ def field_to_csv(f: Field, path) -> None:
         for x, u in zip(centers, f.values):
             w.writerow([repr(float(x)), repr(float(u))])
 
-
-def field_to_json(f: Field) -> dict:
-    return {
-        "grid": {
-            "x_min": f.grid.x_min,
-            "x_max": f.grid.x_max,
-            "n_cells": f.grid.n_cells,
-        },
-        "time": f.time_stamp,
-        "values": [float(v) for v in f.values],
-    }
-
-
-def field_from_json(record: dict) -> Field:
-    g = record["grid"]
-    grid = Grid1D(g["x_min"], g["x_max"], int(g["n_cells"]))
-    return Field(grid, np.array(record["values"], dtype=float), record["time"])

@@ -2,8 +2,12 @@
 plus the closed-form entropy solutions used as oracles.
 
 For the identity law the flux is u^2 (convex, sonic point at u = 0) and the
-Godunov flux is the exact Riemann flux; for general laws a Rusanov (local
-Lax-Friedrichs) flux is used instead.
+Godunov flux is the exact Riemann flux; for general laws the Rusanov (local
+Lax-Friedrichs) flux is used instead, with the per-cell wave speeds of
+``velocity.wave_speeds``. This module also holds what all three
+finite-volume solvers share: ``CFLError`` and ``_lf_update``, the one
+Lax-Friedrichs update (classic LF in ``lf_step``, Rusanov in the IMEX
+advection substep and here).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from .grids import Field, Grid1D
 from .records import RunResult, field_diagnostics, march
-from .velocity import VelocityLaw, flux, flux_speed_bound
+from .velocity import VelocityLaw, wave_speeds
 
 __all__ = [
     "CFLError",
@@ -38,6 +42,40 @@ class CFLError(RuntimeError):
         self.dt_admissible = dt_admissible
 
 
+def _lf_update(u: np.ndarray, V: np.ndarray, dx: float, dt: float, speed) -> np.ndarray:
+    # conservative update with the interface flux of u*V
+    #     F_{i+1/2} = (u_i V_i + u_{i+1} V_{i+1})/2 - (a_{i+1/2}/2) (u_{i+1} - u_i)
+    # and zero states outside the domain; the one LF update of lf_step, the
+    # IMEX advection substep and godunov_step's general-law branch. A scalar
+    # ``speed`` is a at every interface: classic LF with a = dx/dt (lf_step).
+    # An array holds per-cell wave speeds s_i, and a_{i+1/2} = max(s_i,
+    # s_{i+1}), the edge cell's s at the walls: local LF, i.e. Rusanov (IMEX
+    # and Godunov). Every flux entry is computed with the same operations in
+    # the same order as the zero-padded formula, so lf_step's bytes do not
+    # depend on the buffer layout.
+    uv = u * V
+    F = np.empty(u.size + 1)
+    np.add(uv[:-1], uv[1:], out=F[1:-1])
+    F[0] = 0.0 + uv[0]
+    F[-1] = uv[-1] + 0.0
+    F *= 0.5
+    jump = np.empty(u.size + 1)
+    np.subtract(u[1:], u[:-1], out=jump[1:-1])
+    jump[0] = u[0] - 0.0
+    jump[-1] = 0.0 - u[-1]
+    if np.ndim(speed) == 0:
+        jump *= 0.5 * speed
+    else:
+        a = np.empty(u.size + 1)
+        np.maximum(speed[:-1], speed[1:], out=a[1:-1])
+        a[0] = speed[0]
+        a[-1] = speed[-1]
+        a *= 0.5
+        jump *= a
+    F -= jump
+    return u - (dt / dx) * (F[1:] - F[:-1])
+
+
 def _burgers_godunov_flux(ul: np.ndarray, ur: np.ndarray) -> np.ndarray:
     # exact Riemann flux for f(u) = u^2: minimize over [ul, ur] when ul <= ur
     # (zero if the interval straddles the sonic point), maximize otherwise
@@ -47,31 +85,25 @@ def _burgers_godunov_flux(ul: np.ndarray, ur: np.ndarray) -> np.ndarray:
     return np.where(ul <= ur, fmin, np.maximum(fl, fr))
 
 
-def _rusanov_flux(vl: VelocityLaw, ul: np.ndarray, ur: np.ndarray) -> np.ndarray:
-    h = 1e-6 * (1.0 + np.maximum(np.abs(ul), np.abs(ur)))
-    dl = (flux(vl, ul + h) - flux(vl, ul - h)) / (2.0 * h)
-    dr = (flux(vl, ur + h) - flux(vl, ur - h)) / (2.0 * h)
-    a = np.maximum(np.abs(dl), np.abs(dr))
-    return 0.5 * (flux(vl, ul) + flux(vl, ur)) - 0.5 * a * (ur - ul)
-
-
 def godunov_step(f: Field, vl: VelocityLaw, dt: float, cfl: float = 1.0) -> Field:
     """One conservative step of the local solver.
 
-    Uses the exact Godunov flux for the identity law and Rusanov otherwise.
-    Raises CFLError when dt * max|f'(u)| / dx > cfl.
+    Uses the exact Godunov flux for the identity law and Rusanov otherwise,
+    via the shared local-LF update. Raises CFLError when
+    dt * max(wave_speeds) / dx > cfl.
     """
     u = f.values
     dx = f.grid.dx
-    speed = flux_speed_bound(vl, float(u.min()), float(u.max()))
+    V = vl(u)
+    s = wave_speeds(vl, u, V)
+    speed = float(np.max(s))
     if speed > 0.0 and dt > cfl * dx / speed:
         raise CFLError(dt, cfl * dx / speed)
+    if vl.variant != "identity":
+        return Field(f.grid, _lf_update(u, V, dx, dt, s), f.time_stamp + dt)
     ul = np.concatenate([[0.0], u])   # zero states outside the domain
     ur = np.concatenate([u, [0.0]])
-    if vl.variant == "identity":
-        F = _burgers_godunov_flux(ul, ur)
-    else:
-        F = _rusanov_flux(vl, ul, ur)
+    F = _burgers_godunov_flux(ul, ur)
     out = u - (dt / dx) * (F[1:] - F[:-1])
     return Field(f.grid, out, f.time_stamp + dt)
 
@@ -86,12 +118,13 @@ def run_local(
 ) -> RunResult:
     """March the Godunov solver to t_end, recording diagnostics.
 
-    The step is fixed from the initial CFL bound with a small safety margin
-    (the sup norm cannot grow, so it stays admissible).
+    The step is fixed from the initial datum's max ``wave_speeds`` with a
+    small safety margin: the scheme is monotone, so the bound covers every
+    later state and the step stays admissible.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
-    speed = flux_speed_bound(vl, float(initial.values.min()), float(initial.values.max()))
+    speed = float(np.max(wave_speeds(vl, initial.values)))
     dt = cfl * initial.grid.dx / max(speed, 1e-12)
     n_steps = max(1, int(math.ceil(t_end / dt)))
     dt = t_end / n_steps

@@ -23,7 +23,7 @@ import numpy as np
 from .grids import Field, Grid1D, entropy_functional
 from .kernels import Kernel, convolve, convolve_particles_slope
 from .kernels import convolve_particles as _convolve_atoms
-from .local_entropy import CFLError
+from .local_entropy import CFLError, _lf_update
 from .records import RunResult, field_diagnostics, march, output_times
 from .velocity import VelocityLaw
 
@@ -145,39 +145,6 @@ def lf_step(
     if dt > dt_adm:
         raise CFLError(dt, dt_adm)
     return Field(f.grid, _lf_update(f.values, V, dx, dt, dx / dt), f.time_stamp + dt)
-
-
-def _lf_update(u: np.ndarray, V: np.ndarray, dx: float, dt: float, speed) -> np.ndarray:
-    # conservative update with the interface flux of u*V
-    #     F_{i+1/2} = (u_i V_i + u_{i+1} V_{i+1})/2 - (a_{i+1/2}/2) (u_{i+1} - u_i)
-    # and zero states outside the domain; shared by lf_step and the IMEX
-    # advection substep. A scalar ``speed`` is a at every interface: classic
-    # LF with a = dx/dt (lf_step). An array holds per-cell wave speeds s_i,
-    # and a_{i+1/2} = max(s_i, s_{i+1}), the edge cell's s at the walls:
-    # local LF, i.e. Rusanov (the IMEX substep). Every flux entry is computed
-    # with the same operations in the same order as the zero-padded formula,
-    # so lf_step's bytes do not depend on the buffer layout.
-    uv = u * V
-    F = np.empty(u.size + 1)
-    np.add(uv[:-1], uv[1:], out=F[1:-1])
-    F[0] = 0.0 + uv[0]
-    F[-1] = uv[-1] + 0.0
-    F *= 0.5
-    jump = np.empty(u.size + 1)
-    np.subtract(u[1:], u[:-1], out=jump[1:-1])
-    jump[0] = u[0] - 0.0
-    jump[-1] = 0.0 - u[-1]
-    if np.ndim(speed) == 0:
-        jump *= 0.5 * speed
-    else:
-        a = np.empty(u.size + 1)
-        np.maximum(speed[:-1], speed[1:], out=a[1:-1])
-        a[0] = speed[0]
-        a[-1] = speed[-1]
-        a *= 0.5
-        jump *= a
-    F -= jump
-    return u - (dt / dx) * (F[1:] - F[:-1])
 
 
 # ---------------------------------------------------------------------------

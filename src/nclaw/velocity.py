@@ -18,7 +18,7 @@ __all__ = [
     "normalize",
     "tabulated_law",
     "flux",
-    "flux_speed_bound",
+    "wave_speeds",
 ]
 
 
@@ -62,8 +62,11 @@ def normalize(raw_b: Callable, probe_range=(-3.0, 3.0)) -> tuple[VelocityLaw, fl
     """Build a VelocityLaw from a raw callable, removing its value at 0.
 
     Returns (law, shift) with law(u) = raw_b(u) - raw_b(0) and
-    shift = raw_b(0). The Lipschitz constant is estimated on a 1000-point
-    probe of probe_range. Detects the identity map so the Burgers-type flux
+    shift = raw_b(0). The Lipschitz constant L is sampled on a 1000-point
+    probe of probe_range, so it holds only there. The finite-volume CFL
+    rules that use L (``wave_speeds``: Godunov and the local IMEX problem)
+    rely on every state staying inside probe_range; those with a kernel
+    take max|V| itself. Detects the identity map so the Burgers-type flux
     gets its fast path.
     """
     shift = float(np.asarray(raw_b(np.array([0.0])), dtype=float).ravel()[0])
@@ -102,11 +105,18 @@ def flux(vl: VelocityLaw, u):
     return out
 
 
-def flux_speed_bound(vl: VelocityLaw, u_lo: float, u_hi: float, n: int = 2000) -> float:
-    """Sampled bound on |d/du (u b(u))| over [u_lo, u_hi], for CFL control."""
-    if u_hi <= u_lo:
-        u_hi = u_lo + 1e-12
-    pad = 1e-9 * (1.0 + abs(u_lo) + abs(u_hi))
-    xs = np.linspace(u_lo - pad, u_hi + pad, n)
-    fs = flux(vl, xs)
-    return float(np.max(np.abs(np.diff(fs) / np.diff(xs))))
+def wave_speeds(vl: VelocityLaw, u, b=None) -> np.ndarray:
+    """Per-cell bound s_i = |b(u_i)| + L|u_i| on the wave speed |(u b(u))'|.
+
+    The one wave-speed rule for the local flux u b(u), in Godunov and in
+    the local IMEX problem: the CFL speed is max s_i, and the Rusanov
+    dissipation takes max(s_i, s_i+1) at each interface. (With a kernel
+    the flux is u V at frozen V, and its speed is |V|.) ``b`` passes vl(u)
+    when the caller already holds it. Since |b| is L-Lipschitz with b(0) = 0, s is nondecreasing in |u| on
+    each side of 0. A monotone scheme keeps every value inside
+    [min u, max u], so max s over a state bounds the speed of every state
+    the scheme reaches from it: ``run_local`` fixes its dt from the datum.
+    """
+    u = np.asarray(u, dtype=float)
+    b = vl(u) if b is None else b
+    return np.abs(b) + vl.lipschitz_L * np.abs(u)

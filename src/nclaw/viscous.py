@@ -24,10 +24,10 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grids import Field, Grid1D, lp_norm, support_bounds
 from .kernels import Kernel, convolve
-from .local_entropy import CFLError
-from .nonlocal_solvers import _check_boundary_clear, _lf_update
+from .local_entropy import CFLError, _lf_update
+from .nonlocal_solvers import _check_boundary_clear
 from .records import RunResult, field_diagnostics, march, output_times
-from .velocity import VelocityLaw
+from .velocity import VelocityLaw, wave_speeds
 
 __all__ = [
     "NonFiniteState",
@@ -71,25 +71,16 @@ def _advective_velocity(f: Field, cfg: ViscousRunConfig) -> np.ndarray:
     return cfg.law(f.values)
 
 
-def _speed_bound(f: Field, cfg: ViscousRunConfig, abs_v: np.ndarray) -> float:
-    """Bound on the advective wave speed, from |V| (the CFL rule's speed)."""
-    vmax = float(np.max(abs_v)) if abs_v.size else 0.0
-    if cfg.kernel is None:
-        # local flux u*b(u): the wave speed is b(u) + u*b'(u), not just b(u)
-        umax = float(np.max(np.abs(f.values))) if f.values.size else 0.0
-        vmax += cfg.law.lipschitz_L * umax
-    return vmax
+def _cell_speeds(f: Field, cfg: ViscousRunConfig, V: np.ndarray) -> np.ndarray:
+    """Per-cell wave speeds s_i: the CFL speed is their max, and the Rusanov
+    flux takes max(s_i, s_i+1) at each interface.
 
-
-def _cell_speeds(f: Field, cfg: ViscousRunConfig, abs_v: np.ndarray) -> np.ndarray:
-    """Per-cell wave speeds s_i of the Rusanov flux, at most ``_speed_bound``.
-
-    With a kernel s_i = |V_i|; for the local problem s_i = |V_i| + L|u_i|,
-    the same bound on |b(u) + u*b'(u)| cell by cell.
+    With a kernel s_i = |V_i|; for the local problem V = b(u) and s is
+    ``wave_speeds``, the bound |V_i| + L|u_i| on |b(u) + u*b'(u)|.
     """
     if cfg.kernel is None:
-        return abs_v + cfg.law.lipschitz_L * np.abs(f.values)
-    return abs_v
+        return wave_speeds(cfg.law, f.values, V)
+    return np.abs(V)
 
 
 @lru_cache(maxsize=1)
@@ -141,20 +132,21 @@ def imex_step(
 
     The advection substep uses the Rusanov flux: its dissipation at an
     interface is half the larger wave speed of the two cells
-    (``_cell_speeds``), so it is monotone up to CFL 1. The CFL restriction
-    applies to the advection substep only; diffusion is unconditionally
-    stable. ``velocity`` lets drivers reuse an already computed advective
-    velocity of ``f``; |V| is taken once and serves both the CFL guard and
-    the dissipation. A non-finite advected state raises ``NonFiniteState``;
-    the diffusion substep's own finite check detects it.
+    (``_cell_speeds``), so it is monotone up to CFL 1. The CFL restriction,
+    on max ``_cell_speeds``, applies to the advection substep only;
+    diffusion is unconditionally stable. ``velocity`` lets drivers reuse an
+    already computed advective velocity of ``f``; the wave speeds are taken
+    once and serve both the CFL guard and the dissipation. A non-finite
+    advected state raises ``NonFiniteState``; the diffusion substep's own
+    finite check detects it.
     """
     dx = f.grid.dx
     V = _advective_velocity(f, cfg) if velocity is None else velocity
-    abs_v = np.abs(V)
-    speed = _speed_bound(f, cfg, abs_v)
+    s = _cell_speeds(f, cfg, V)
+    speed = float(np.max(s))
     if speed > 1e-14 and dt > cfg.cfl * dx / speed:
         raise CFLError(dt, cfg.cfl * dx / speed)
-    star = _lf_update(f.values, V, dx, dt, _cell_speeds(f, cfg, abs_v))
+    star = _lf_update(f.values, V, dx, dt, s)
     try:
         u = diffusion_substep(star, cfg.nu, dt, dx)
     except ValueError as exc:
@@ -195,7 +187,7 @@ def run_viscous(cfg: ViscousRunConfig, initial: Field) -> RunResult:
         if cfg.dt is not None:
             return imex_step(u, cfg, min(cfg.dt, target - u.time_stamp))
         V = _advective_velocity(u, cfg)
-        speed = _speed_bound(u, cfg, np.abs(V))
+        speed = float(np.max(_cell_speeds(u, cfg, V)))
         if speed > 1e-14:
             dt = min(cfg.cfl * u.grid.dx / speed, target - u.time_stamp)
         else:

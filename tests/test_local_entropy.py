@@ -66,6 +66,18 @@ class TestGodunovStep:
         assert abs(float(np.sum(u.values) * grid.dx) - m0) <= 1e-12
         assert float(u.values.min()) >= -1e-12  # monotone flux keeps sign
 
+    def test_general_law_run_stays_admissible_from_datum_speed(self):
+        # run_local fixes dt from the datum's max wave_speeds; the Rusanov
+        # branch is monotone, so no later step trips the CFL guard
+        grid = Grid1D(-3.0, 2.0, 512)
+        u0 = step_datum(grid)
+        res = run_local(u0, normalize(np.sin)[0], 0.5)
+        m0 = float(np.sum(u0.values) * grid.dx)
+        assert abs(float(np.sum(res.final.values) * grid.dx) - m0) <= 1e-12
+        for state in res.states:
+            assert -1e-12 <= float(state.values.min())
+            assert float(state.values.max()) <= 1.0 + 1e-12
+
 
 class TestExactSolutions:
     def test_step_point_values(self):
