@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -196,16 +197,24 @@ def _scenario(name: str, params: dict, measure, judge) -> ScenarioReport:
     the viscous experiments) and returns them with whatever runs ``judge``
     needs. It runs at k = 1, and again at k = 2 when ``params["gate"]`` is
     set; the grid-convergence gate compares the two runs on the keys of the
-    margins.
+    margins. The two runs are independent, so where the platform can fork,
+    ``measure(2)`` runs in a forked child process while this one runs
+    ``measure(1)`` (see ``_beside``); elsewhere it runs after it.
     ``judge(main, rerun)`` returns the checks, the gate margins, the side
     numbers, the provenance and optionally the series and trajectories to
     record; ``rerun`` is None without the gate. The manifest records
-    ``params`` and the wall time.
+    ``params``, the wall time and the wall time of each phase: ``main``,
+    ``rerun`` (timed where it ran; None without the gate) and ``judge``.
     """
     t0 = time.monotonic()
-    main = measure(1)
-    rerun = measure(2) if params["gate"] else None
-    out = judge(main, rerun)
+    rerun, phases = None, {"rerun": None}
+    if params["gate"]:
+        with _beside(lambda: _timed(measure, 2)) as join:
+            main, phases["main"] = _timed(measure, 1)
+            rerun, phases["rerun"] = join()
+    else:
+        main, phases["main"] = _timed(measure, 1)
+    out, phases["judge"] = _timed(judge, main, rerun)
     margins = out.pop("margins")
     gate = None if rerun is None else grid_convergence_gate(rerun, main, margins)
     manifest = RunManifest(
@@ -214,8 +223,69 @@ def _scenario(name: str, params: dict, measure, judge) -> ScenarioReport:
         provenance=out.pop("provenance"),
         code_version=__version__,
         wall_time_s=time.monotonic() - t0,
+        phase_wall_s=phases,
     )
     return ScenarioReport(name, gate=gate, manifest=manifest, **out)
+
+
+def _timed(fn, *args):
+    """``fn(*args)`` and the wall time it took, in seconds."""
+    t0 = time.monotonic()
+    out = fn(*args)
+    return out, time.monotonic() - t0
+
+
+@contextmanager
+def _beside(fn):
+    """Start ``fn()`` in a forked child process and yield ``join``.
+
+    ``join()`` waits for the child and returns what ``fn()`` returned, or
+    re-raises what it raised, with its class. A child that dies without an
+    answer makes it raise ChildProcessError naming the exit code. The child
+    inherits ``fn`` and all it closes over, so only the answer crosses the
+    pipe. Leaving the block, also by an exception, terminates and reaps a
+    child that still runs. Where the platform cannot fork, ``join()`` calls
+    ``fn()`` in this process.
+    """
+    import multiprocessing  # here, not at the top: importing nclaw stays lean
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield fn
+        return
+
+    def answer():
+        recv.close()  # a parent that is gone then reads as a broken pipe, not a full one
+        try:
+            msg = ("ok", fn())
+        except Exception as exc:
+            msg = ("err", exc)
+        send.send(msg)
+
+    def join():
+        try:
+            status, value = recv.recv()
+        except EOFError:
+            child.join()
+            raise ChildProcessError(
+                f"gate rerun process died without an answer (exit code {child.exitcode})"
+            ) from None
+        child.join()
+        if status == "err":
+            raise value
+        return value
+
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=answer, daemon=True)
+    child.start()
+    send.close()  # the child now holds the only write end: its death reads as EOF
+    try:
+        yield join
+    finally:
+        recv.close()
+        if child.is_alive():
+            child.terminate()
+        child.join()
 
 
 # ---------------------------------------------------------------------------

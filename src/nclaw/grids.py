@@ -8,9 +8,9 @@ nothing of interest ever reaches the boundary.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -191,12 +191,18 @@ def support_bounds(f: Field, rel_tol: float = 1e-12) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # serialization
 
-def field_to_csv(f: Field, path) -> None:
-    """Write the field as CSV with header "x,u" (cell center, value)."""
-    centers = f.grid.centers
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "u"])
-        for x, u in zip(centers, f.values):
-            w.writerow([repr(float(x)), repr(float(u))])
+@lru_cache(maxsize=1)
+def _center_strings(grid: Grid1D) -> tuple:
+    # every state of a trajectory shares one grid: build its x column once
+    return tuple(map(repr, grid.centers.tolist()))
 
+
+def field_to_csv(f: Field, path) -> None:
+    """Write the field as CSV with header "x,u" (cell center, value).
+
+    Numbers are the shortest round-trip reprs; lines end in CRLF, as the
+    ``csv`` module writes them.
+    """
+    rows = [f"{x},{u!r}" for x, u in zip(_center_strings(f.grid), f.values.tolist())]
+    with open(path, "w", newline="") as fh:
+        fh.write("x,u\r\n" + "\r\n".join(rows) + "\r\n")

@@ -39,7 +39,12 @@ class CFLError(RuntimeError):
         super().__init__(
             f"CFL violation: dt={dt:.3e} exceeds admissible dt={dt_admissible:.3e}"
         )
+        self.dt = dt
         self.dt_admissible = dt_admissible
+
+    def __reduce__(self):
+        # rebuild from both arguments, so the error survives a pipe to a parent process
+        return type(self), (self.dt, self.dt_admissible)
 
 
 def _lf_update(u: np.ndarray, V: np.ndarray, dx: float, dt: float, speed) -> np.ndarray:

@@ -191,6 +191,7 @@ class RunManifest:
     provenance: dict = dc_field(default_factory=dict)
     code_version: str = ""
     wall_time_s: float = 0.0
+    phase_wall_s: dict = dc_field(default_factory=dict)
     outputs: list = dc_field(default_factory=list)
 
     @property
@@ -206,6 +207,7 @@ class RunManifest:
                 "provenance": self.provenance,
                 "code_version": self.code_version,
                 "wall_time_s": self.wall_time_s,
+                "phase_wall_s": self.phase_wall_s,
                 "outputs": [str(p) for p in self.outputs],
             }
         )
@@ -222,8 +224,8 @@ def emit_report(report, out_dir) -> dict:
     Emits manifest.json, report.json, one diagnostics CSV per labeled run
     (the primary one is plain diagnostics.csv) and one field CSV per output
     time under fields_<label>/. Deterministic inputs give byte-identical
-    CSVs; the manifest hash is stable across reruns (wall time is excluded
-    from it). Returns the written paths.
+    CSVs; the manifest hash is stable across reruns (wall and phase times
+    are excluded from it). Returns the written paths.
     """
     from .grids import field_to_csv
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -207,6 +209,21 @@ class TestSerialization:
         x0, u0 = lines[1].split(",")
         assert float(x0) == pytest.approx(grid.centers[0])
         assert float(u0) == f.values[0]  # repr round-trips exactly
+
+    def test_csv_bytes_match_the_csv_module(self, tmp_path, rng):
+        # the run records were written row by row with csv.writer; the bytes must not move
+        grid = Grid1D(-4.5, 4.5, 900)
+        values = rng.normal(size=900) * 10.0 ** rng.integers(-300, 300, size=900)
+        values[:4] = [-0.0, 0.0, 5e-324, -1.5]
+        for scale in (1.0, -3.0):  # two states on one grid reuse its x column
+            f = Field(grid, scale * values)
+            ref = io.StringIO(newline="")
+            w = csv.writer(ref)
+            w.writerow(["x", "u"])
+            for x, u in zip(grid.centers, f.values):
+                w.writerow([repr(float(x)), repr(float(u))])
+            field_to_csv(f, tmp_path / "f.csv")
+            assert (tmp_path / "f.csv").read_bytes() == ref.getvalue().encode()
 
 
 class TestGridValidation:
