@@ -240,7 +240,8 @@ def _beside(fn):
     """Start ``fn()`` in a forked child process and yield ``join``.
 
     ``join()`` waits for the child and returns what ``fn()`` returned, or
-    re-raises what it raised, with its class. A child that dies without an
+    re-raises what it raised, with its class, chained to a ChildProcessError
+    that holds the child's traceback. A child that dies without an
     answer makes it raise ChildProcessError naming the exit code. The child
     inherits ``fn`` and all it closes over, so only the answer crosses the
     pipe. Leaving the block, also by an exception, terminates and reaps a
@@ -248,6 +249,7 @@ def _beside(fn):
     ``fn()`` in this process.
     """
     import multiprocessing  # here, not at the top: importing nclaw stays lean
+    import traceback
 
     if "fork" not in multiprocessing.get_all_start_methods():
         yield fn
@@ -256,14 +258,14 @@ def _beside(fn):
     def answer():
         recv.close()  # a parent that is gone then reads as a broken pipe, not a full one
         try:
-            msg = ("ok", fn())
+            msg = ("ok", fn(), None)
         except Exception as exc:
-            msg = ("err", exc)
+            msg = ("err", exc, traceback.format_exc())
         send.send(msg)
 
     def join():
         try:
-            status, value = recv.recv()
+            status, value, trace = recv.recv()
         except EOFError:
             child.join()
             raise ChildProcessError(
@@ -271,7 +273,8 @@ def _beside(fn):
             ) from None
         child.join()
         if status == "err":
-            raise value
+            # the traceback does not pickle: chain its text, for the reader of a crash
+            raise value from ChildProcessError(f"raised in the gate rerun process:\n{trace}")
         return value
 
     ctx = multiprocessing.get_context("fork")

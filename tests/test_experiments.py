@@ -133,6 +133,19 @@ def test_rerun_failure_keeps_its_exit_code(monkeypatch, capsys, exc_type, code):
         assert f"raised in process {os.getpid()}" not in err  # the child raised it
 
 
+@needs_fork
+def test_rerun_failure_carries_the_child_traceback(monkeypatch):
+    def fail():
+        raise ValueError("bad rerun")
+
+    _patch_godunov(monkeypatch, {256: fail})
+    with pytest.raises(ValueError, match="bad rerun") as info:
+        counterexample_1(n_particles=300, godunov_n=512)
+    cause = str(info.value.__cause__)
+    assert "raised in the gate rerun process" in cause
+    assert "in fail" in cause and "ValueError: bad rerun" in cause
+
+
 @contextmanager
 def _deadline(seconds):
     """Raise TimeoutError in the test after ``seconds``, so a hang fails it."""
