@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 
 import numpy as np
 
@@ -188,33 +188,43 @@ def _nonlocal(scheme, grid, kernel, t_end, n_outputs, initial, **cfg):
     )
 
 
-def _scenario(name: str, params: dict, measure, judge) -> ScenarioReport:
+def _final(solver, *args, **kwargs):
+    """``solver(*args, **kwargs)``, keeping only the final state."""
+    run = solver(*args, **kwargs)
+    return replace(run, states=[run.final])
+
+
+def _scenario(name: str, params: dict, runs, headline, judge, sweep=None) -> ScenarioReport:
     """Run a scenario through the steps every scenario shares.
 
-    ``measure(k)`` computes the headline numbers with the scenario's
-    resolution parameter divided by k (the particle or Lax-Friedrichs count
-    and the Godunov cell count for the counterexamples, the cell width for
-    the viscous experiments) and returns them with whatever runs ``judge``
-    needs. It runs at k = 1, and again at k = 2 when ``params["gate"]`` is
-    set; the grid-convergence gate compares the two runs on the keys of the
-    margins. The two runs are independent, so where the platform can fork,
-    ``measure(2)`` runs in a forked child process while this one runs
-    ``measure(1)`` (see ``_beside``); elsewhere it runs after it.
-    ``judge(main, rerun)`` returns the checks, the gate margins, the side
-    numbers, the provenance and optionally the series and trajectories to
-    record; ``rerun`` is None without the gate. The manifest records
-    ``params``, the wall time and the wall time of each phase: ``main``,
-    ``rerun`` (timed where it ran; None without the gate) and ``judge``.
+    ``runs(k)`` names the scenario's solver calls (zero-argument callables)
+    with its resolution parameter divided by k: the particle or
+    Lax-Friedrichs count and the Godunov cell count for the counterexamples,
+    the cell width for the viscous experiments. ``runs(1)`` may add calls
+    that only ``judge`` reads, and ``sweep(k, results)`` calls that read the
+    results of ``runs(k)``. The calls run at k = 1, and at k = 2 too when
+    ``params["gate"]`` is set; with the gate on, the independent calls of
+    each round are pooled over two processes (``_pool``), the k = 2 calls
+    first. ``headline(results, k)`` reduces the results of each k to the
+    headline numbers; the grid-convergence gate compares the two on the keys
+    of the margins. ``judge(results, main, rerun)`` gets the k = 1 results
+    and both headlines (``rerun`` is None without the gate) and returns the
+    checks, the gate margins, the side numbers, the provenance and
+    optionally the series and trajectories to record. The manifest records
+    ``params``, the wall time, a ``run_stats`` entry per call and the wall
+    time of the judging.
     """
     t0 = time.monotonic()
-    rerun, phases = None, {"rerun": None}
-    if params["gate"]:
-        with _beside(lambda: _timed(measure, 2)) as join:
-            main, phases["main"] = _timed(measure, 1)
-            rerun, phases["rerun"] = join()
-    else:
-        main, phases["main"] = _timed(measure, 1)
-    out, phases["judge"] = _timed(judge, main, rerun)
+    ks = (2, 1) if params["gate"] else (1,)
+    results, stats = {k: {} for k in ks}, []
+    for calls in (runs,) if sweep is None else (runs, lambda k: sweep(k, results[k])):
+        jobs = [(label, k, call) for k in ks for label, call in calls(k).items()]
+        for (label, k, _), (out, entry) in zip(jobs, _pool(jobs, fork=params["gate"])):
+            results[k][label] = out
+            stats.append(entry)
+    rerun = headline(results.pop(2), 2) if params["gate"] else None
+    main = headline(results[1], 1)
+    out, judge_s = _timed(judge, results[1], main, rerun)
     margins = out.pop("margins")
     gate = None if rerun is None else grid_convergence_gate(rerun, main, margins)
     manifest = RunManifest(
@@ -223,7 +233,8 @@ def _scenario(name: str, params: dict, measure, judge) -> ScenarioReport:
         provenance=out.pop("provenance"),
         code_version=__version__,
         wall_time_s=time.monotonic() - t0,
-        phase_wall_s=phases,
+        run_stats=stats,
+        judge_wall_s=judge_s,
     )
     return ScenarioReport(name, gate=gate, manifest=manifest, **out)
 
@@ -235,60 +246,83 @@ def _timed(fn, *args):
     return out, time.monotonic() - t0
 
 
-@contextmanager
-def _beside(fn):
-    """Start ``fn()`` in a forked child process and yield ``join``.
+def _pool(jobs, fork=True):
+    """Call each ``(label, k, call)`` of ``jobs``; return its result and a
+    stats entry for each, in the order of ``jobs``.
 
-    ``join()`` waits for the child and returns what ``fn()`` returned, or
-    re-raises what it raised, with its class, chained to a ChildProcessError
-    that holds the child's traceback. A child that dies without an
-    answer makes it raise ChildProcessError naming the exit code. The child
-    inherits ``fn`` and all it closes over, so only the answer crosses the
-    pipe. Leaving the block, also by an exception, terminates and reaps a
-    child that still runs. Where the platform cannot fork, ``join()`` calls
-    ``fn()`` in this process.
+    With ``fork`` set, two calls or more and a platform that can fork, a
+    forked helper process works beside this one, each taking the next call
+    from a shared counter. The helper inherits the calls, so only its
+    results cross the pipe, in one answer once the calls run out: it never
+    waits on a full pipe while this process computes. Its exceptions are
+    re-raised here with their class, chained to a ChildProcessError that
+    holds its traceback; a helper that dies without an answer raises
+    ChildProcessError naming its exit code. Leaving, also by an exception,
+    terminates and reaps a helper that still runs. Otherwise the calls run
+    here, in order. A stats entry holds the label, k, the process that made
+    the call (``parent`` or ``helper``), its wall seconds, and ``n_steps``
+    and ``n_rejected`` from the result's ``info``.
     """
     import multiprocessing  # here, not at the top: importing nclaw stays lean
     import traceback
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        yield fn
-        return
+    def run(i, process):
+        label, k, call = jobs[i]
+        out, seconds = _timed(call)
+        info = getattr(out, "info", {})
+        return out, {"label": label, "k": k, "process": process, "wall_s": seconds,
+                     "n_steps": info.get("n_steps"), "n_rejected": info.get("n_rejected")}
 
-    def answer():
+    if not fork or len(jobs) < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [run(i, "parent") for i in range(len(jobs))]
+
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("i", 0)
+
+    def claim():
+        with counter.get_lock():
+            i = counter.value
+            counter.value += 1
+        return i if i < len(jobs) else None
+
+    def helper():
         recv.close()  # a parent that is gone then reads as a broken pipe, not a full one
         try:
-            msg = ("ok", fn(), None)
+            msg = ("ok", [(i, run(i, "helper")) for i in iter(claim, None)], None)
         except Exception as exc:
             msg = ("err", exc, traceback.format_exc())
         send.send(msg)
 
-    def join():
+    def answer():
         try:
             status, value, trace = recv.recv()
         except EOFError:
             child.join()
             raise ChildProcessError(
-                f"gate rerun process died without an answer (exit code {child.exitcode})"
+                f"pool helper process died without an answer (exit code {child.exitcode})"
             ) from None
-        child.join()
         if status == "err":
             # the traceback does not pickle: chain its text, for the reader of a crash
-            raise value from ChildProcessError(f"raised in the gate rerun process:\n{trace}")
+            raise value from ChildProcessError(f"raised in the pool helper process:\n{trace}")
         return value
 
-    ctx = multiprocessing.get_context("fork")
+    done = [None] * len(jobs)
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=answer, daemon=True)
+    child = ctx.Process(target=helper, daemon=True)
     child.start()
-    send.close()  # the child now holds the only write end: its death reads as EOF
+    send.close()  # the helper now holds the only write end: its death reads as EOF
     try:
-        yield join
+        for i in iter(claim, None):
+            done[i] = run(i, "parent")
+        for i, value in answer():
+            done[i] = value
+        child.join()
     finally:
         recv.close()
         if child.is_alive():
             child.terminate()
         child.join()
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +349,11 @@ def counterexample_1(
     kernel = Kernel(EVEN_BUMP, eps)
     window = (-4.0, 0.0)
     diag_grid = Grid1D(-4.5, 4.5, 4500)
+    # coarse Lax-Friedrichs counterpart (dx ~ eps): numerical viscosity
+    # drains the window mass, masking the conservation; logged, not judged
+    lf_grid = Grid1D(-4.5, 4.5, int(round(9.0 / eps)))
 
-    def measure(k):
+    def runs(k):
         if solver == "lax_friedrichs":
             run_grid = datum_grid = Grid1D(-4.5, 4.5, diag_grid.n_cells // k)
         else:
@@ -325,31 +362,33 @@ def counterexample_1(
             # of the sampling grid, so the sampled window mass starts at exactly 1
             n = 4 * max(1, round(n_particles // k / 4))
             datum_grid = _support_datum_grid(-4.5, 4.5, 2.0, n)
-        nl = _nonlocal(
-            solver, run_grid, kernel, t_end, 25, odd_datum(datum_grid),
-            windows=(window,), signed_masses=True,
-        )
-        gd = run_local(
-            odd_datum(Grid1D(-4.5, 4.5, godunov_n // k)), law, t_end, cfl=0.9,
-            windows=(window,), n_outputs=25,
-        )
+        out = {
+            "nonlocal": lambda: _nonlocal(
+                solver, run_grid, kernel, t_end, 25, odd_datum(datum_grid),
+                windows=(window,), signed_masses=True,
+            ),
+            "godunov": lambda: run_local(
+                odd_datum(Grid1D(-4.5, 4.5, godunov_n // k)), law, t_end, cfl=0.9,
+                windows=(window,), n_outputs=25,
+            ),
+        }
+        if k == 1:
+            out["lf_coarse"] = lambda: _nonlocal(
+                "lax_friedrichs", lf_grid, kernel, t_end, 10, odd_datum(lf_grid),
+                windows=(window,), signed_masses=True,
+            )
+        return out
+
+    def headline(r, k):
         return {
-            "nonlocal_window_mass": nl.diagnostics.last("window_mass"),
-            "entropy_window_mass": gd.diagnostics.last("window_mass"),
-            "runs": (nl, gd),
+            "nonlocal_window_mass": r["nonlocal"].diagnostics.last("window_mass"),
+            "entropy_window_mass": r["godunov"].diagnostics.last("window_mass"),
         }
 
-    def judge(main, rerun):
-        nl, gd = main["runs"]
+    def judge(r, main, rerun):
+        nl, gd, lf = r["nonlocal"], r["godunov"], r["lf_coarse"]
         oracle_grid = Grid1D(-4.5, 4.5, 9000)
         oracle_wm = window_mass(sample_exact(ExactSolution("odd"), t_end, oracle_grid), *window)
-        # coarse Lax-Friedrichs counterpart (dx ~ eps): numerical viscosity
-        # drains the window mass, masking the conservation; logged, not judged
-        lf_grid = Grid1D(-4.5, 4.5, int(round(9.0 / eps)))
-        lf = _nonlocal(
-            "lax_friedrichs", lf_grid, kernel, t_end, 10, odd_datum(lf_grid),
-            windows=(window,), signed_masses=True,
-        )
         return {
             "checks": [
                 Check("nonlocal_window_mass", main["nonlocal_window_mass"], 0.98, 1.02,
@@ -385,7 +424,7 @@ def counterexample_1(
             },
         }
 
-    return _scenario("ce1", params, measure, judge)
+    return _scenario("ce1", params, runs, headline, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -409,30 +448,43 @@ def counterexample_2(
     diag_grid = Grid1D(-1.5, 0.5, 2000)
     right_window = (0.0, 0.5)
     t_godunov = max(t_end, 0.75)  # extended run for the moment contradiction
+    # dx = eps/2 is the coarsest grid with an interior sample of the
+    # one-sided kernel; still far too coarse to keep the confinement sharp
+    # (wide domain: the scheme smear travels one cell per step)
+    lf_grid = Grid1D(-3.5, 2.5, max(int(round(6.0 / (eps / 2.0))), 8))
 
-    def measure(k):
-        nl = _nonlocal(
-            "particles", diag_grid, kernel, t_end, 25,
-            step_datum(_support_datum_grid(-1.5, 0.5, 1.0, n_particles // k)),
-            windows=(right_window,),
-        )
-        gd = run_local(
-            step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), law, t_godunov, cfl=0.9,
-            windows=((0.0, 1.0),), n_outputs=75,
-        )
+    def runs(k):
+        out = {
+            "nonlocal": lambda: _nonlocal(
+                "particles", diag_grid, kernel, t_end, 25,
+                step_datum(_support_datum_grid(-1.5, 0.5, 1.0, n_particles // k)),
+                windows=(right_window,),
+            ),
+            "godunov": lambda: run_local(
+                step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), law, t_godunov, cfl=0.9,
+                windows=((0.0, 1.0),), n_outputs=75,
+            ),
+        }
+        if k == 1:
+            out["lf_coarse"] = lambda: _nonlocal(
+                "lax_friedrichs", lf_grid, kernel, t_end, 10, step_datum(lf_grid),
+                windows=(right_window,),
+            )
+        return out
+
+    def headline(r, k):
         # entropy-solution right-half-line mass at t_end and its time integral
-        tg = gd.diagnostics.t
-        right = gd.diagnostics.array("window_mass")
+        tg = r["godunov"].diagnostics.t
+        right = r["godunov"].diagnostics.array("window_mass")
         sel = tg <= t_end + 1e-12
         return {
-            "nonlocal_right_mass": nl.diagnostics.last("window_mass"),
+            "nonlocal_right_mass": r["nonlocal"].diagnostics.last("window_mass"),
             "entropy_right_mass_at_T": float(right[int(np.argmin(np.abs(tg - t_end)))]),
             "entropy_right_mass_time_integral": float(np.trapezoid(right[sel], tg[sel])),
-            "runs": (nl, gd),
         }
 
-    def judge(main, rerun):
-        nl, gd = main["runs"]
+    def judge(r, main, rerun):
+        nl, gd, lf = r["nonlocal"], r["godunov"], r["lf_coarse"]
         # first-moment bounds for a solution confined to (a, b): the Godunov
         # solution escapes the window and violates them for t >= 0.6
         a, b = -1.05, 0.05
@@ -448,14 +500,6 @@ def counterexample_2(
             gaps_plain.append(bounds["plain"] - mom)
             gaps_jensen.append(bounds["jensen"] - mom)
             viol_times.append(state.time_stamp)
-        # dx = eps/2 is the coarsest grid with an interior sample of the
-        # one-sided kernel; still far too coarse to keep the confinement sharp
-        # (wide domain: the scheme smear travels one cell per step)
-        lf_grid = Grid1D(-3.5, 2.5, max(int(round(6.0 / (eps / 2.0))), 8))
-        lf = _nonlocal(
-            "lax_friedrichs", lf_grid, kernel, t_end, 10, step_datum(lf_grid),
-            windows=(right_window,),
-        )
         return {
             "checks": [
                 Check("nonlocal_right_mass", main["nonlocal_right_mass"], -1e-12, 0.01,
@@ -528,7 +572,7 @@ def counterexample_2(
             },
         }
 
-    return _scenario("ce2", params, measure, judge)
+    return _scenario("ce2", params, runs, headline, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -555,32 +599,40 @@ def counterexample_3(
     law = identity_law()
     kernel = Kernel(EVEN_BUMP, eps)
     diag_grid = Grid1D(-2.0, 1.5, 1400)
+    # finite-volume nonlocal run at dx = eps/20: resolved in eps but its
+    # numerical viscosity still dissipates a visible amount of entropy
+    fv_grid = Grid1D(-2.0, 1.5, int(round(3.5 / (eps / 20.0))))
+    # wide domain: the coarse scheme smear travels one cell per step
+    lf_grid = Grid1D(-3.5, 3.5, max(int(round(7.0 / eps)), 8))
 
-    def measure(k):
-        nl = _nonlocal(
-            "particles", diag_grid, kernel, t_end, 25,
-            step_datum(_support_datum_grid(-2.0, 1.5, 1.0, n_particles // k)),
-        )
-        gd = run_local(
-            step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), law, t_end, cfl=0.9, n_outputs=50
-        )
+    def runs(k):
+        out = {
+            "nonlocal": lambda: _nonlocal(
+                "particles", diag_grid, kernel, t_end, 25,
+                step_datum(_support_datum_grid(-2.0, 1.5, 1.0, n_particles // k)),
+            ),
+            "godunov": lambda: run_local(
+                step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), law, t_end, cfl=0.9,
+                n_outputs=50,
+            ),
+        }
+        if k == 1:
+            out["fv"] = lambda: _nonlocal("lax_friedrichs", fv_grid, kernel, t_end, 25,
+                                          step_datum(fv_grid))
+            out["lf_coarse"] = lambda: _nonlocal("lax_friedrichs", lf_grid, kernel, t_end, 10,
+                                                 step_datum(lf_grid))
+        return out
+
+    def headline(r, k):
         return {
-            "nonlocal_entropy_at_T": nl.diagnostics.last("entropy_lagrangian"),
-            "entropy_solution_entropy_at_T": gd.diagnostics.last("entropy"),
-            "runs": (nl, gd),
+            "nonlocal_entropy_at_T": r["nonlocal"].diagnostics.last("entropy_lagrangian"),
+            "entropy_solution_entropy_at_T": r["godunov"].diagnostics.last("entropy"),
         }
 
-    def judge(main, rerun):
-        nl, gd = main["runs"]
+    def judge(r, main, rerun):
+        nl, gd, fv, lf = r["nonlocal"], r["godunov"], r["fv"], r["lf_coarse"]
         oracle_grid = Grid1D(-2.0, 2.0, 16000)
         oracle_ent = entropy_functional(sample_exact(ExactSolution("step"), t_end, oracle_grid))
-        # finite-volume nonlocal run at dx = eps/20: resolved in eps but its
-        # numerical viscosity still dissipates a visible amount of entropy
-        fv_grid = Grid1D(-2.0, 1.5, int(round(3.5 / (eps / 20.0))))
-        fv = _nonlocal("lax_friedrichs", fv_grid, kernel, t_end, 25, step_datum(fv_grid))
-        # wide domain: the coarse scheme smear travels one cell per step
-        lf_grid = Grid1D(-3.5, 3.5, max(int(round(7.0 / eps)), 8))
-        lf = _nonlocal("lax_friedrichs", lf_grid, kernel, t_end, 10, step_datum(lf_grid))
         return {
             "checks": [
                 Check("nonlocal_entropy_at_T", main["nonlocal_entropy_at_T"], -0.05, 0.05,
@@ -624,7 +676,7 @@ def counterexample_3(
             },
         }
 
-    return _scenario("ce3", params, measure, judge)
+    return _scenario("ce3", params, runs, headline, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -653,26 +705,39 @@ def singular_limit_rate(
     law = identity_law()
     dx = min(eps_list) / 10.0
 
-    def measure(k):
+    def setup(k):
         grid = Grid1D(-3.5, 4.0, int(round(7.5 / (dx / k))))
         u0 = gaussian_datum(grid, mass=1.0, width=width)
         umax = float(np.max(np.abs(u0.values)))
         # shared by all runs: the local problem's wave speed 2*umax with a 1.4
         # headroom, at CFL 0.9 (the Rusanov advection is monotone up to 1)
         dt = 0.9 * grid.dx / (1.4 * 2.0 * umax)
-        base = dict(grid=grid, law=law, nu=nu, t_end=t_end, dt=dt, cfl=0.9, n_outputs=10)
-        loc = run_viscous(ViscousRunConfig(kernel=None, **base), u0)
-        ds = []
-        for eps in eps_list:
-            nl = run_viscous(ViscousRunConfig(kernel=Kernel(kernel_shape, eps), **base), u0)
-            ds.append(max(
-                lp_norm(Field(grid, a.values - b.values), p)
-                for a, b in zip(nl.states[1:], loc.states[1:])
-            ))
-        slope = float(np.polyfit(np.log(np.array(eps_list)), np.log(np.array(ds)), 1)[0])
-        return {"fitted_order_in_eps": slope, "distances": ds, "dt": dt}
+        config = partial(ViscousRunConfig, grid=grid, law=law, nu=nu, t_end=t_end, dt=dt,
+                         cfl=0.9, n_outputs=10)
+        return u0, dt, config
 
-    def judge(main, rerun):
+    def runs(k):
+        u0, _, config = setup(k)
+        return {"local": partial(run_viscous, config(kernel=None), u0)}
+
+    def sweep(k, r):
+        u0, _, config = setup(k)
+
+        def distances(eps):
+            # reduced where it runs: each output becomes its L^p distance to
+            # the local run's, so only floats cross the pipe
+            run = run_viscous(config(kernel=Kernel(kernel_shape, eps)), u0)
+            return replace(run, states=[lp_norm(Field(a.grid, a.values - b.values), p)
+                                        for a, b in zip(run.states[1:], r["local"].states[1:])])
+
+        return {f"eps={eps}": partial(distances, eps) for eps in eps_list}
+
+    def headline(r, k):
+        ds = [max(r[f"eps={eps}"].states) for eps in eps_list]
+        slope = float(np.polyfit(np.log(np.array(eps_list)), np.log(np.array(ds)), 1)[0])
+        return {"fitted_order_in_eps": slope, "distances": ds, "dt": setup(k)[1]}
+
+    def judge(r, main, rerun):
         ds = main["distances"]
         return {
             "checks": [
@@ -698,7 +763,7 @@ def singular_limit_rate(
             "provenance": {"distances": "viscous IMEX, shared grid and dt per pair"},
         }
 
-    return _scenario("rate", params, measure, judge)
+    return _scenario("rate", params, runs, headline, judge, sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -729,26 +794,40 @@ def vanishing_viscosity(
     law = identity_law()
     kernel = Kernel(EVEN_BUMP, eps)
     dx = 0.0025
+    # diagram-corner consistency: the inviscid nonlocal solution with a
+    # one-sided kernel stays far from the local entropy solution
+    corner_grid = Grid1D(-1.5, 0.5, 1200)
+    gd_grid = Grid1D(-2.0, 2.0, 2048)
 
-    def measure(k):
+    def grids(k):
         n = int(round(9.5 / (dx / k)))
         factor = max(1, int(round((eps / 10.0) / (dx / k))))
         n_cmp = n // factor
-        grid = Grid1D(-4.75, 4.75, n_cmp * factor)
-        cmp_grid = Grid1D(-4.75, 4.75, n_cmp)
+        return Grid1D(-4.75, 4.75, n_cmp * factor), Grid1D(-4.75, 4.75, n_cmp), factor
+
+    def runs(k):
+        grid = grids(k)[0]
         u0 = gaussian_datum(grid, mass=1.0, width=width)
-        ref = _nonlocal("particles", grid, kernel, t_end, 5, u0)
-        ref_dep = deposit(ref.final, cmp_grid)
+        out = {"particles": partial(_final, _nonlocal, "particles", grid, kernel, t_end, 5, u0)}
+        for nu in nu_list:
+            out[f"nu={nu}"] = partial(_final, run_viscous, ViscousRunConfig(
+                grid=grid, law=law, nu=nu, t_end=t_end, kernel=kernel, cfl=0.9, n_outputs=5,
+            ), u0)
+        if k == 1:
+            out["corner"] = lambda: _final(
+                _nonlocal, "particles", corner_grid, Kernel(ONE_SIDED_LEFT, eps), 0.5, 2,
+                step_datum(_support_datum_grid(-1.5, 0.5, 1.0, 800)),
+            )
+            out["corner_godunov"] = lambda: _final(run_local, step_datum(gd_grid), law, 0.5,
+                                                   cfl=0.9, n_outputs=2)
+        return out
+
+    def headline(r, k):
+        _, cmp_grid, factor = grids(k)
+        ref_dep = deposit(r["particles"].final, cmp_grid)
         out = {"distances": [], "weak_mass": [], "weak_moment": []}
         for nu in nu_list:
-            vis = run_viscous(
-                ViscousRunConfig(
-                    grid=grid, law=law, nu=nu, t_end=t_end, kernel=kernel,
-                    cfl=0.9, n_outputs=5,
-                ),
-                u0,
-            )
-            vc = Field(cmp_grid, vis.final.values.reshape(-1, factor).mean(axis=1))
+            vc = Field(cmp_grid, r[f"nu={nu}"].final.values.reshape(-1, factor).mean(axis=1))
             out["distances"].append(lp_norm(Field(cmp_grid, vc.values - ref_dep.values), 1))
             out["weak_mass"].append(
                 abs(window_mass(vc, -4.75, 0.0) - window_mass(ref_dep, -4.75, 0.0))
@@ -759,21 +838,13 @@ def vanishing_viscosity(
         out.update((f"distance_nu_{nu}", d) for nu, d in zip(nu_list, out["distances"]))
         return out
 
-    def judge(main, rerun):
+    def judge(r, main, rerun):
         dists = main["distances"]
         ratios = [dists[i + 1] / dists[i] for i in range(len(dists) - 1)]
-        steps_ok = all(r <= 0.9 or abs(r - 1.0) <= 0.05 for r in ratios)
-        # diagram-corner consistency: the inviscid nonlocal solution with a
-        # one-sided kernel stays far from the local entropy solution
-        corner_grid = Grid1D(-1.5, 0.5, 1200)
-        corner = _nonlocal(
-            "particles", corner_grid, Kernel(ONE_SIDED_LEFT, eps), 0.5, 2,
-            step_datum(_support_datum_grid(-1.5, 0.5, 1.0, 800)),
-        )
-        corner_dep = deposit(corner.final, corner_grid)
-        gd_grid = Grid1D(-2.0, 2.0, 2048)
-        gd = run_local(step_datum(gd_grid), law, 0.5, cfl=0.9, n_outputs=2)
-        gd_on_corner = np.interp(corner_grid.centers, gd_grid.centers, gd.final.values)
+        steps_ok = all(q <= 0.9 or abs(q - 1.0) <= 0.05 for q in ratios)
+        corner_dep = deposit(r["corner"].final, corner_grid)
+        gd = r["corner_godunov"].final
+        gd_on_corner = np.interp(corner_grid.centers, gd_grid.centers, gd.values)
         corner_dist = lp_norm(Field(corner_grid, corner_dep.values - gd_on_corner), 1)
         return {
             "checks": [
@@ -817,4 +888,4 @@ def vanishing_viscosity(
             },
         }
 
-    return _scenario("visc", params, measure, judge)
+    return _scenario("visc", params, runs, headline, judge)

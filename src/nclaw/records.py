@@ -191,7 +191,8 @@ class RunManifest:
     provenance: dict = dc_field(default_factory=dict)
     code_version: str = ""
     wall_time_s: float = 0.0
-    phase_wall_s: dict = dc_field(default_factory=dict)
+    run_stats: list = dc_field(default_factory=list)
+    judge_wall_s: float = 0.0
     outputs: list = dc_field(default_factory=list)
 
     @property
@@ -207,7 +208,8 @@ class RunManifest:
                 "provenance": self.provenance,
                 "code_version": self.code_version,
                 "wall_time_s": self.wall_time_s,
-                "phase_wall_s": self.phase_wall_s,
+                "run_stats": self.run_stats,
+                "judge_wall_s": self.judge_wall_s,
                 "outputs": [str(p) for p in self.outputs],
             }
         )
@@ -224,8 +226,8 @@ def emit_report(report, out_dir) -> dict:
     Emits manifest.json, report.json, one diagnostics CSV per labeled run
     (the primary one is plain diagnostics.csv) and one field CSV per output
     time under fields_<label>/. Deterministic inputs give byte-identical
-    CSVs; the manifest hash is stable across reruns (wall and phase times
-    are excluded from it). Returns the written paths.
+    CSVs; the manifest hash is stable across reruns (the wall times and
+    run stats are excluded from it). Returns the written paths.
     """
     from .grids import field_to_csv
 

@@ -54,8 +54,13 @@ def identity_law() -> VelocityLaw:
 
 def _sampled_lipschitz(fn: Callable, lo: float, hi: float, n: int = 1000) -> float:
     xs = np.linspace(lo, hi, n)
-    ys = np.asarray(fn(xs), dtype=float)
-    return float(np.max(np.abs(np.diff(ys) / np.diff(xs))))
+    slopes = np.diff(np.asarray(fn(xs), dtype=float)) / np.diff(xs)
+    # a chord slope is fn' at one point of its interval, and falls short of
+    # max|fn'| there by up to about h max|fn''|: pad each slope by its larger
+    # change to a neighbouring one, which estimates that term
+    change = np.abs(np.diff(slopes))
+    pad = np.maximum(np.append(change, 0.0), np.insert(change, 0, 0.0))
+    return float(np.max(np.abs(slopes) + pad))
 
 
 def normalize(raw_b: Callable, probe_range=(-3.0, 3.0)) -> tuple[VelocityLaw, float]:
@@ -63,11 +68,13 @@ def normalize(raw_b: Callable, probe_range=(-3.0, 3.0)) -> tuple[VelocityLaw, fl
 
     Returns (law, shift) with law(u) = raw_b(u) - raw_b(0) and
     shift = raw_b(0). The Lipschitz constant L is sampled on a 1000-point
-    probe of probe_range, so it holds only there. The finite-volume CFL
-    rules that use L (``wave_speeds``: Godunov and the local IMEX problem)
-    rely on every state staying inside probe_range; those with a kernel
-    take max|V| itself. Detects the identity map so the Burgers-type flux
-    gets its fast path.
+    probe of probe_range, each chord slope padded by its change to the
+    neighbouring ones, so that L bounds |b'| between the probe points too
+    where the probe resolves the curvature of b; it holds only on
+    probe_range. The finite-volume CFL rules that use L (``wave_speeds``:
+    Godunov and the local IMEX problem) rely on every state staying inside
+    probe_range; those with a kernel take max|V| itself. Detects the
+    identity map so the Burgers-type flux gets its fast path.
     """
     shift = float(np.asarray(raw_b(np.array([0.0])), dtype=float).ravel()[0])
     lo, hi = probe_range

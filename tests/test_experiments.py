@@ -14,7 +14,7 @@ import pytest
 import nclaw
 from nclaw.cli import main
 from nclaw.data import gaussian_datum
-from nclaw.experiments import counterexample_1
+from nclaw.experiments import _pool, counterexample_1
 from nclaw.grids import Field, Grid1D, lp_norm
 from nclaw.kernels import EVEN_BUMP, Kernel
 from nclaw.local_entropy import CFLError
@@ -84,25 +84,33 @@ def test_b_zero_viscous_distance_is_heat_smoothing():
 
 
 # ---------------------------------------------------------------------------
-# the gate rerun in a forked child process
+# the pooled runs: this process and one forked helper
 
 TINY_CE1 = ["--no-emit", "ce1", "--n", "300", "--godunov-n", "512"]
 FORK = "fork" in multiprocessing.get_all_start_methods()
-needs_fork = pytest.mark.skipif(not FORK, reason="the rerun runs in-process without fork")
+needs_fork = pytest.mark.skipif(not FORK, reason="the runs are not pooled without fork")
 
 
-def _patch_godunov(monkeypatch, acts):
-    """Make ce1's Godunov run call ``acts[n_cells]()`` first at those resolutions.
+def _patch_godunov(monkeypatch, in_parent=lambda: None, in_helper=lambda: None):
+    """Make ce1's Godunov runs call ``in_parent()`` in this process and
+    ``in_helper()`` in the pool's helper first.
 
-    The forked child inherits the patch. At TINY_CE1's preset the main run
-    has 512 cells and the gate rerun 256.
+    Each Godunov run first waits, up to 20 s, until the other process has
+    entered one too. With the gate on, TINY_CE1 pools two Godunov runs (512
+    and 256 cells), and a process that waits in one cannot take the other,
+    so each process runs one of them whatever the schedule.
     """
     import nclaw.experiments
 
     real = nclaw.experiments.run_local
+    pid = os.getpid()
+    entered = {"parent": multiprocessing.Event(), "helper": multiprocessing.Event()}
 
     def run_local(initial, *args, **kwargs):
-        acts.get(initial.grid.n_cells, lambda: None)()
+        me, other = ("parent", "helper") if os.getpid() == pid else ("helper", "parent")
+        entered[me].set()
+        entered[other].wait(20)
+        (in_parent if me == "parent" else in_helper)()
         return real(initial, *args, **kwargs)
 
     monkeypatch.setattr(nclaw.experiments, "run_local", run_local)
@@ -118,32 +126,6 @@ def test_scenario_errors_survive_pickling(exc):
     assert type(back) is type(exc)
     assert str(back) == str(exc)
     assert vars(back) == vars(exc)
-
-
-@pytest.mark.parametrize("exc_type, code", [(CharacteristicsCrossed, 4), (ValueError, 1)])
-def test_rerun_failure_keeps_its_exit_code(monkeypatch, capsys, exc_type, code):
-    def fail():
-        raise exc_type(f"raised in process {os.getpid()}")
-
-    _patch_godunov(monkeypatch, {256: fail})
-    assert main(TINY_CE1) == code
-    err = capsys.readouterr().err
-    assert "raised in process" in err
-    if FORK:
-        assert f"raised in process {os.getpid()}" not in err  # the child raised it
-
-
-@needs_fork
-def test_rerun_failure_carries_the_child_traceback(monkeypatch):
-    def fail():
-        raise ValueError("bad rerun")
-
-    _patch_godunov(monkeypatch, {256: fail})
-    with pytest.raises(ValueError, match="bad rerun") as info:
-        counterexample_1(n_particles=300, godunov_n=512)
-    cause = str(info.value.__cause__)
-    assert "raised in the gate rerun process" in cause
-    assert "in fail" in cause and "ValueError: bad rerun" in cause
 
 
 @contextmanager
@@ -163,8 +145,37 @@ def _deadline(seconds):
 
 
 @needs_fork
+@pytest.mark.parametrize("exc_type, code", [(CharacteristicsCrossed, 4), (ValueError, 1)])
+def test_rerun_failure_keeps_its_exit_code(monkeypatch, capsys, exc_type, code):
+    # a failure in the gated run keeps its exit code in either process
+    def fail():
+        raise exc_type(f"raised in process {os.getpid()}")
+
+    for where in ("in_helper", "in_parent"):
+        with monkeypatch.context() as patch, _deadline(30):
+            _patch_godunov(patch, **{where: fail})
+            assert main(TINY_CE1) == code
+        err = capsys.readouterr().err
+        assert "raised in process" in err
+        assert (f"raised in process {os.getpid()}" in err) == (where == "in_parent")
+
+
+@needs_fork
+def test_rerun_failure_carries_the_child_traceback(monkeypatch):
+    def fail():
+        raise ValueError("bad rerun")
+
+    _patch_godunov(monkeypatch, in_helper=fail)
+    with _deadline(30), pytest.raises(ValueError, match="bad rerun") as info:
+        counterexample_1(n_particles=300, godunov_n=512)
+    cause = str(info.value.__cause__)
+    assert "raised in the pool helper process" in cause
+    assert "in fail" in cause and "ValueError: bad rerun" in cause
+
+
+@needs_fork
 def test_rerun_child_that_dies_is_named_not_awaited(monkeypatch):
-    _patch_godunov(monkeypatch, {256: lambda: os._exit(7)})
+    _patch_godunov(monkeypatch, in_helper=lambda: os._exit(7))
     with _deadline(30), pytest.raises(ChildProcessError, match="exit code 7"):
         counterexample_1(n_particles=300, godunov_n=512)
     assert multiprocessing.active_children() == []
@@ -175,14 +186,14 @@ def test_main_failure_stops_the_running_child(monkeypatch):
     def fail():
         raise CharacteristicsCrossed("main run failed")
 
-    # the child stalls, so it still runs when the main run fails
-    _patch_godunov(monkeypatch, {256: lambda: time.sleep(60), 512: fail})
+    # the helper stalls in its Godunov run, so it still runs when this process fails
+    _patch_godunov(monkeypatch, in_parent=fail, in_helper=lambda: time.sleep(60))
     with _deadline(30), pytest.raises(CharacteristicsCrossed, match="main run failed"):
         counterexample_1(n_particles=300, godunov_n=512)
     assert multiprocessing.active_children() == []
 
 
-def test_no_gate_starts_no_child_and_phases_are_recorded(monkeypatch):
+def test_no_gate_starts_no_helper_and_runs_are_recorded(monkeypatch):
     forks = []
     real_fork = os.fork
 
@@ -195,15 +206,85 @@ def test_no_gate_starts_no_child_and_phases_are_recorded(monkeypatch):
     monkeypatch.setattr(os, "fork", counting_fork)
     r = counterexample_1(n_particles=300, godunov_n=512, gate=False)
     assert forks == []
-    assert r.manifest.phase_wall_s["rerun"] is None
+    assert [(s["label"], s["k"], s["process"]) for s in r.manifest.run_stats] == [
+        ("nonlocal", 1, "parent"), ("godunov", 1, "parent"), ("lf_coarse", 1, "parent")]
     r = counterexample_1(n_particles=300, godunov_n=512)
     assert len(forks) == FORK
-    assert sorted(r.manifest.phase_wall_s) == ["judge", "main", "rerun"]
-    assert all(s > 0.0 for s in r.manifest.phase_wall_s.values())
+    stats = r.manifest.run_stats
+    assert [(s["label"], s["k"]) for s in stats] == [
+        ("nonlocal", 2), ("godunov", 2), ("nonlocal", 1), ("godunov", 1), ("lf_coarse", 1)]
+    assert all(s["wall_s"] > 0.0 and s["n_steps"] > 0 for s in stats)
+    assert [s["n_rejected"] for s in stats if s["label"] == "nonlocal"] == [0, 0]
+    assert stats[1]["n_rejected"] is None  # Godunov runs reject no step
+    assert r.manifest.judge_wall_s > 0.0
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():
-    # the rerun imports it when it forks, so setting up the CLI stays lean
+    # the pool imports it when it forks, so setting up the CLI stays lean
     env = dict(os.environ, PYTHONPATH=str(Path(nclaw.__file__).resolve().parents[1]))
     code = "import nclaw.cli, sys; assert 'multiprocessing' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# ---------------------------------------------------------------------------
+# _pool itself
+
+
+def _jobs(*calls):
+    return [(f"call{i}", 1, call) for i, call in enumerate(calls)]
+
+
+@needs_fork
+def test_pool_returns_results_in_order_whichever_process_ran_them():
+    # the first two calls meet at a barrier, so they run in different processes
+    both = multiprocessing.Barrier(2, timeout=20)
+
+    def meet_then(i):
+        both.wait()
+        return i, os.getpid()
+
+    calls = [lambda: meet_then(0), lambda: meet_then(1)] + [
+        (lambda i=i: (i, os.getpid())) for i in range(2, 8)]
+    with _deadline(30):
+        outs, stats = zip(*_pool(_jobs(*calls)))
+    assert [i for i, _ in outs] == list(range(8))
+    assert [s["label"] for s in stats] == [f"call{i}" for i in range(8)]
+    assert {s["process"] for s in stats[:2]} == {"parent", "helper"}
+    for (_, pid), s in zip(outs, stats):
+        assert (pid == os.getpid()) == (s["process"] == "parent")
+        assert s["n_steps"] is None and s["n_rejected"] is None
+
+
+@needs_fork
+def test_pool_result_larger_than_the_pipe_does_not_stall_the_helper():
+    # whichever process runs the second of two calls that meet at a barrier,
+    # this one then waits for the third call: only the helper can make it,
+    # after returning 1 MB from its first
+    both = multiprocessing.Barrier(2, timeout=20)
+    third_ran = multiprocessing.Event()
+    pid = os.getpid()
+
+    def big():
+        both.wait()
+        waited = third_ran.wait(20) if os.getpid() == pid else None
+        return np.arange(131_072, dtype=float), waited
+
+    with _deadline(30):
+        outs, stats = zip(*_pool(_jobs(big, big, third_ran.set)))
+    for (arr, waited), s in zip(outs[:2], stats):
+        assert np.array_equal(arr, np.arange(131_072, dtype=float))
+        assert waited is (True if s["process"] == "parent" else None)
+
+
+@pytest.mark.parametrize("hide_fork", [False, True], ids=["one_call", "fork_hidden"])
+def test_pool_runs_inline_with_one_call_or_without_fork(monkeypatch, hide_fork):
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    if hide_fork:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    calls = [os.getpid] * (3 if hide_fork else 1)
+    outs, stats = zip(*_pool(_jobs(*calls)))
+    assert outs == (os.getpid(),) * len(calls)
+    assert [s["process"] for s in stats] == ["parent"] * len(calls)
+    assert forks == []

@@ -2,16 +2,19 @@
 
 Each preset is emitted with ``emit_report`` and checked against the sha256
 of its ``report.json`` and of every CSV it writes, plus the run-directory
-name (the manifest hash). A refactor of the solvers, the scenario layer or
-the records must leave every one of these unchanged. The gate is on in
-every preset but the Lax-Friedrichs one, and the presets cover all three
-verdicts, so the gate and verdict paths are pinned too.
+name (the manifest hash): once with the gated runs pooled over two
+processes, once with fork hidden, so that they all run in one. A refactor
+of the solvers, the scenario layer or the records must leave every one of
+these unchanged. The gate is on in every preset but the Lax-Friedrichs
+one, and the presets cover all three verdicts, so the gate and verdict
+paths are pinned too.
 
 The hashes belong to NumPy 2.4 on x86-64 Linux: another NumPy build may sum
 or round in a different order and change the last digits of the CSVs.
 """
 
 import hashlib
+import multiprocessing
 
 import pytest
 
@@ -53,14 +56,31 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize(
+pinned = pytest.mark.parametrize(
     "fn_name, kwargs, run_dir_name, verdict, n_csv, report_sha, csv_sha",
     [g[1:] for g in GOLDEN],
     ids=[g[0] for g in GOLDEN],
 )
+
+
+@pinned
 def test_record_bytes_pinned(
     tmp_path, fn_name, kwargs, run_dir_name, verdict, n_csv, report_sha, csv_sha
 ):
+    _check(tmp_path, fn_name, kwargs, run_dir_name, verdict, n_csv, report_sha, csv_sha)
+
+
+@pinned
+def test_record_bytes_pinned_without_fork(
+    monkeypatch, tmp_path, fn_name, kwargs, run_dir_name, verdict, n_csv, report_sha, csv_sha
+):
+    # where the platform cannot fork, the gated runs go one after the other
+    # in this process, and the records must not move
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    _check(tmp_path, fn_name, kwargs, run_dir_name, verdict, n_csv, report_sha, csv_sha)
+
+
+def _check(tmp_path, fn_name, kwargs, run_dir_name, verdict, n_csv, report_sha, csv_sha):
     report = getattr(ex, fn_name)(**kwargs)
     assert report.verdict == verdict
     run_dir = emit_report(report, tmp_path)["run_dir"]
