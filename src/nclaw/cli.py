@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lab",
         description="1D nonlocal conservation-law laboratory: counterexample "
-        "scenarios, convergence-rate experiments, oracles and self tests.",
+        "scenarios, convergence-rate experiments and the closed-form oracle.",
     )
     p.add_argument("--config", help="flat key = value configuration file")
     p.add_argument("--out", help="output directory for run records")
@@ -80,9 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x-min", type=float)
     sp.add_argument("--x-max", type=float)
     sp.add_argument("--n-cells", type=int)
-
-    sp = sub.add_parser("selftest", help="run the structural property battery")
-    sp.add_argument("--seed", type=int)
     return p
 
 
@@ -118,15 +115,6 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    if args.command == "selftest":
-        from .selftest import run_selftest
-
-        seed = args.seed if args.seed is not None else cfg["lab"]["seed"]
-        results = run_selftest(seed)
-        for name, passed, detail in results:
-            print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-        return EXIT_PASS if all(p for _, p, _ in results) else EXIT_FAIL
 
     if args.command == "oracle":
         from .grids import Grid1D, field_to_csv

@@ -48,7 +48,7 @@ def _signature_defaults(fn_name: str) -> dict:
 
 
 DEFAULTS = {
-    "lab": {"out_dir": "runs", "seed": 0},
+    "lab": {"out_dir": "runs"},
     **{section: _signature_defaults(fn) for section, fn in SCENARIOS.items()},
     "oracle": {
         "variant": "step",

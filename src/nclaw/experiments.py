@@ -75,7 +75,7 @@ class Check:
 
 @dataclass
 class GateResult:
-    """Refinement stability of the headline numbers (coarse vs fine pair)."""
+    """Refinement stability of the headline numbers (main run vs gate rerun)."""
 
     status: str  # "CONVERGED" | "INCONCLUSIVE"
     comparisons: list = dc_field(default_factory=list)
@@ -84,26 +84,28 @@ class GateResult:
         return {"status": self.status, "comparisons": self.comparisons}
 
 
-def grid_convergence_gate(coarse: dict, fine: dict, margins: dict) -> GateResult:
-    """Compare headline diagnostics at two resolutions.
+def grid_convergence_gate(main: dict, rerun: dict, margins: dict) -> GateResult:
+    """Compare the headline diagnostics of the main run and the gate rerun.
 
-    Each diagnostic must change by less than 25% of its decision margin when
-    the resolution doubles; otherwise the scenario is INCONCLUSIVE and both
-    values are reported.
+    The rerun divides the scenario's resolution parameter by two (a particle
+    or cell count, or a cell width; see ``_scenario``), so the two runs are
+    one grid doubling apart. Each diagnostic must change by less than 25% of
+    its decision margin between them; otherwise the scenario is INCONCLUSIVE
+    and both values are reported.
     """
     comparisons = []
     converged = True
     for name, margin in margins.items():
-        c, f = coarse[name], fine[name]
-        delta = abs(f - c)
+        m, r = main[name], rerun[name]
+        delta = abs(m - r)
         threshold = 0.25 * margin
         ok = delta < threshold
         converged = converged and ok
         comparisons.append(
             {
                 "name": name,
-                "coarse": c,
-                "fine": f,
+                "main": m,
+                "rerun": r,
                 "delta": delta,
                 "threshold": threshold,
                 "converged": ok,
@@ -142,7 +144,7 @@ class ScenarioReport:
             lines.append(f"  [gate] {self.gate.status}")
             for cmp in self.gate.comparisons:
                 lines.append(
-                    f"    {cmp['name']}: coarse={cmp['coarse']:.6g} fine={cmp['fine']:.6g} "
+                    f"    {cmp['name']}: main={cmp['main']:.6g} rerun={cmp['rerun']:.6g} "
                     f"delta={cmp['delta']:.3g} threshold={cmp['threshold']:.3g} "
                     f"{'ok' if cmp['converged'] else 'NOT CONVERGED'}"
                 )
@@ -161,7 +163,7 @@ class ScenarioReport:
 
 def _window_moment(f: Field, a: float, b: float) -> float:
     """First moment of f restricted to [a, b] (window snapped to edges)."""
-    i_lo, i_hi, _, _ = snap_window(f.grid, a, b)
+    i_lo, i_hi = snap_window(f.grid, a, b)
     c = f.grid.centers[i_lo:i_hi]
     return float(np.sum(c * f.values[i_lo:i_hi]) * f.grid.dx)
 
@@ -226,7 +228,7 @@ def _scenario(name: str, params: dict, runs, headline, judge, sweep=None) -> Sce
     main = headline(results[1], 1)
     out, judge_s = _timed(judge, results[1], main, rerun)
     margins = out.pop("margins")
-    gate = None if rerun is None else grid_convergence_gate(rerun, main, margins)
+    gate = None if rerun is None else grid_convergence_gate(main, rerun, margins)
     manifest = RunManifest(
         scenario=name,
         params=params,

@@ -109,12 +109,12 @@ def lp_norm(f: Field, p: float) -> float:
     return float(np.sum(a**p) * f.grid.dx) ** (1.0 / p)
 
 
-def snap_window(grid: Grid1D, a: float, b: float) -> tuple[int, int, float, float]:
+def snap_window(grid: Grid1D, a: float, b: float) -> tuple[int, int]:
     """Snap [a, b] to the nearest cell edges.
 
-    Returns (i_lo, i_hi, snap_a, snap_b): the window covers cells
-    i_lo..i_hi-1 and snap_* are the signed snapping offsets (snapped - asked).
-    The induced quadrature error is bounded by ||f||_inf * max|snap|.
+    Returns (i_lo, i_hi): the window covers cells i_lo..i_hi-1. Each end
+    moves to its nearest edge, by at most dx/2; a window that would snap to
+    empty is widened to one cell.
     """
     if a >= b:
         raise ValueError(f"window [{a}, {b}] is empty")
@@ -131,23 +131,14 @@ def snap_window(grid: Grid1D, a: float, b: float) -> tuple[int, int, float, floa
         # widen a window that snapped to empty by one cell, inward at x_max
         i_lo = min(i_lo, grid.n_cells - 1)
         i_hi = i_lo + 1
-    snap_a = grid.x_min + i_lo * dx - a
-    snap_b = grid.x_min + i_hi * dx - b
-    return i_lo, i_hi, snap_a, snap_b
+    return i_lo, i_hi
 
 
-def window_mass(f: Field, a: float, b: float, return_snap: bool = False):
-    """Mass of f over the window [a, b], snapped to cell edges.
-
-    With return_snap=True also returns the (snap_a, snap_b) offsets so callers
-    can bound the snapping error.
-    """
+def window_mass(f: Field, a: float, b: float) -> float:
+    """Mass of f over the window [a, b], snapped to cell edges."""
     _check_finite(f)
-    i_lo, i_hi, snap_a, snap_b = snap_window(f.grid, a, b)
-    m = float(np.sum(f.values[i_lo:i_hi]) * f.grid.dx)
-    if return_snap:
-        return m, (snap_a, snap_b)
-    return m
+    i_lo, i_hi = snap_window(f.grid, a, b)
+    return float(np.sum(f.values[i_lo:i_hi]) * f.grid.dx)
 
 
 def entropy_functional(f: Field) -> float:

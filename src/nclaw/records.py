@@ -84,10 +84,6 @@ class DiagnosticSeries:
             for i, t in enumerate(self.times):
                 w.writerow([repr(t)] + [repr(self.channels[c][i]) for c in cols])
 
-    def time_integral(self, name: str) -> float:
-        """Trapezoid integral of a channel over the recorded times."""
-        return float(np.trapezoid(self.array(name), self.t))
-
 
 def field_diagnostics(f: Field, windows=()) -> dict:
     """Standard scalar functionals of a field.
@@ -169,8 +165,10 @@ def _canonical(obj):
         return [_canonical(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
-    if isinstance(obj, float) and math.isnan(obj):
-        return None  # JSON has no NaN; null marks a number that does not exist
+    if isinstance(obj, float) and not math.isfinite(obj):
+        # JSON has no NaN or inf; null marks a number that does not exist,
+        # or an open check bound
+        return None
     if isinstance(obj, Path):
         return str(obj)
     return obj
@@ -216,7 +214,7 @@ class RunManifest:
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
+            json.dump(self.to_json(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 
@@ -253,7 +251,7 @@ def emit_report(report, out_dir) -> dict:
 
     report_path = run_dir / "report.json"
     with open(report_path, "w") as fh:
-        json.dump(_canonical(report.to_json()), fh, indent=2, sort_keys=True)
+        json.dump(_canonical(report.to_json()), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     written.append(report_path)
     paths["report"] = report_path

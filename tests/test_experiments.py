@@ -62,7 +62,7 @@ def test_ce1_lax_friedrichs_gate_reruns_on_half_the_cells():
     r = counterexample_1(n_particles=300, godunov_n=512, t_end=0.05,
                          solver="lax_friedrichs", gate=True)
     (cmp,) = [c for c in r.gate.comparisons if c["name"] == "nonlocal_window_mass"]
-    assert cmp["coarse"] != cmp["fine"]
+    assert cmp["main"] != cmp["rerun"]
 
 
 def test_b_zero_viscous_distance_is_heat_smoothing():

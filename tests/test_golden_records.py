@@ -7,13 +7,15 @@ processes, once with fork hidden, so that they all run in one. A refactor
 of the solvers, the scenario layer or the records must leave every one of
 these unchanged. The gate is on in every preset but the Lax-Friedrichs
 one, and the presets cover all three verdicts, so the gate and verdict
-paths are pinned too.
+paths are pinned too. Every ``report.json`` and ``manifest.json`` must
+also read back through a strict JSON parser.
 
 The hashes belong to NumPy 2.4 on x86-64 Linux: another NumPy build may sum
 or round in a different order and change the last digits of the CSVs.
 """
 
 import hashlib
+import json
 import multiprocessing
 
 import pytest
@@ -26,7 +28,7 @@ from nclaw.records import emit_report
 GOLDEN = [
     ("ce1", "counterexample_1", dict(n_particles=300, godunov_n=512),
      "ce1-a6e396ad9b3253ff", "PASS", 62,
-     "9cdc6974dc14ab3e16de34fe25a45c0c659a94cec1020367632a5ca4e62bf9ce",
+     "007255b555c50d586a514b003376c29f890c321ad003c6a2c82f8e277ab6dac9",
      "069929d554ed0fd33260e83ff9c85d43db0f020c5cfe7ab2cade321fb13634e0"),
     ("ce1_lax_friedrichs", "counterexample_1",
      dict(n_particles=300, godunov_n=512, solver="lax_friedrichs", gate=False),
@@ -35,19 +37,19 @@ GOLDEN = [
      "7be0f348f70c5ce30a93cb8605ec1376299fdce8a01b9917b91b62666e362c3c"),
     ("ce2", "counterexample_2", dict(n_particles=200, godunov_n=512),
      "ce2-42c3262a7a4a7ca9", "PASS", 137,
-     "0ba39827a4adeaa8dc672355afcf7cdfea1de6dfe81a4e3da4261c78f47d5cbd",
+     "b5926fb08bd9b254f1d78740c94c59a7bf419945f85ef410a1c1c5802db1222f",
      "a707b8a46b53f4dbfdafc703d99103d60f15ec0dbd196d98c6546f89a5817fb4"),
     ("ce3", "counterexample_3", dict(n_particles=200, godunov_n=512),
      "ce3-1d3ca951566f4874", "INCONCLUSIVE", 103,
-     "5cde25bc78e0f916e0dad508e30c04ba105fb3aac2667d0f9af5f57eaa9892d0",
+     "5f3d705cc113ee61190b1e6572df4241bc27f15d1b77a3db3deba5495995d48f",
      "a3af12e09a20ece205a6435946864eb3f0e41ede6473a45ddb936df7a28614e3"),
     ("rate", "singular_limit_rate", dict(eps_list=(0.4, 0.2), t_end=0.2),
      "rate-5d5d7e979357829b", "FAIL", 0,
-     "8d137d18f5fb506c916038d9ddda3601aa5195e5956a6305543466edad31d2a6",
+     "8bb03ec452864bc347fb8c6554edfda307911f06332b6b7be4d31b9dddcfa9d3",
      hashlib.sha256(b"").hexdigest()),
     ("visc", "vanishing_viscosity", dict(nu_list=(0.1, 0.03), t_end=0.1),
      "visc-15a01de0cf99a9dd", "FAIL", 0,
-     "4726aa31379da36feabc840ba4e997e23e7255d7836e2d4ccc9c804ac5f12980",
+     "ee9d3afb6dce311ed19e2799ae715a3e64a156e68f8bfdffa27ef97915bdac5e",
      hashlib.sha256(b"").hexdigest()),
 ]
 
@@ -90,3 +92,14 @@ def _check(tmp_path, fn_name, kwargs, run_dir_name, verdict, n_csv, report_sha, 
     assert len(csvs) == n_csv
     lines = "".join(f"{name} {_sha256(run_dir / name)}\n" for name in csvs)
     assert hashlib.sha256(lines.encode()).hexdigest() == csv_sha
+
+
+@pytest.mark.parametrize("fn_name, kwargs", [g[1:3] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
+def test_records_are_strict_json(tmp_path, fn_name, kwargs):
+    # JSON has no NaN or Infinity: a strict reader must take every record
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    run_dir = emit_report(getattr(ex, fn_name)(**kwargs), tmp_path)["run_dir"]
+    for name in ("report.json", "manifest.json"):
+        json.loads((run_dir / name).read_text(), parse_constant=reject)

@@ -100,11 +100,12 @@ class TestWindowMass:
             assert lhs == pytest.approx(rhs, abs=1e-14)
 
     def test_snap_offsets_reported(self):
+        # each end snaps to its nearest edge: [0.33, 0.68] covers [0.3, 0.7]
         grid = Grid1D(0.0, 1.0, 10)
-        m, (sa, sb) = window_mass(
-            Field(grid, np.ones(10)), 0.33, 0.68, return_snap=True
-        )
-        assert abs(sa) <= grid.dx / 2 and abs(sb) <= grid.dx / 2
+        i_lo, i_hi = snap_window(grid, 0.33, 0.68)
+        assert abs(grid.edges[i_lo] - 0.33) <= grid.dx / 2
+        assert abs(grid.edges[i_hi] - 0.68) <= grid.dx / 2
+        m = window_mass(Field(grid, np.ones(10)), 0.33, 0.68)
         assert m == pytest.approx(0.7 - 0.3, abs=1e-13)
 
     def test_rejects_outside_window(self):
@@ -114,7 +115,7 @@ class TestWindowMass:
 
     def test_snap_window_bounds(self):
         grid = Grid1D(0.0, 1.0, 10)
-        i_lo, i_hi, _, _ = snap_window(grid, 0.0, 1.0)
+        i_lo, i_hi = snap_window(grid, 0.0, 1.0)
         assert (i_lo, i_hi) == (0, 10)
 
     @pytest.mark.parametrize("a, b", [(0.0, 0.02), (0.98, 1.0)])
@@ -122,7 +123,7 @@ class TestWindowMass:
         # a sub-cell window widens by one cell toward the interior, at the
         # right wall as at the left one
         grid = Grid1D(0.0, 1.0, 10)
-        i_lo, i_hi, _, _ = snap_window(grid, a, b)
+        i_lo, i_hi = snap_window(grid, a, b)
         assert 0 <= i_lo < i_hi <= grid.n_cells
         assert window_mass(Field(grid, np.ones(10)), a, b) == pytest.approx(0.1, abs=1e-15)
 

@@ -124,6 +124,28 @@ class TestConvolve:
             g2 = convolve(Field(grid, mod), k).values
             assert np.array_equal(g[i:], g2[i:])
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.sampled_from([EVEN_BUMP, ONE_SIDED_LEFT]),
+        eps=st.floats(0.03, 0.3),
+        n=st.integers(400, 1200),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mollification_error_bound(self, shape, eps, n, seed):
+        # ||v - v*eta||_p <= eps ||v'||_p, the bound behind the viscous
+        # convergence argument, on a mollified random field. v' is the
+        # forward difference of v extended by zero past both walls; the
+        # sampled kernel reaches ceil(eps/dx) cells, at most eps + dx, which
+        # the 5 dx/eps allowance covers
+        grid = Grid1D(-2.0, 2.0, n)
+        k = Kernel(shape, eps)
+        v = convolve(Field(grid, np.random.default_rng(seed).normal(size=n)), k)
+        dv = np.diff(v.values, prepend=0.0, append=0.0) / grid.dx
+        for p in (2, 4):
+            lhs = lp_norm(Field(grid, v.values - convolve(v, k).values), p)
+            dv_norm = float(np.sum(np.abs(dv) ** p) * grid.dx) ** (1.0 / p)
+            assert lhs <= eps * dv_norm * (1.0 + 5.0 * grid.dx / eps)
+
     def test_under_resolved_kernel_rejected(self):
         grid = Grid1D(-1.0, 1.0, 10)
         with pytest.raises(ValueError, match="under-resolved"):

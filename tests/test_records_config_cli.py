@@ -1,10 +1,12 @@
+import argparse
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nclaw.cli import main
+from nclaw.cli import _build_parser, main
 from nclaw.config import ConfigError, parse_config
 from nclaw.experiments import Check, GateResult, grid_convergence_gate
 from nclaw.grids import Field, Grid1D
@@ -45,12 +47,6 @@ class TestDiagnosticSeries:
         d.append(0.0, {"mass": 1.0})
         with pytest.raises(ValueError):
             d.append(0.1, {"other": 1.0})
-
-    def test_time_integral(self):
-        d = DiagnosticSeries()
-        for t in np.linspace(0.0, 1.0, 21):
-            d.append(t if t > 0 else 0.0, {"mass": 2.0 * t})
-        assert d.time_integral("mass") == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFieldDiagnostics:
@@ -116,8 +112,8 @@ class TestSummaryLines:
         )
         lines = report.summary_lines()
         assert lines[-3] == "  [gate] INCONCLUSIVE"
-        assert lines[-2] == "    m: coarse=1 fine=1.001 delta=0.001 threshold=0.005 ok"
-        assert lines[-1].startswith("    w: coarse=0.5 fine=0.6 ")
+        assert lines[-2] == "    m: main=1 rerun=1.001 delta=0.001 threshold=0.005 ok"
+        assert lines[-1].startswith("    w: main=0.5 rerun=0.6 ")
         assert lines[-1].endswith(" NOT CONVERGED")
 
 
@@ -182,7 +178,7 @@ class TestConfig:
             parse_config("[ce1]\nepsilon = -1\n")
 
     def test_round_trip(self):
-        cfg = parse_config("[ce3]\nn_particles = 1200\n[lab]\nseed = 7\n")
+        cfg = parse_config("[ce3]\nn_particles = 1200\n[lab]\nout_dir = elsewhere\n")
         text = cfg.to_text()
         cfg2 = parse_config(text)
         assert cfg2.sections == cfg.sections
@@ -208,7 +204,7 @@ class TestCLI:
     def test_bad_config_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[ce1]\nepsilon = -3\n")
-        code = main(["--config", str(bad), "selftest"])
+        code = main(["--config", str(bad), "oracle"])
         assert code == 1
 
     def test_tiny_ce1_passes_and_emits(self, tmp_path, capsys):
@@ -251,3 +247,11 @@ class TestCLI:
         from nclaw.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE
 
         assert (EXIT_PASS, EXIT_USAGE, EXIT_FAIL, EXIT_INCONCLUSIVE) == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+    def test_documented_commands_are_the_parser_subcommands(self, doc):
+        (sub,) = [a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        text = (Path(__file__).parents[1] / doc).read_text()
+        documented = [line.split()[1] for line in text.splitlines() if line.startswith("lab ")]
+        assert sorted(documented) == sorted(sub.choices)
