@@ -1,6 +1,6 @@
 """Convolution kernels and the two discrete convolutions.
 
-The velocity of every nonlocal solver is b(u * eta_eps) with eta_eps a
+The velocity of every nonlocal solver is u * eta_eps with eta_eps a
 smooth unit-mass bump of width eps. Two shapes matter: the even bump, and
 a one-sided bump supported on (-eps, 0) that makes the velocity at x blind
 to everything left of x. Fields convolve on the grid; particle ensembles

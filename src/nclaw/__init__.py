@@ -3,11 +3,11 @@
 limit where the kernel concentrates to a point.
 
 The library side exposes grids and fields, kernels and discrete
-convolutions, velocity laws, four solvers (nonlocal inviscid FV and
-particles, viscous IMEX, local Godunov) and scripted experiments that
-measure the structural functionals separating the nonlocal flow from the
-local entropy solution. See the demos/ scripts for narrative walkthroughs,
-or the ``lab`` command-line entry point for the scripted scenarios.
+convolutions, four solvers with the velocity law fixed at b(u) = u
+(nonlocal inviscid FV and particles, viscous IMEX, local Godunov) and
+scripted experiments that measure the structural functionals separating
+the nonlocal flow from the local entropy solution. See the demos/ scripts
+for walkthroughs, or the ``lab`` command for the scripted scenarios.
 """
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ from .kernels import (
     heat_kernel_l1_norm,
     kernel_eval,
 )
-from .velocity import VelocityLaw, flux, identity_law, normalize, tabulated_law
 from .data import gaussian_datum, odd_datum, step_datum
 from .local_entropy import (
     ExactSolution,
@@ -79,11 +78,6 @@ __all__ = [
     "heat_kernel_grad_lq_norm",
     "heat_kernel_l1_norm",
     "kernel_eval",
-    "VelocityLaw",
-    "flux",
-    "identity_law",
-    "normalize",
-    "tabulated_law",
     "gaussian_datum",
     "odd_datum",
     "step_datum",

@@ -78,25 +78,6 @@ class LabConfig:
     def __getitem__(self, section: str) -> dict:
         return self.sections[section]
 
-    def to_text(self) -> str:
-        lines = []
-        for section in sorted(self.sections):
-            lines.append(f"[{section}]")
-            for key in sorted(self.sections[section]):
-                lines.append(f"{key} = {_format_value(self.sections[section][key])}")
-            lines.append("")
-        return "\n".join(lines)
-
-
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, list):
-        return ", ".join(repr(float(x)) for x in v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
 
 def _parse_value(section: str, key: str, raw: str, lineno: int):
     default = DEFAULTS[section][key]

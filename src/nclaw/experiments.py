@@ -30,7 +30,6 @@ from .local_entropy import (
 )
 from .nonlocal_solvers import NonlocalRunConfig, deposit, run_nonlocal
 from .records import RunManifest
-from .velocity import identity_law
 from .viscous import ViscousRunConfig, run_viscous
 
 __all__ = [
@@ -175,12 +174,11 @@ def _support_datum_grid(x_min, x_max, support_len, n_particles):
 
 
 def _nonlocal(scheme, grid, kernel, t_end, n_outputs, initial, **cfg):
-    """An inviscid nonlocal run with the identity law (cfg: further config fields)."""
+    """An inviscid nonlocal run (cfg: further config fields)."""
     return run_nonlocal(
         NonlocalRunConfig(
             grid=grid,
             kernel=kernel,
-            law=identity_law(),
             t_end=t_end,
             scheme=scheme,
             n_outputs=n_outputs,
@@ -347,7 +345,6 @@ def counterexample_1(
     exposed instead (the check is then expected to fail).
     """
     params = dict(locals())  # the manifest records every argument
-    law = identity_law()
     kernel = Kernel(EVEN_BUMP, eps)
     window = (-4.0, 0.0)
     diag_grid = Grid1D(-4.5, 4.5, 4500)
@@ -370,7 +367,7 @@ def counterexample_1(
                 windows=(window,), signed_masses=True,
             ),
             "godunov": lambda: run_local(
-                odd_datum(Grid1D(-4.5, 4.5, godunov_n // k)), law, t_end, cfl=0.9,
+                odd_datum(Grid1D(-4.5, 4.5, godunov_n // k)), t_end, cfl=0.9,
                 windows=(window,), n_outputs=25,
             ),
         }
@@ -445,7 +442,6 @@ def counterexample_2(
     distributional solutions.
     """
     params = dict(locals())  # the manifest records every argument
-    law = identity_law()
     kernel = Kernel(ONE_SIDED_LEFT, eps)
     diag_grid = Grid1D(-1.5, 0.5, 2000)
     right_window = (0.0, 0.5)
@@ -463,7 +459,7 @@ def counterexample_2(
                 windows=(right_window,),
             ),
             "godunov": lambda: run_local(
-                step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), law, t_godunov, cfl=0.9,
+                step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), t_godunov, cfl=0.9,
                 windows=((0.0, 1.0),), n_outputs=75,
             ),
         }
@@ -598,7 +594,6 @@ def counterexample_3(
     finite-volume run whose numerical viscosity visibly dissipates.
     """
     params = dict(locals())  # the manifest records every argument
-    law = identity_law()
     kernel = Kernel(EVEN_BUMP, eps)
     diag_grid = Grid1D(-2.0, 1.5, 1400)
     # finite-volume nonlocal run at dx = eps/20: resolved in eps but its
@@ -614,7 +609,7 @@ def counterexample_3(
                 step_datum(_support_datum_grid(-2.0, 1.5, 1.0, n_particles // k)),
             ),
             "godunov": lambda: run_local(
-                step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), law, t_end, cfl=0.9,
+                step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), t_end, cfl=0.9,
                 n_outputs=50,
             ),
         }
@@ -704,7 +699,6 @@ def singular_limit_rate(
     """
     eps_list = tuple(sorted(eps_list, reverse=True))
     params = dict(locals())  # the manifest records every argument
-    law = identity_law()
     dx = min(eps_list) / 10.0
 
     def setup(k):
@@ -714,7 +708,7 @@ def singular_limit_rate(
         # shared by all runs: the local problem's wave speed 2*umax with a 1.4
         # headroom, at CFL 0.9 (the Rusanov advection is monotone up to 1)
         dt = 0.9 * grid.dx / (1.4 * 2.0 * umax)
-        config = partial(ViscousRunConfig, grid=grid, law=law, nu=nu, t_end=t_end, dt=dt,
+        config = partial(ViscousRunConfig, grid=grid, nu=nu, t_end=t_end, dt=dt,
                          cfl=0.9, n_outputs=10)
         return u0, dt, config
 
@@ -793,7 +787,6 @@ def vanishing_viscosity(
     """
     nu_list = tuple(sorted(nu_list, reverse=True))
     params = dict(locals())  # the manifest records every argument
-    law = identity_law()
     kernel = Kernel(EVEN_BUMP, eps)
     dx = 0.0025
     # diagram-corner consistency: the inviscid nonlocal solution with a
@@ -813,14 +806,14 @@ def vanishing_viscosity(
         out = {"particles": partial(_final, _nonlocal, "particles", grid, kernel, t_end, 5, u0)}
         for nu in nu_list:
             out[f"nu={nu}"] = partial(_final, run_viscous, ViscousRunConfig(
-                grid=grid, law=law, nu=nu, t_end=t_end, kernel=kernel, cfl=0.9, n_outputs=5,
+                grid=grid, nu=nu, t_end=t_end, kernel=kernel, cfl=0.9, n_outputs=5,
             ), u0)
         if k == 1:
             out["corner"] = lambda: _final(
                 _nonlocal, "particles", corner_grid, Kernel(ONE_SIDED_LEFT, eps), 0.5, 2,
                 step_datum(_support_datum_grid(-1.5, 0.5, 1.0, 800)),
             )
-            out["corner_godunov"] = lambda: _final(run_local, step_datum(gd_grid), law, 0.5,
+            out["corner_godunov"] = lambda: _final(run_local, step_datum(gd_grid), 0.5,
                                                    cfl=0.9, n_outputs=2)
         return out
 

@@ -1,13 +1,11 @@
-"""Godunov solver for the local conservation law u_t + (u b(u))_x = 0,
-plus the closed-form entropy solutions used as oracles.
+"""Godunov solver for the local conservation law u_t + (u^2)_x = 0, plus
+the closed-form entropy solutions used as oracles.
 
-For the identity law the flux is u^2 (convex, sonic point at u = 0) and the
-Godunov flux is the exact Riemann flux; for general laws the Rusanov (local
-Lax-Friedrichs) flux is used instead, with the per-cell wave speeds of
-``velocity.wave_speeds``. This module also holds what all three
-finite-volume solvers share: ``CFLError`` and ``_lf_update``, the one
-Lax-Friedrichs update (classic LF in ``lf_step``, Rusanov in the IMEX
-advection substep and here).
+The lab fixes b(u) = u, so the local flux u^2 is convex with its sonic
+point at u = 0, and the Godunov flux is the exact Riemann flux. This
+module also holds what all three finite-volume solvers share: ``CFLError``
+and ``_lf_update``, the one Lax-Friedrichs update (classic LF in
+``lf_step``, Rusanov in the IMEX advection substep).
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import numpy as np
 
 from .grids import Field, Grid1D
 from .records import RunResult, field_diagnostics, march
-from .velocity import VelocityLaw, wave_speeds
 
 __all__ = [
     "CFLError",
@@ -50,14 +47,13 @@ class CFLError(RuntimeError):
 def _lf_update(u: np.ndarray, V: np.ndarray, dx: float, dt: float, speed) -> np.ndarray:
     # conservative update with the interface flux of u*V
     #     F_{i+1/2} = (u_i V_i + u_{i+1} V_{i+1})/2 - (a_{i+1/2}/2) (u_{i+1} - u_i)
-    # and zero states outside the domain; the one LF update of lf_step, the
-    # IMEX advection substep and godunov_step's general-law branch. A scalar
-    # ``speed`` is a at every interface: classic LF with a = dx/dt (lf_step).
-    # An array holds per-cell wave speeds s_i, and a_{i+1/2} = max(s_i,
-    # s_{i+1}), the edge cell's s at the walls: local LF, i.e. Rusanov (IMEX
-    # and Godunov). Every flux entry is computed with the same operations in
-    # the same order as the zero-padded formula, so lf_step's bytes do not
-    # depend on the buffer layout.
+    # and zero states outside the domain; the one LF update of lf_step and
+    # the IMEX advection substep. A scalar ``speed`` is a at every interface:
+    # classic LF with a = dx/dt (lf_step). An array holds per-cell wave
+    # speeds s_i, and a_{i+1/2} = max(s_i, s_{i+1}), the edge cell's s at the
+    # walls: local LF, i.e. Rusanov (IMEX). Every flux entry is computed with
+    # the same operations in the same order as the zero-padded formula, so
+    # lf_step's bytes do not depend on the buffer layout.
     uv = u * V
     F = np.empty(u.size + 1)
     np.add(uv[:-1], uv[1:], out=F[1:-1])
@@ -90,22 +86,16 @@ def _burgers_godunov_flux(ul: np.ndarray, ur: np.ndarray) -> np.ndarray:
     return np.where(ul <= ur, fmin, np.maximum(fl, fr))
 
 
-def godunov_step(f: Field, vl: VelocityLaw, dt: float, cfl: float = 1.0) -> Field:
-    """One conservative step of the local solver.
+def godunov_step(f: Field, dt: float, cfl: float = 1.0) -> Field:
+    """One conservative step of the local solver with the exact Godunov flux.
 
-    Uses the exact Godunov flux for the identity law and Rusanov otherwise,
-    via the shared local-LF update. Raises CFLError when
-    dt * max(wave_speeds) / dx > cfl.
+    Raises CFLError when dt * max|f'(u)| / dx > cfl, with f'(u) = 2u.
     """
     u = f.values
     dx = f.grid.dx
-    V = vl(u)
-    s = wave_speeds(vl, u, V)
-    speed = float(np.max(s))
+    speed = float(np.max(2.0 * np.abs(u)))
     if speed > 0.0 and dt > cfl * dx / speed:
         raise CFLError(dt, cfl * dx / speed)
-    if vl.variant != "identity":
-        return Field(f.grid, _lf_update(u, V, dx, dt, s), f.time_stamp + dt)
     ul = np.concatenate([[0.0], u])   # zero states outside the domain
     ur = np.concatenate([u, [0.0]])
     F = _burgers_godunov_flux(ul, ur)
@@ -115,7 +105,6 @@ def godunov_step(f: Field, vl: VelocityLaw, dt: float, cfl: float = 1.0) -> Fiel
 
 def run_local(
     initial: Field,
-    vl: VelocityLaw,
     t_end: float,
     cfl: float = 0.9,
     windows=(),
@@ -123,13 +112,13 @@ def run_local(
 ) -> RunResult:
     """March the Godunov solver to t_end, recording diagnostics.
 
-    The step is fixed from the initial datum's max ``wave_speeds`` with a
-    small safety margin: the scheme is monotone, so the bound covers every
-    later state and the step stays admissible.
+    The step is fixed from the initial datum's Burgers speed max 2|u| with a
+    small safety margin: the scheme is monotone, so every later state stays
+    inside [min u, max u], the bound covers it and the step stays admissible.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
-    speed = float(np.max(wave_speeds(vl, initial.values)))
+    speed = float(np.max(2.0 * np.abs(initial.values)))
     dt = cfl * initial.grid.dx / max(speed, 1e-12)
     n_steps = max(1, int(math.ceil(t_end / dt)))
     dt = t_end / n_steps
@@ -144,7 +133,7 @@ def run_local(
     res = march(
         initial,
         targets,
-        lambda u, target: godunov_step(u, vl, dt, cfl=min(1.0, cfl * 1.05)),
+        lambda u, target: godunov_step(u, dt, cfl=min(1.0, cfl * 1.05)),
         lambda u: field_diagnostics(u, windows),
     )
     res.info.update(scheme="godunov", dt=dt, cfl=cfl)

@@ -1,10 +1,10 @@
-"""Two solvers for the inviscid nonlocal problem u_t + (u b(u*eta_eps))_x = 0.
+"""Two solvers for the inviscid nonlocal problem u_t + (u (u*eta_eps))_x = 0.
 
 * A Lax-Friedrichs finite-volume scheme. Its numerical viscosity is a
   feature here: it reproduces the behavior of dissipative schemes, which can
   mask the structural properties of the nonlocal flow at coarse resolution.
 * A Lagrangian particle solver that advects point masses along the
-  characteristics dX/dt = b((u * eta_eps)(X)), with the convolution of the
+  characteristics dX/dt = (u * eta_eps)(X), with the convolution of the
   atomic measure evaluated exactly. This is the structure-preserving
   instrument: masses are never modified, symmetry and one-sided dependence
   hold discretely, and no mass can cross a stagnation point.
@@ -25,7 +25,6 @@ from .kernels import Kernel, convolve, convolve_particles_slope
 from .kernels import convolve_particles as _convolve_atoms
 from .local_entropy import CFLError, _lf_update
 from .records import RunResult, field_diagnostics, march, output_times
-from .velocity import VelocityLaw
 
 __all__ = [
     "CharacteristicsCrossed",
@@ -125,12 +124,11 @@ def deposit(e: ParticleEnsemble, g: Grid1D) -> Field:
 def lf_step(
     f: Field,
     k: Kernel,
-    vl: VelocityLaw,
     dt: float,
     cfl: float = 1.0,
     velocity: Optional[np.ndarray] = None,
 ) -> Field:
-    """One Lax-Friedrichs step with the convolved velocity V = b(u * eta_eps).
+    """One Lax-Friedrichs step with the convolved velocity V = u * eta_eps.
 
     Conservative update with interface flux
         F_{i+1/2} = (u_i V_i + u_{i+1} V_{i+1})/2 - (dx/2dt) (u_{i+1} - u_i),
@@ -139,7 +137,7 @@ def lf_step(
     already computed V.
     """
     dx = f.grid.dx
-    V = vl(convolve(f, k).values) if velocity is None else velocity
+    V = convolve(f, k).values if velocity is None else velocity
     vmax = float(np.max(np.abs(V))) if V.size else 0.0
     dt_adm = cfl * dx / max(vmax, 1e-14)
     if dt > dt_adm:
@@ -155,22 +153,22 @@ class CharacteristicsCrossed(RuntimeError):
     """A particle step broke the strict ordering of the positions."""
 
 
-def particle_dt_bound(e: ParticleEnsemble, k: Kernel, vl: VelocityLaw) -> float:
-    """Global contraction safeguard: dt * L * sum|m_j| * sup|eta_eps'| < 1/2.
+def particle_dt_bound(e: ParticleEnsemble, k: Kernel) -> float:
+    """Global contraction safeguard: dt * sum|m_j| * sup|eta_eps'| < 1/2.
 
     Time invariant, since masses never change, and never above the local
     bound of ``particle_velocity_and_bound``. Below it every RK substep is a
     monotone map of positions, so characteristic ordering cannot break.
     """
     total = float(np.sum(np.abs(e.masses)))
-    lam = vl.lipschitz_L * total * k.deriv_sup
+    lam = total * k.deriv_sup
     return 0.5 / max(lam, 1e-14)
 
 
-def particle_velocity_and_bound(e: ParticleEnsemble, k: Kernel, vl: VelocityLaw):
+def particle_velocity_and_bound(e: ParticleEnsemble, k: Kernel):
     """Velocity at the current positions and the local contraction bound on dt.
 
-    The bound is dt * L * max_i sum_j |m_j| |eta_eps'(X_i - X_j)| < 1/2: the
+    The bound is dt * max_i sum_j |m_j| |eta_eps'(X_i - X_j)| < 1/2: the
     Lipschitz constant of the particle velocity field measured at the
     current positions instead of bounded by the total mass. It is state
     dependent, typically several times looser than ``particle_dt_bound`` and
@@ -180,25 +178,24 @@ def particle_velocity_and_bound(e: ParticleEnsemble, k: Kernel, vl: VelocityLaw)
     come from one pass over the particle pairs.
     """
     conv, slope = convolve_particles_slope(e.positions, e.masses, k, e.positions)
-    lam = vl.lipschitz_L * float(np.max(slope)) if e.n else 0.0
-    return vl(conv), max(0.5 / max(lam, 1e-14), particle_dt_bound(e, k, vl))
+    lam = float(np.max(slope)) if e.n else 0.0
+    return conv, max(0.5 / max(lam, 1e-14), particle_dt_bound(e, k))
 
 
-def _stage_velocity(Y: np.ndarray, m: np.ndarray, k: Kernel, vl: VelocityLaw):
+def _stage_velocity(Y: np.ndarray, m: np.ndarray, k: Kernel):
     if np.any(np.diff(Y) <= 0.0):
         raise CharacteristicsCrossed("characteristics crossed: dt too large")
-    return vl(_convolve_atoms(Y, m, k, Y))
+    return _convolve_atoms(Y, m, k, Y)
 
 
 def particle_step(
     e: ParticleEnsemble,
     k: Kernel,
-    vl: VelocityLaw,
     dt: float,
     stage1: Optional[tuple] = None,
 ) -> ParticleEnsemble:
     """One RK4 step of the coupled characteristics system
-    dX_j/dt = b( sum_i m_i eta_eps(X_j - X_i) ).
+    dX_j/dt = sum_i m_i eta_eps(X_j - X_i).
 
     Each stage evaluates the velocity field induced by the stage positions
     themselves (masses fixed), i.e. classical RK4 for the self-consistent
@@ -210,15 +207,15 @@ def particle_step(
     pair returned by ``particle_velocity_and_bound`` for the current
     positions.
     """
-    v1, bound = particle_velocity_and_bound(e, k, vl) if stage1 is None else stage1
+    v1, bound = particle_velocity_and_bound(e, k) if stage1 is None else stage1
     if dt >= bound:
         raise ValueError(
             f"dt={dt:.3e} violates the contraction safeguard (needs < {bound:.3e})"
         )
     X, m = e.positions, e.masses
-    k2 = _stage_velocity(X + 0.5 * dt * v1, m, k, vl)
-    k3 = _stage_velocity(X + 0.5 * dt * k2, m, k, vl)
-    k4 = _stage_velocity(X + dt * k3, m, k, vl)
+    k2 = _stage_velocity(X + 0.5 * dt * v1, m, k)
+    k3 = _stage_velocity(X + 0.5 * dt * k2, m, k)
+    k4 = _stage_velocity(X + dt * k3, m, k)
     Xn = X + (dt / 6.0) * (v1 + 2.0 * k2 + 2.0 * k3 + k4)
     if np.any(np.diff(Xn) <= 0.0):
         raise CharacteristicsCrossed("characteristics crossed: dt too large")
@@ -286,7 +283,6 @@ class NonlocalRunConfig:
 
     grid: Grid1D
     kernel: Kernel
-    law: VelocityLaw
     t_end: float
     scheme: str = "particles"  # "particles" | "lax_friedrichs"
     cfl: float = 0.45
@@ -333,10 +329,10 @@ def run_nonlocal(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
 
 def _run_lf(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
     def advance(u, target):
-        V = cfg.law(convolve(u, cfg.kernel).values)
+        V = convolve(u, cfg.kernel).values
         vmax = max(float(np.max(np.abs(V))), 1e-12)
         dt = min(cfg.cfl * u.grid.dx / vmax, target - u.time_stamp)
-        return lf_step(u, cfg.kernel, cfg.law, dt, cfl=cfg.cfl * 1.001, velocity=V)
+        return lf_step(u, cfg.kernel, dt, cfl=cfg.cfl * 1.001, velocity=V)
 
     res = march(
         initial,
@@ -374,12 +370,12 @@ def _run_particles(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
 
     def advance(e, target):
         nonlocal n_rejected
-        v1, bound = particle_velocity_and_bound(e, cfg.kernel, cfg.law)
+        v1, bound = particle_velocity_and_bound(e, cfg.kernel)
         vmax = max(float(np.max(np.abs(v1))), 1e-12)
         dt = min(0.9 * bound, 0.1 * eps / vmax, target - e.time_stamp)
         for _ in range(_MAX_HALVINGS):
             try:
-                return particle_step(e, cfg.kernel, cfg.law, dt, stage1=(v1, bound))
+                return particle_step(e, cfg.kernel, dt, stage1=(v1, bound))
             except CharacteristicsCrossed:
                 n_rejected += 1
                 dt *= 0.5

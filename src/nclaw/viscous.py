@@ -1,7 +1,7 @@
 """IMEX solver for the viscous problem u_t + (u V)_x = nu * u_xx.
 
-With a kernel present the advective velocity is V = b(u * eta_eps) (viscous
-nonlocal problem); with kernel=None it is V = b(u) evaluated pointwise (the
+With a kernel present the advective velocity is V = u * eta_eps (viscous
+nonlocal problem); with kernel=None it is V = u itself, the flux u^2 (the
 viscous local problem). First-order splitting: an explicit conservative
 advection substep with the local Lax-Friedrichs (Rusanov) flux followed by
 an implicit backward-Euler diffusion solve with zero-Dirichlet boundaries
@@ -27,7 +27,6 @@ from .kernels import Kernel, convolve
 from .local_entropy import CFLError, _lf_update
 from .nonlocal_solvers import _check_boundary_clear
 from .records import RunResult, field_diagnostics, march, output_times
-from .velocity import VelocityLaw, wave_speeds
 
 __all__ = [
     "NonFiniteState",
@@ -47,7 +46,6 @@ class ViscousRunConfig:
     """Configuration for a viscous run; kernel=None selects the local problem."""
 
     grid: Grid1D
-    law: VelocityLaw
     nu: float
     t_end: float
     kernel: Optional[Kernel] = None
@@ -67,19 +65,19 @@ class ViscousRunConfig:
 
 def _advective_velocity(f: Field, cfg: ViscousRunConfig) -> np.ndarray:
     if cfg.kernel is not None:
-        return cfg.law(convolve(f, cfg.kernel).values)
-    return cfg.law(f.values)
+        return convolve(f, cfg.kernel).values
+    return f.values
 
 
-def _cell_speeds(f: Field, cfg: ViscousRunConfig, V: np.ndarray) -> np.ndarray:
+def _cell_speeds(cfg: ViscousRunConfig, V: np.ndarray) -> np.ndarray:
     """Per-cell wave speeds s_i: the CFL speed is their max, and the Rusanov
     flux takes max(s_i, s_i+1) at each interface.
 
-    With a kernel s_i = |V_i|; for the local problem V = b(u) and s is
-    ``wave_speeds``, the bound |V_i| + L|u_i| on |b(u) + u*b'(u)|.
+    With a kernel s_i = |V_i|; for the local problem V = u and s_i is the
+    Burgers speed 2|u_i|.
     """
     if cfg.kernel is None:
-        return wave_speeds(cfg.law, f.values, V)
+        return 2.0 * np.abs(V)
     return np.abs(V)
 
 
@@ -142,7 +140,7 @@ def imex_step(
     """
     dx = f.grid.dx
     V = _advective_velocity(f, cfg) if velocity is None else velocity
-    s = _cell_speeds(f, cfg, V)
+    s = _cell_speeds(cfg, V)
     speed = float(np.max(s))
     if speed > 1e-14 and dt > cfg.cfl * dx / speed:
         raise CFLError(dt, cfg.cfl * dx / speed)
@@ -187,7 +185,7 @@ def run_viscous(cfg: ViscousRunConfig, initial: Field) -> RunResult:
         if cfg.dt is not None:
             return imex_step(u, cfg, min(cfg.dt, target - u.time_stamp))
         V = _advective_velocity(u, cfg)
-        speed = float(np.max(_cell_speeds(u, cfg, V)))
+        speed = float(np.max(_cell_speeds(cfg, V)))
         if speed > 1e-14:
             dt = min(cfg.cfl * u.grid.dx / speed, target - u.time_stamp)
         else:

@@ -13,14 +13,12 @@ import pytest
 
 import nclaw
 from nclaw.cli import main
-from nclaw.data import gaussian_datum
 from nclaw.experiments import _pool, counterexample_1
-from nclaw.grids import Field, Grid1D, lp_norm
+from nclaw.grids import Grid1D
 from nclaw.kernels import EVEN_BUMP, Kernel
 from nclaw.local_entropy import CFLError
 from nclaw.nonlocal_solvers import CharacteristicsCrossed, NonlocalRunConfig, run_nonlocal
-from nclaw.velocity import identity_law, normalize
-from nclaw.viscous import NonFiniteState, ViscousRunConfig, run_viscous
+from nclaw.viscous import NonFiniteState
 
 
 def test_ce1_mass_gap_persists_at_smaller_eps():
@@ -32,7 +30,6 @@ def test_ce1_mass_gap_persists_at_smaller_eps():
     cfg = NonlocalRunConfig(
         grid=grid,
         kernel=Kernel(EVEN_BUMP, 0.025),
-        law=identity_law(),
         t_end=0.1,
         scheme="particles",
         n_outputs=5,
@@ -63,24 +60,6 @@ def test_ce1_lax_friedrichs_gate_reruns_on_half_the_cells():
                          solver="lax_friedrichs", gate=True)
     (cmp,) = [c for c in r.gate.comparisons if c["name"] == "nonlocal_window_mass"]
     assert cmp["main"] != cmp["rerun"]
-
-
-def test_b_zero_viscous_distance_is_heat_smoothing():
-    # with b = 0 the inviscid solution never moves, so the viscous-inviscid
-    # distance is the pure diffusion smoothing error (closed-form Gaussian
-    # widening oracle)
-    law, _ = normalize(lambda u: np.zeros_like(np.asarray(u, dtype=float)))
-    grid = Grid1D(-4.75, 4.75, 3800)
-    u0 = gaussian_datum(grid, 1.0, 0.6)
-    nu = 0.01
-    res = run_viscous(
-        ViscousRunConfig(grid=grid, law=law, nu=nu, t_end=0.5, dt=0.01, n_outputs=5),
-        u0,
-    )
-    dist = lp_norm(Field(grid, res.final.values - u0.values), 1)
-    widened = gaussian_datum(grid, 1.0, np.sqrt(0.6**2 + 2 * nu * 0.5))
-    oracle = lp_norm(Field(grid, widened.values - u0.values), 1)
-    assert dist == pytest.approx(oracle, rel=0.1)
 
 
 # ---------------------------------------------------------------------------

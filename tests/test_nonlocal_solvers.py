@@ -22,16 +22,13 @@ from nclaw.nonlocal_solvers import (
     run_nonlocal,
     sample_particles,
 )
-from nclaw.velocity import identity_law
-
-LAW = identity_law()
 
 
 class TestLFStep:
     def test_zero_field_fixed_point(self):
         grid = Grid1D(-1.0, 1.0, 100)
         f = Field(grid, np.zeros(100))
-        g = lf_step(f, Kernel(EVEN_BUMP, 0.1), LAW, dt=0.001)
+        g = lf_step(f, Kernel(EVEN_BUMP, 0.1), dt=0.001)
         assert np.array_equal(g.values, np.zeros(100))
 
     def test_mass_conserved_1000_steps(self):
@@ -41,26 +38,26 @@ class TestLFStep:
         m0 = float(np.sum(u.values) * grid.dx)
         dt = 0.4 * grid.dx
         for _ in range(1000):
-            u = lf_step(u, k, LAW, dt, cfl=0.9)
+            u = lf_step(u, k, dt, cfl=0.9)
         assert abs(float(np.sum(u.values) * grid.dx) - m0) <= 1e-12
 
     def test_one_step_keeps_oddness(self):
         grid = Grid1D(-3.0, 3.0, 1200)
         u = odd_datum(grid)
-        u1 = lf_step(u, Kernel(EVEN_BUMP, 0.05), LAW, dt=0.4 * grid.dx, cfl=0.9)
+        u1 = lf_step(u, Kernel(EVEN_BUMP, 0.05), dt=0.4 * grid.dx, cfl=0.9)
         assert np.max(np.abs(u1.values + u1.values[::-1])) <= 1e-12
 
     def test_sign_preserved_for_nonneg_datum(self):
         grid = Grid1D(-2.0, 1.0, 600)
         u = step_datum(grid)
         for _ in range(200):
-            u = lf_step(u, Kernel(EVEN_BUMP, 0.05), LAW, dt=0.4 * grid.dx, cfl=0.9)
+            u = lf_step(u, Kernel(EVEN_BUMP, 0.05), dt=0.4 * grid.dx, cfl=0.9)
         assert float(u.values.min()) >= 0.0
 
     def test_cfl_error_reports_admissible_dt(self):
         grid = Grid1D(-2.0, 1.0, 300)
         with pytest.raises(CFLError):
-            lf_step(step_datum(grid), Kernel(EVEN_BUMP, 0.05), LAW, dt=1.0)
+            lf_step(step_datum(grid), Kernel(EVEN_BUMP, 0.05), dt=1.0)
 
     def test_momentum_production_first_order(self):
         # per-step baricenter increment vs the flux integral at midpoint
@@ -71,9 +68,9 @@ class TestLFStep:
             k = Kernel(EVEN_BUMP, 0.1)
             u0 = gaussian_datum(grid, 1.0, 0.3)
             dt = 0.45 * grid.dx / 1.4
-            u1 = lf_step(u0, k, LAW, dt, cfl=0.9)
+            u1 = lf_step(u0, k, dt, cfl=0.9)
             mid = Field(grid, 0.5 * (u0.values + u1.values))
-            rhs = float(np.sum(mid.values * LAW(convolve(mid, k).values)) * grid.dx)
+            rhs = float(np.sum(mid.values * convolve(mid, k).values) * grid.dx)
             lhs = (baricenter(u1) - baricenter(u0)) / dt
             assert abs(lhs - rhs) <= 0.5 * (dt + grid.dx)
 
@@ -82,7 +79,7 @@ class TestParticleStep:
     def test_massless_particle_is_stationary(self):
         k = Kernel(EVEN_BUMP, 0.1)
         e = ParticleEnsemble(np.array([-0.4, 0.0, 0.3]), np.array([0.0, 0.0, 0.0]))
-        out = particle_step(e, k, LAW, dt=1e-3)
+        out = particle_step(e, k, dt=1e-3)
         assert np.array_equal(out.positions, e.positions)
 
     def test_antisymmetric_ensemble_pins_origin(self):
@@ -93,7 +90,7 @@ class TestParticleStep:
         assert abs(v0) < 1e-15
         e = ParticleEnsemble(X, m)
         for _ in range(50):
-            e = particle_step(e, k, LAW, dt=2e-4)
+            e = particle_step(e, k, dt=2e-4)
         assert abs(e.positions[3]) < 1e-12
 
     def test_one_sided_rightmost_particle_pinned_bit_exact(self):
@@ -101,9 +98,9 @@ class TestParticleStep:
         k = Kernel(ONE_SIDED_LEFT, 0.05)
         e = sample_particles(step_datum(grid))
         right0 = e.positions[-1]
-        dt = 0.9 * particle_dt_bound(e, k, LAW)
+        dt = 0.9 * particle_dt_bound(e, k)
         for _ in range(30):
-            e = particle_step(e, k, LAW, dt)
+            e = particle_step(e, k, dt)
         assert e.positions[-1] == right0
 
     def test_masses_never_change(self):
@@ -111,9 +108,9 @@ class TestParticleStep:
         k = Kernel(ONE_SIDED_LEFT, 0.05)
         e = sample_particles(step_datum(grid))
         m0 = e.masses.copy()
-        dt = 0.9 * particle_dt_bound(e, k, LAW)
+        dt = 0.9 * particle_dt_bound(e, k)
         for _ in range(20):
-            e = particle_step(e, k, LAW, dt)
+            e = particle_step(e, k, dt)
         assert np.array_equal(e.masses, m0)
         assert e.masses.sum() == m0.sum()
 
@@ -122,7 +119,7 @@ class TestParticleStep:
         k = Kernel(EVEN_BUMP, 0.05)
         e = sample_particles(step_datum(grid))
         with pytest.raises(ValueError, match="contraction"):
-            particle_step(e, k, LAW, dt=1.0)
+            particle_step(e, k, dt=1.0)
 
     def test_rk4_order_four_in_dt(self):
         # smooth datum and kernel, fixed dt: the change of the final positions
@@ -135,7 +132,7 @@ class TestParticleStep:
         def final_positions(n):
             e = e0
             for _ in range(n):
-                e = particle_step(e, k, LAW, t_end / n)
+                e = particle_step(e, k, t_end / n)
             return e.positions
 
         runs = [final_positions(n) for n in (16, 32, 64, 128)]
@@ -151,9 +148,9 @@ class TestParticleStep:
         grid = Grid1D(-1.5, 0.5, 400)
         k = Kernel(ONE_SIDED_LEFT, 0.05)
         e = sample_particles(step_datum(grid))
-        v1, _ = particle_velocity_and_bound(e, k, LAW)
+        v1, _ = particle_velocity_and_bound(e, k)
         with pytest.raises(CharacteristicsCrossed):
-            particle_step(e, k, LAW, dt=0.5, stage1=(v1, math.inf))
+            particle_step(e, k, dt=0.5, stage1=(v1, math.inf))
         assert issubclass(CharacteristicsCrossed, RuntimeError)
 
     def test_ordering_is_validated(self):
@@ -213,7 +210,7 @@ class TestRunNonlocal:
     def test_zero_datum_stays_zero_fv(self):
         grid = Grid1D(-1.0, 1.0, 200)
         cfg = NonlocalRunConfig(
-            grid=grid, kernel=Kernel(EVEN_BUMP, 0.1), law=LAW,
+            grid=grid, kernel=Kernel(EVEN_BUMP, 0.1),
             t_end=0.1, scheme="lax_friedrichs", n_outputs=4,
         )
         res = run_nonlocal(cfg, Field(grid, np.zeros(200)))
@@ -222,7 +219,7 @@ class TestRunNonlocal:
     def test_one_sided_confinement(self):
         grid = Grid1D(-1.5, 0.5, 1000)
         cfg = NonlocalRunConfig(
-            grid=grid, kernel=Kernel(ONE_SIDED_LEFT, 0.05), law=LAW,
+            grid=grid, kernel=Kernel(ONE_SIDED_LEFT, 0.05),
             t_end=0.5, scheme="particles", n_outputs=10, windows=((0.0, 0.5),),
         )
         res = run_nonlocal(cfg, step_datum(grid))
@@ -235,7 +232,7 @@ class TestRunNonlocal:
         grid = Grid1D(-4.5, 4.5, 4500)
         fine = Grid1D(-4.5, 4.5, 9000)
         cfg = NonlocalRunConfig(
-            grid=grid, kernel=Kernel(EVEN_BUMP, 0.05), law=LAW,
+            grid=grid, kernel=Kernel(EVEN_BUMP, 0.05),
             t_end=0.25, scheme="particles", n_outputs=10,
             windows=((-4.0, 0.0),), signed_masses=True,
         )
@@ -250,7 +247,7 @@ class TestRunNonlocal:
         # proposes steps that cross, which must be rejected and halved
         grid = Grid1D(-1.5, 0.5, 400)
         cfg = NonlocalRunConfig(
-            grid=grid, kernel=Kernel(ONE_SIDED_LEFT, 0.05), law=LAW,
+            grid=grid, kernel=Kernel(ONE_SIDED_LEFT, 0.05),
             t_end=0.5, scheme="particles", n_outputs=5, windows=((0.0, 0.5),),
         )
         ref = run_nonlocal(cfg, step_datum(grid))
@@ -258,7 +255,7 @@ class TestRunNonlocal:
         monkeypatch.setattr(
             nonlocal_solvers,
             "particle_velocity_and_bound",
-            lambda e, k, vl: (exact(e, k, vl)[0], math.inf),
+            lambda e, k: (exact(e, k)[0], math.inf),
         )
         res = run_nonlocal(cfg, step_datum(grid))
         assert ref.info["n_rejected"] == 0
@@ -278,7 +275,7 @@ class TestRunNonlocal:
         for n in (700, 1400):
             grid = Grid1D(-2.0, 1.5, n)
             cfg = NonlocalRunConfig(
-                grid=grid, kernel=Kernel(EVEN_BUMP, 0.05), law=LAW,
+                grid=grid, kernel=Kernel(EVEN_BUMP, 0.05),
                 t_end=0.3, scheme="lax_friedrichs", n_outputs=4,
             )
             res = run_nonlocal(cfg, step_datum(grid))
@@ -292,7 +289,7 @@ class TestRunNonlocal:
             grid = Grid1D(-2.0, 1.5, 1400)
             fine = Grid1D(-2.0, 1.5, int(3.5 * n))
             cfg = NonlocalRunConfig(
-                grid=grid, kernel=Kernel(EVEN_BUMP, 0.05), law=LAW,
+                grid=grid, kernel=Kernel(EVEN_BUMP, 0.05),
                 t_end=0.5, scheme="particles", n_outputs=2,
                 entropy_dx_over_eps=ratio,
             )
@@ -306,7 +303,7 @@ class TestRunNonlocal:
         f = step_datum(fine)
         f.values *= math.e
         cfg = NonlocalRunConfig(
-            grid=grid, kernel=Kernel(EVEN_BUMP, 0.05), law=LAW,
+            grid=grid, kernel=Kernel(EVEN_BUMP, 0.05),
             t_end=0.2, scheme="particles", n_outputs=4,
         )
         res = run_nonlocal(cfg, f)
@@ -318,12 +315,12 @@ class TestRunNonlocal:
         grid = Grid1D(-1.0, 1.0, 100)
         with pytest.raises(ValueError):
             NonlocalRunConfig(
-                grid=grid, kernel=Kernel(EVEN_BUMP, 0.1), law=LAW,
+                grid=grid, kernel=Kernel(EVEN_BUMP, 0.1),
                 t_end=0.1, cfl=1.5,
             )
         with pytest.raises(ValueError):
             NonlocalRunConfig(
-                grid=grid, kernel=Kernel(EVEN_BUMP, 0.1), law=LAW,
+                grid=grid, kernel=Kernel(EVEN_BUMP, 0.1),
                 t_end=0.1, scheme="spectral",
             )
 
@@ -336,7 +333,7 @@ class TestRunNonlocal:
         def final(scheme, n):
             grid = Grid1D(-3.0, 3.0, n)
             cfg = NonlocalRunConfig(
-                grid=grid, kernel=k, law=LAW, t_end=0.1, scheme=scheme, n_outputs=1
+                grid=grid, kernel=k, t_end=0.1, scheme=scheme, n_outputs=1
             )
             return run_nonlocal(cfg, gaussian_datum(grid, 1.0, 0.3)).final
 
@@ -357,7 +354,7 @@ class TestRunNonlocal:
     def test_signed_masses_need_flag(self):
         grid = Grid1D(-3.0, 3.0, 600)
         cfg = NonlocalRunConfig(
-            grid=grid, kernel=Kernel(EVEN_BUMP, 0.1), law=LAW,
+            grid=grid, kernel=Kernel(EVEN_BUMP, 0.1),
             t_end=0.05, scheme="particles",
         )
         with pytest.raises(ValueError, match="signed"):

@@ -177,12 +177,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="epsilon must be > 0"):
             parse_config("[ce1]\nepsilon = -1\n")
 
-    def test_round_trip(self):
-        cfg = parse_config("[ce3]\nn_particles = 1200\n[lab]\nout_dir = elsewhere\n")
-        text = cfg.to_text()
-        cfg2 = parse_config(text)
-        assert cfg2.sections == cfg.sections
-
     def test_list_parsing(self):
         cfg = parse_config("[visc]\nnu_list = 0.2, 0.1\n")
         assert cfg["visc"]["nu_list"] == [0.2, 0.1]

@@ -8,7 +8,6 @@ from nclaw.data import gaussian_datum, step_datum
 from nclaw.grids import Field, Grid1D, lp_norm
 from nclaw.kernels import EVEN_BUMP, ONE_SIDED_LEFT, Kernel
 from nclaw.local_entropy import CFLError, ExactSolution, sample_exact
-from nclaw.velocity import identity_law, normalize
 from nclaw.viscous import (
     NonFiniteState,
     ViscousRunConfig,
@@ -18,13 +17,6 @@ from nclaw.viscous import (
     run_viscous,
 )
 
-LAW = identity_law()
-
-
-def zero_law():
-    law, _ = normalize(lambda u: np.zeros_like(np.asarray(u, dtype=float)))
-    return law
-
 
 def variance(f):
     m = float(np.sum(f.values) * f.grid.dx)
@@ -33,21 +25,10 @@ def variance(f):
 
 
 class TestImexStep:
-    def test_pure_diffusion_variance_growth(self):
-        # b = 0: variance grows by 2 nu dt per step, up to the O(dx^2)
-        # contribution of the scheme's averaging and O(dt^2) splitting terms
-        grid = Grid1D(-3.0, 3.0, 1200)
-        nu, dt = 0.05, 0.002
-        cfg = ViscousRunConfig(grid=grid, law=zero_law(), nu=nu, t_end=1.0, dt=dt)
-        u0 = gaussian_datum(grid, 1.0, 0.3)
-        u1 = imex_step(u0, cfg, dt)
-        grown = variance(u1) - variance(u0)
-        assert abs(grown - 2 * nu * dt) <= 1.5 * (dt**2 + grid.dx**2)
-
     def test_l1_never_grows(self, rng):
         grid = Grid1D(-3.0, 3.0, 900)
         k = Kernel(EVEN_BUMP, 0.1)
-        cfg = ViscousRunConfig(grid=grid, law=LAW, nu=0.02, t_end=1.0, kernel=k)
+        cfg = ViscousRunConfig(grid=grid, nu=0.02, t_end=1.0, kernel=k)
         v = rng.normal(size=900)
         v[:80] = 0.0
         v[-80:] = 0.0
@@ -60,7 +41,7 @@ class TestImexStep:
 
     def test_sup_never_grows_local_problem(self):
         grid = Grid1D(-3.0, 3.0, 900)
-        cfg = ViscousRunConfig(grid=grid, law=LAW, nu=0.05, t_end=1.0)
+        cfg = ViscousRunConfig(grid=grid, nu=0.05, t_end=1.0)
         u = gaussian_datum(grid, 1.0, 0.3)
         sup0 = lp_norm(u, math.inf)
         dt = 0.4 * grid.dx / (2 * sup0)
@@ -73,9 +54,9 @@ class TestImexStep:
     )
     def test_rusanov_monotone_at_cfl_09_local_problem(self, datum):
         # the local LF flux is monotone up to CFL 1 only with the full wave
-        # speed |b(u) + u b'(u)| = 2|u|; half of it lets the sup norm grow
+        # speed 2|u| of the flux u^2; half of it lets the sup norm grow
         grid = Grid1D(-3.0, 3.0, 900)
-        cfg = ViscousRunConfig(grid=grid, law=LAW, nu=1e-3, t_end=1.0, cfl=0.9)
+        cfg = ViscousRunConfig(grid=grid, nu=1e-3, t_end=1.0, cfl=0.9)
         u = datum(grid)
         sup0 = lp_norm(u, math.inf)
         dt = 0.9 * grid.dx / (2 * sup0)
@@ -89,7 +70,7 @@ class TestImexStep:
         # so the fixed dt = 0.4 dx needs more CFL headroom than the default
         grid = Grid1D(-3.0, 3.0, 900)
         k = Kernel(EVEN_BUMP, 0.1)
-        cfg = ViscousRunConfig(grid=grid, law=LAW, nu=1e-12, t_end=1.0, kernel=k, cfl=0.9)
+        cfg = ViscousRunConfig(grid=grid, nu=1e-12, t_end=1.0, kernel=k, cfl=0.9)
         u = step_datum(grid)
         m0 = float(np.sum(u.values) * grid.dx)
         dt = 0.4 * grid.dx
@@ -108,7 +89,7 @@ class TestImexStep:
         finals = []
         for step in (dt, dt / 2):
             cfg = ViscousRunConfig(
-                grid=grid, law=LAW, nu=0.1, t_end=0.5, kernel=Kernel(ONE_SIDED_LEFT, 0.1),
+                grid=grid, nu=0.1, t_end=0.5, kernel=Kernel(ONE_SIDED_LEFT, 0.1),
                 cfl=0.9, dt=step, n_outputs=1,
             )
             finals.append(run_viscous(cfg, u0).final)
@@ -117,14 +98,14 @@ class TestImexStep:
 
     def test_cfl_enforced(self):
         grid = Grid1D(-3.0, 3.0, 300)
-        cfg = ViscousRunConfig(grid=grid, law=LAW, nu=0.1, t_end=1.0)
+        cfg = ViscousRunConfig(grid=grid, nu=0.1, t_end=1.0)
         with pytest.raises(CFLError):
             imex_step(step_datum(grid), cfg, dt=1.0)
 
     def test_non_finite_state_is_numerical_failure(self):
         # a blown-up state is a RuntimeError, unlike a bad argument
         grid = Grid1D(-3.0, 3.0, 300)
-        cfg = ViscousRunConfig(grid=grid, law=LAW, nu=0.1, t_end=1.0)
+        cfg = ViscousRunConfig(grid=grid, nu=0.1, t_end=1.0)
         u = step_datum(grid)
         u.values[140] = np.nan
         with pytest.raises(NonFiniteState):
@@ -179,6 +160,17 @@ class TestDiffusionSubstep:
         with pytest.raises(ValueError):
             diffusion_substep(u, 0.3, 0.07, 0.01)
 
+    def test_pure_diffusion_variance_growth(self):
+        # with b = 0 the IMEX step is this substep alone: the variance grows
+        # by 2 nu dt, up to the O(dx^2) contribution of the discrete Laplacian
+        # and O(dt^2) terms
+        grid = Grid1D(-3.0, 3.0, 1200)
+        nu, dt = 0.05, 0.002
+        u0 = gaussian_datum(grid, 1.0, 0.3)
+        u1 = Field(grid, diffusion_substep(u0.values, nu, dt, grid.dx))
+        grown = variance(u1) - variance(u0)
+        assert abs(grown - 2 * nu * dt) <= 1.5 * (dt**2 + grid.dx**2)
+
     def test_matches_heat_kernel(self):
         # one long backward-Euler step vs the closed-form widened Gaussian:
         # first order in dt, so use a small dt and many steps
@@ -194,13 +186,13 @@ class TestDiffusionSubstep:
 class TestRunViscous:
     def test_zero_datum(self):
         grid = Grid1D(-1.0, 1.0, 200)
-        cfg = ViscousRunConfig(grid=grid, law=LAW, nu=0.05, t_end=0.1, n_outputs=4)
+        cfg = ViscousRunConfig(grid=grid, nu=0.05, t_end=0.1, n_outputs=4)
         res = run_viscous(cfg, Field(grid, np.zeros(200)))
         assert lp_norm(res.final, 1) == 0.0
 
     def test_norm_channels_monotone(self):
         grid = Grid1D(-4.0, 4.5, 1700)
-        cfg = ViscousRunConfig(grid=grid, law=LAW, nu=0.1, t_end=0.5, n_outputs=10)
+        cfg = ViscousRunConfig(grid=grid, nu=0.1, t_end=0.5, n_outputs=10)
         res = run_viscous(cfg, gaussian_datum(grid, 1.0, 0.4))
         d = res.diagnostics
         assert np.all(np.diff(d.array("l1_norm")) <= 1e-12)
@@ -212,8 +204,8 @@ class TestRunViscous:
         ub = gaussian_datum(grid, 0.9, 0.5, center=0.2)
         Ks = {}
         for nu in (0.1, 0.03):
-            ra = run_viscous(ViscousRunConfig(grid=grid, law=LAW, nu=nu, t_end=0.5, n_outputs=10), ua)
-            rb = run_viscous(ViscousRunConfig(grid=grid, law=LAW, nu=nu, t_end=0.5, n_outputs=10), ub)
+            ra = run_viscous(ViscousRunConfig(grid=grid, nu=nu, t_end=0.5, n_outputs=10), ua)
+            rb = run_viscous(ViscousRunConfig(grid=grid, nu=nu, t_end=0.5, n_outputs=10), ub)
             d0 = lp_norm(Field(grid, ua.values - ub.values), 2)
             Ks[nu] = max(
                 lp_norm(Field(grid, a.values - b.values), 2)
@@ -225,7 +217,7 @@ class TestRunViscous:
     def test_gradient_norm_stays_bounded(self):
         grid = Grid1D(-4.0, 4.5, 1700)
         u0 = gaussian_datum(grid, 1.0, 0.4)
-        res = run_viscous(ViscousRunConfig(grid=grid, law=LAW, nu=0.1, t_end=0.5, n_outputs=10), u0)
+        res = run_viscous(ViscousRunConfig(grid=grid, nu=0.1, t_end=0.5, n_outputs=10), u0)
 
         def gnorm(f):
             return lp_norm(Field(grid, np.gradient(f.values, grid.dx)), 2)
@@ -239,7 +231,7 @@ class TestRunViscous:
         grid = Grid1D(-3.0, 3.0, 1200)
         dists = []
         for nu in (0.1, 0.05, 0.025):
-            cfg = ViscousRunConfig(grid=grid, law=LAW, nu=nu, t_end=0.5, n_outputs=4)
+            cfg = ViscousRunConfig(grid=grid, nu=nu, t_end=0.5, n_outputs=4)
             res = run_viscous(cfg, step_datum(grid))
             ex = sample_exact(ExactSolution("step"), 0.5, grid)
             dists.append(lp_norm(Field(grid, res.final.values - ex.values), 1))
@@ -247,7 +239,7 @@ class TestRunViscous:
 
     def test_domain_size_guard(self):
         grid = Grid1D(-1.2, 1.2, 200)
-        cfg = ViscousRunConfig(grid=grid, law=LAW, nu=0.5, t_end=1.0)
+        cfg = ViscousRunConfig(grid=grid, nu=0.5, t_end=1.0)
         with pytest.raises(ValueError, match="domain too small"):
             run_viscous(cfg, step_datum(grid))
 
@@ -265,7 +257,7 @@ class TestRunViscous:
         monkeypatch.setattr(viscous, "convolve", counting)
         grid = Grid1D(-3.0, 3.0, 600)
         cfg = ViscousRunConfig(
-            grid=grid, law=LAW, nu=0.05, t_end=0.1, kernel=Kernel(EVEN_BUMP, 0.2),
+            grid=grid, nu=0.05, t_end=0.1, kernel=Kernel(EVEN_BUMP, 0.2),
             n_outputs=4,
         )
         res = run_viscous(cfg, gaussian_datum(grid, 1.0, 0.4))
