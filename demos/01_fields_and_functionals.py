@@ -7,11 +7,8 @@ the two catalogued discontinuous data and on the closed-form entropy
 solution, so the later counterexample numbers have concrete anchors.
 """
 
-import numpy as np
-
 from nclaw import (
     ExactSolution,
-    Field,
     Grid1D,
     baricenter,
     entropy_functional,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf
 
 from .grids import Field, Grid1D
 
@@ -60,6 +59,8 @@ def gaussian_datum(
     Cell averages are exact (erf differences). The tails are truncated by the
     grid; pick the domain so they are negligible.
     """
+    from scipy.special import erf  # here: only the viscous experiments need SciPy
+
     e = (grid.edges - center) / (width * math.sqrt(2.0))
     cdf = 0.5 * (1.0 + erf(e))
     return Field(grid, mass * np.diff(cdf) / grid.dx)

@@ -19,8 +19,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
 
 from .grids import Field
 
@@ -41,6 +39,12 @@ __all__ = [
 EVEN_BUMP = "even_bump"
 ONE_SIDED_LEFT = "one_sided_left"
 
+# Z1 = integral of exp(-1/(1-s^2)) over (-1, 1) = 0.443993816168079437823...,
+# rounded to the nearest double; the trapezoid rule on 400, 4000 and 40,000
+# intervals gives this same double.
+_Z1 = 0.4439938161680794
+
+
 def _bump_profile(s: np.ndarray) -> np.ndarray:
     """Unnormalized even bump exp(-1/(1-s^2)) on |s| < 1, zero outside."""
     s = np.asarray(s, dtype=float)
@@ -55,8 +59,12 @@ def _bump_profile(s: np.ndarray) -> np.ndarray:
 class Kernel:
     """A scaled convolution kernel eta_eps of shape ``even_bump`` or ``one_sided_left``.
 
-    The normalization constant is computed by adaptive quadrature at
-    construction and the unit-mass property is verified to 1e-10.
+    The mass of the unnormalized profile is eps * Z1 for the even bump and
+    eps * Z1 / 2 for the one-sided one (its support is half as wide), so
+    the normalization is exact in closed form and exactly proportional to
+    1/eps. Construction verifies unit mass to 1e-12 with the trapezoid rule
+    on 400 intervals, which converges faster than any power for this C^inf
+    bump.
     """
 
     shape: str
@@ -69,13 +77,14 @@ class Kernel:
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon={self.epsilon} must be positive")
         # Z = integral of the unnormalized scaled profile over its support.
-        z, _ = quad(lambda x: self._raw(np.array([x]))[0], *self.support, limit=200)
+        z = self.epsilon * _Z1
+        if self.shape == ONE_SIDED_LEFT:
+            z /= 2.0
         object.__setattr__(self, "normalization", 1.0 / z)
-        total, _ = quad(
-            lambda x: self.eval(np.array([x]))[0], *self.support, limit=200
-        )
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"kernel mass {total} deviates from 1 beyond 1e-10")
+        x = np.linspace(*self.support, 401)
+        total = float(np.trapezoid(self.eval(x), x))
+        if not abs(total - 1.0) <= 1e-12:  # also rejects a NaN mass
+            raise ValueError(f"kernel mass {total} deviates from 1 beyond 1e-12")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -325,11 +334,13 @@ def grad_lq_exponent(spec: HeatKernelSpec, q: float) -> float:
 
 
 def _sphere_area(d: int) -> float:
-    return 2.0 * math.pi ** (d / 2.0) / gamma_fn(d / 2.0)
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 def heat_kernel_l1_norm(spec: HeatKernelSpec, t: float) -> float:
     """L^1 norm of the heat kernel at time t, computed by quadrature (should be 1)."""
+    from scipy.integrate import quad  # here: the lab's scenarios never need SciPy's quad
+
     d = spec.dim
     s = spec.nu * t
     r_max = 20.0 * math.sqrt(2.0 * s)
@@ -344,6 +355,8 @@ def heat_kernel_l1_norm(spec: HeatKernelSpec, t: float) -> float:
 
 def heat_kernel_grad_lq_norm(spec: HeatKernelSpec, t: float, q: float) -> float:
     """L^q norm of |grad G_nu(t,.)| over R^d by radial quadrature."""
+    from scipy.integrate import quad
+
     if q <= 1.0:
         raise ValueError(f"q={q} must be > 1")
     d = spec.dim

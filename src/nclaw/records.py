@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -180,9 +181,24 @@ def manifest_hash(params: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _backend() -> dict:
+    """The versions of the numerical libraries this process runs on.
+
+    SciPy's is None where this process has not loaded SciPy: the
+    counterexamples never do, the viscous experiments do.
+    """
+    scipy = sys.modules.get("scipy")
+    return {"numpy": np.__version__, "scipy": None if scipy is None else scipy.__version__}
+
+
 @dataclass
 class RunManifest:
-    """Full provenance record for a scenario run."""
+    """Full provenance record for a scenario run.
+
+    ``backend`` (``_backend``, taken when the manifest is made) is left out
+    of the hash, like the wall times: it says how the numbers were
+    computed, not which run they belong to.
+    """
 
     scenario: str
     params: dict
@@ -192,6 +208,7 @@ class RunManifest:
     run_stats: list = dc_field(default_factory=list)
     judge_wall_s: float = 0.0
     outputs: list = dc_field(default_factory=list)
+    backend: dict = dc_field(default_factory=_backend)
 
     @property
     def hash(self) -> str:
@@ -209,6 +226,7 @@ class RunManifest:
                 "run_stats": self.run_stats,
                 "judge_wall_s": self.judge_wall_s,
                 "outputs": [str(p) for p in self.outputs],
+                "backend": self.backend,
             }
         )
 

@@ -19,8 +19,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grids import Field, Grid1D, lp_norm, support_bounds
 from .kernels import Kernel, convolve
@@ -39,6 +37,21 @@ __all__ = [
 
 class NonFiniteState(RuntimeError):
     """The advected IMEX state holds NaN or inf: the run blew up."""
+
+
+@lru_cache(maxsize=None)
+def _lapack() -> tuple:
+    """SciPy's ``dgttrf``, ``dgttrs`` and ``LinAlgError``, imported once per process.
+
+    Only the viscous solver needs SciPy, so importing nclaw does not load
+    it. Each ``ViscousRunConfig`` loads it, so that a process which builds
+    its runs before forking workers (``experiments._pool``) hands it to them
+    already imported.
+    """
+    from scipy.linalg import LinAlgError
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    return dgttrf, dgttrs, LinAlgError
 
 
 @dataclass
@@ -61,6 +74,7 @@ class ViscousRunConfig:
             raise ValueError("t_end must be positive")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl={self.cfl} must be in (0, 1]")
+        _lapack()  # now, before the runs are pooled: see _lapack
 
 
 def _advective_velocity(f: Field, cfg: ViscousRunConfig) -> np.ndarray:
@@ -92,6 +106,7 @@ def _backward_euler_factors(n: int, r: float) -> tuple:
     solve performs the operations of dgtsv (``solve_banded``) bit for bit.
     One entry suffices: a run holds one grid and mostly one step size.
     """
+    dgttrf, _, LinAlgError = _lapack()
     off = np.full(n, -r)
     off[-1] = 0.0
     diag = np.full(n + 1, 1.0 + 2.0 * r)
@@ -117,6 +132,7 @@ def diffusion_substep(u: np.ndarray, nu: float, dt: float, dx: float) -> np.ndar
     b = np.empty(n + 1)
     b[:n] = u
     b[n] = 0.0  # the border unknown
+    _, dgttrs, _ = _lapack()
     out, info = dgttrs(*_backward_euler_factors(n, r), b, overwrite_b=True)
     if info < 0:
         raise ValueError(f"dgttrs: illegal value in argument {-info}")

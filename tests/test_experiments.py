@@ -205,6 +205,51 @@ def test_importing_the_cli_does_not_import_multiprocessing():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+_SCIPY_FREE_COUNTEREXAMPLES = """
+import sys
+
+def scipy_modules():
+    return [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+
+import nclaw.cli
+assert scipy_modules() == [], scipy_modules()[:5]
+
+import multiprocessing
+multiprocessing.get_all_start_methods = lambda: ["spawn"]  # every call runs here
+from nclaw import experiments as ex
+
+loaded_at_pool = []
+pool = ex._pool
+
+def recording_pool(jobs, fork=True):
+    loaded_at_pool.append("scipy.linalg.lapack" in sys.modules)
+    return pool(jobs, fork)
+
+ex._pool = recording_pool
+r = ex.counterexample_1(n_particles=300, godunov_n=512)
+assert r.manifest.to_json()["backend"]["scipy"] is None
+ex.counterexample_2(n_particles=200, godunov_n=512)
+ex.counterexample_3(n_particles=200, godunov_n=512)
+assert scipy_modules() == [], scipy_modules()[:5]
+
+del loaded_at_pool[:]
+r = ex.vanishing_viscosity(nu_list=(0.1, 0.03), t_end=0.1)
+assert "scipy.linalg" in sys.modules
+assert r.manifest.backend["scipy"] == sys.modules["scipy"].__version__
+# loaded before the pool is entered, so a forked helper inherits it
+assert loaded_at_pool == [True], loaded_at_pool
+"""
+
+
+def test_counterexamples_never_import_scipy():
+    # only the viscous solver and the heat-kernel quadrature need SciPy:
+    # importing the CLI and running ce1-ce3 leave it unloaded, and the
+    # manifest's backend says so; the viscous experiment loads it before
+    # it pools its runs
+    env = dict(os.environ, PYTHONPATH=str(Path(nclaw.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", _SCIPY_FREE_COUNTEREXAMPLES], env=env, check=True)
+
+
 # ---------------------------------------------------------------------------
 # _pool itself
 

@@ -29,27 +29,27 @@ GOLDEN = [
     ("ce1", "counterexample_1", dict(n_particles=300, godunov_n=512),
      "ce1-a6e396ad9b3253ff", "PASS", 62,
      "007255b555c50d586a514b003376c29f890c321ad003c6a2c82f8e277ab6dac9",
-     "069929d554ed0fd33260e83ff9c85d43db0f020c5cfe7ab2cade321fb13634e0"),
+     "4c4cd5c2ea971035446fdec87d701de3078b44102a729b0273132c8c6c2b5706"),
     ("ce1_lax_friedrichs", "counterexample_1",
      dict(n_particles=300, godunov_n=512, solver="lax_friedrichs", gate=False),
      "ce1-020b2745f187133b", "FAIL", 62,
      "26c7f1bc13a0075c2d06e9130903234ef65cbc21b23e6990d899a88ec2c9a978",
-     "7be0f348f70c5ce30a93cb8605ec1376299fdce8a01b9917b91b62666e362c3c"),
+     "c84cb9df67c39a80f02ec1ca376f9e0d938524afd2645b5611100bc50cfcb227"),
     ("ce2", "counterexample_2", dict(n_particles=200, godunov_n=512),
      "ce2-42c3262a7a4a7ca9", "PASS", 137,
-     "b5926fb08bd9b254f1d78740c94c59a7bf419945f85ef410a1c1c5802db1222f",
-     "a707b8a46b53f4dbfdafc703d99103d60f15ec0dbd196d98c6546f89a5817fb4"),
+     "1d318972d213414b70a88012ae7dd0452277df708268cd4c1c3b3b6a868d0d12",
+     "115ab89886c48869f54ff4e30d86c9674380e70868ce8eba106d1d8398442dcb"),
     ("ce3", "counterexample_3", dict(n_particles=200, godunov_n=512),
      "ce3-1d3ca951566f4874", "INCONCLUSIVE", 103,
-     "5f3d705cc113ee61190b1e6572df4241bc27f15d1b77a3db3deba5495995d48f",
-     "a3af12e09a20ece205a6435946864eb3f0e41ede6473a45ddb936df7a28614e3"),
+     "6b528906421b182a9630b4e1be1603981c489ed79c0c2913fc78c77dbd968693",
+     "335dcc02063c98ff0c8885bbd0f83c525e978b437a977aa45ae083e014c9093a"),
     ("rate", "singular_limit_rate", dict(eps_list=(0.4, 0.2), t_end=0.2),
      "rate-5d5d7e979357829b", "FAIL", 0,
-     "8bb03ec452864bc347fb8c6554edfda307911f06332b6b7be4d31b9dddcfa9d3",
+     "a93ff49731a7252cd6cc76f68178b4150be17cd4298bb2f879cbd685c9aaf7c0",
      hashlib.sha256(b"").hexdigest()),
     ("visc", "vanishing_viscosity", dict(nu_list=(0.1, 0.03), t_end=0.1),
      "visc-15a01de0cf99a9dd", "FAIL", 0,
-     "ee9d3afb6dce311ed19e2799ae715a3e64a156e68f8bfdffa27ef97915bdac5e",
+     "ba1f10b8597980e9047763d924d4c64050e973a5cf4134d50ccd62ec5759e945",
      hashlib.sha256(b"").hexdigest()),
 ]
 

@@ -12,6 +12,8 @@ from nclaw.kernels import (
     ONE_SIDED_LEFT,
     HeatKernelSpec,
     Kernel,
+    _Z1,
+    _bump_profile,
     _weights,
     convolve,
     convolve_particles,
@@ -40,7 +42,23 @@ class TestKernelShapes:
                            (EVEN_BUMP, 0.3), (ONE_SIDED_LEFT, 1.0)):
             k = Kernel(shape, eps)
             total, _ = quad(lambda x: kernel_eval(k, x), *k.support, limit=200)
-            assert total == pytest.approx(1.0, abs=1e-10)
+            assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_bump_mass_constant_matches_quadrature_oracle(self):
+        # oracle: adaptive quadrature of the unit bump, independent of the
+        # trapezoid rule the constant is checked with at construction
+        z, _ = quad(lambda s: math.exp(-1.0 / (1.0 - s * s)), -1.0, 1.0, limit=200)
+        assert _Z1 == pytest.approx(z, abs=1e-15)
+        for n in (400, 4000):
+            s = np.linspace(-1.0, 1.0, n + 1)
+            assert float(np.trapezoid(_bump_profile(s), s)) == _Z1
+
+    def test_normalization_is_closed_form(self):
+        for eps in (1e-4, 0.05, 0.2, 0.4, 3.0):
+            assert Kernel(EVEN_BUMP, eps).normalization == 1.0 / (eps * _Z1)
+            assert Kernel(ONE_SIDED_LEFT, eps).normalization == 1.0 / (eps * _Z1 / 2.0)
+        # exactly proportional to 1/eps: doubling eps halves it to the bit
+        assert Kernel(EVEN_BUMP, 0.2).normalization / 2 == Kernel(EVEN_BUMP, 0.4).normalization
 
     def test_one_sided_vanishes_right_of_origin(self):
         k = Kernel(ONE_SIDED_LEFT, 0.1)
