@@ -752,6 +752,10 @@ def singular_limit_rate(
                 "dt": main["dt"],
                 "advection_flux": "rusanov",
                 "distances_refined": None if rerun is None else rerun["distances"],
+                # Richardson extrapolation of the first-order dx error
+                "distances_extrapolated": None if rerun is None else [
+                    2.0 * d2 - d1 for d1, d2 in zip(ds, rerun["distances"])
+                ],
                 "fitted_order_refined": None if rerun is None else rerun["fitted_order_in_eps"],
                 "constant_not_checked":
                     "prefactor exp(C nu^-beta) is a stability constant, not reproduced",

@@ -147,15 +147,61 @@ def _weights(k: Kernel, dx: float) -> tuple[np.ndarray, int]:
     return w, J
 
 
+_BLOCK = 32  # cells per row of the blocked grid convolution; the fastest of 16-64 overall
+
+
+@lru_cache(maxsize=8)
+def _toeplitz_blocks(k: Kernel, dx: float) -> tuple[np.ndarray, int]:
+    """The nonzero taps of ``_weights(k, dx)`` as blocks of a banded Toeplitz matrix.
+
+    Trimming the zero taps at both ends leaves w[lo..hi], L = hi - lo + 1
+    taps; h = w[lo..hi] reversed. With the field copied to p[m + shift] = f_m,
+    shift = hi - J, the convolution reads g_i = sum_{r < L} h_r p_{i+r}.
+    Cut g and p into rows of B = ``_BLOCK`` cells: row b of g is
+    sum_{t < q} (row b + t of p) @ W[t], where W[t][d, c] = h[t*B + d - c]
+    inside 0 <= t*B + d - c < L and 0 outside, and q = (L + B - 2) // B + 1.
+
+    Returns the read-only (q, B, B) array W and shift, memoized per
+    (kernel, dx) beside ``_weights``.
+    """
+    w, J = _weights(k, dx)
+    nz = np.flatnonzero(w)
+    lo, hi = int(nz[0]), int(nz[-1])
+    h = w[lo : hi + 1][::-1]
+    L, B = h.size, _BLOCK
+    q = (L + B - 2) // B + 1
+    r = (np.arange(q)[:, None, None] * B + np.arange(B)[None, :, None]
+         - np.arange(B)[None, None, :])
+    W = np.where((r >= 0) & (r < L), h[np.clip(r, 0, L - 1)], 0.0)
+    W.flags.writeable = False
+    return W, hi - J
+
+
 def convolve(f: Field, k: Kernel) -> Field:
     """Discrete convolution g_i = sum_j w_j f_{i-j} with zero padding.
 
     Weights are kernel samples on the grid spacing, renormalized to sum to 1,
     so constants are reproduced and mass is preserved.
+
+    Computed as one banded Toeplitz matrix product over the nonzero taps
+    (see ``_toeplitz_blocks``), q block products of (n/B, B) @ (B, B) on
+    NumPy's BLAS. Each g_i is a dot product of the same L taps with the
+    zero-padded field; the other entries of its column of W are exact
+    zeros, so cells outside the kernel's reach change no bit of g_i.
     """
-    w, J = _weights(k, f.grid.dx)
-    full = np.convolve(f.values, w, mode="full")
-    return Field(f.grid, full[J : J + f.grid.n_cells], f.time_stamp)
+    W, shift = _toeplitz_blocks(k, f.grid.dx)
+    q, B, _ = W.shape
+    n = f.grid.n_cells
+    nb = -(-n // B)
+    pad = np.zeros((nb + q - 1) * B)
+    start = max(shift, 0)
+    src = f.values[start - shift :][: pad.size - start]
+    pad[start : start + src.size] = src
+    P = pad.reshape(-1, B)
+    g = P[:nb] @ W[0]
+    for t in range(1, q):
+        g += P[t : t + nb] @ W[t]
+    return Field(f.grid, g.reshape(-1)[:n], f.time_stamp)
 
 
 _TINY = 1e-300

@@ -13,7 +13,7 @@ import pytest
 
 import nclaw
 from nclaw.cli import main
-from nclaw.experiments import _pool, counterexample_1
+from nclaw.experiments import _pool, counterexample_1, singular_limit_rate
 from nclaw.grids import Grid1D
 from nclaw.kernels import EVEN_BUMP, Kernel
 from nclaw.local_entropy import CFLError
@@ -52,6 +52,15 @@ def test_tiny_scenario_rerun_is_bit_identical():
         assert a.times == b.times
         for name in a.channels:
             assert a.channels[name] == b.channels[name]
+
+
+def test_rate_extrapolates_its_distances_from_the_gate_rerun():
+    # first-order dx error: d(0) ~ 2 d(dx/2) - d(dx), with no rerun no estimate
+    kw = dict(eps_list=(0.4, 0.2), t_end=0.2)
+    n = singular_limit_rate(**kw).numbers
+    assert n["distances_extrapolated"] == [
+        2.0 * d2 - d1 for d1, d2 in zip(n["distances"], n["distances_refined"])]
+    assert singular_limit_rate(**kw, gate=False).numbers["distances_extrapolated"] is None
 
 
 def test_ce1_lax_friedrichs_gate_reruns_on_half_the_cells():

@@ -11,7 +11,10 @@ paths are pinned too. Every ``report.json`` and ``manifest.json`` must
 also read back through a strict JSON parser.
 
 The hashes belong to NumPy 2.4 on x86-64 Linux: another NumPy build may sum
-or round in a different order and change the last digits of the CSVs.
+or round in a different order and change the last digits of the CSVs. The
+grid convolution is a BLAS matrix product, so the bytes of the runs that
+convolve on a grid (Lax-Friedrichs, IMEX) also depend on the OpenBLAS kernel
+NumPy picks for the CPU, as they did when ``np.convolve`` called ``ddot``.
 """
 
 import hashlib
@@ -34,22 +37,22 @@ GOLDEN = [
      dict(n_particles=300, godunov_n=512, solver="lax_friedrichs", gate=False),
      "ce1-020b2745f187133b", "FAIL", 62,
      "26c7f1bc13a0075c2d06e9130903234ef65cbc21b23e6990d899a88ec2c9a978",
-     "c84cb9df67c39a80f02ec1ca376f9e0d938524afd2645b5611100bc50cfcb227"),
+     "a348592896d4461b1f9bcdf875a4cc912253b98ddb182e985c389dcc0b480899"),
     ("ce2", "counterexample_2", dict(n_particles=200, godunov_n=512),
      "ce2-42c3262a7a4a7ca9", "PASS", 137,
      "1d318972d213414b70a88012ae7dd0452277df708268cd4c1c3b3b6a868d0d12",
      "115ab89886c48869f54ff4e30d86c9674380e70868ce8eba106d1d8398442dcb"),
     ("ce3", "counterexample_3", dict(n_particles=200, godunov_n=512),
      "ce3-1d3ca951566f4874", "INCONCLUSIVE", 103,
-     "6b528906421b182a9630b4e1be1603981c489ed79c0c2913fc78c77dbd968693",
-     "335dcc02063c98ff0c8885bbd0f83c525e978b437a977aa45ae083e014c9093a"),
+     "96ac5dc6821faa382289ac49c47dbb5c1c91051ad9bceb0527fb41943af0b48e",
+     "9bf47de56426b4ff52eac65fd23156e8e6b94363b5cb13b331ccbf24d51c771d"),
     ("rate", "singular_limit_rate", dict(eps_list=(0.4, 0.2), t_end=0.2),
      "rate-5d5d7e979357829b", "FAIL", 0,
-     "a93ff49731a7252cd6cc76f68178b4150be17cd4298bb2f879cbd685c9aaf7c0",
+     "aa46399be564a0be618cbb0afa06cb35af86849de2016d06e935e179252eed12",
      hashlib.sha256(b"").hexdigest()),
     ("visc", "vanishing_viscosity", dict(nu_list=(0.1, 0.03), t_end=0.1),
      "visc-15a01de0cf99a9dd", "FAIL", 0,
-     "ba1f10b8597980e9047763d924d4c64050e973a5cf4134d50ccd62ec5759e945",
+     "5ff0859e2c56764fad0b6803642c51d823a4e8d470855622d8d19de0275deb96",
      hashlib.sha256(b"").hexdigest()),
 ]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 
 from nclaw.grids import Field, Grid1D, lp_norm
@@ -12,8 +13,10 @@ from nclaw.kernels import (
     ONE_SIDED_LEFT,
     HeatKernelSpec,
     Kernel,
+    _BLOCK,
     _Z1,
     _bump_profile,
+    _toeplitz_blocks,
     _weights,
     convolve,
     convolve_particles,
@@ -164,6 +167,33 @@ class TestConvolve:
             dv_norm = float(np.sum(np.abs(dv) ** p) * grid.dx) ** (1.0 / p)
             assert lhs <= eps * dv_norm * (1.0 + 5.0 * grid.dx / eps)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.sampled_from([EVEN_BUMP, ONE_SIDED_LEFT]),
+        n=st.integers(2, 3 * _BLOCK + 20),
+        length=st.floats(0.1, 10.0),
+        cells_per_eps=st.floats(1.5, 150.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(EVEN_BUMP, 2, 1.0, 7.5, 0)  # kernel reach J = 8 >= n
+    @example(EVEN_BUMP, 40, 1.0, 1.0, 1)  # a single nonzero tap
+    @example(ONE_SIDED_LEFT, 3 * _BLOCK + 1, 2.0, 40.0, 2)
+    def test_matches_direct_sum_within_rounding(self, shape, n, length, cells_per_eps, seed):
+        # oracle: g_i = sum_j w_j f_{i-j} over the zero-padded field, the
+        # rounded products summed exactly; a dot product of the L nonzero
+        # taps may differ from it by the rounding bound 2 L u sum |w_j f_{i-j}|
+        grid = Grid1D(0.0, length, n)
+        k = Kernel(shape, cells_per_eps * grid.dx)
+        f = np.random.default_rng(seed).normal(size=n)
+        w, J = _weights(k, grid.dx)
+        nz = np.flatnonzero(w)
+        L = nz[-1] - nz[0] + 1
+        padded = np.concatenate([np.zeros(J), f, np.zeros(J)])
+        terms = sliding_window_view(padded, 2 * J + 1) * w[::-1]  # row i: w_j f_{i-j}
+        g = convolve(Field(grid, f), k).values
+        for gi, row in zip(g, terms):
+            assert abs(gi - math.fsum(row)) <= 2 * L * 2.0**-53 * math.fsum(np.abs(row))
+
     def test_under_resolved_kernel_rejected(self):
         grid = Grid1D(-1.0, 1.0, 10)
         with pytest.raises(ValueError, match="under-resolved"):
@@ -179,6 +209,14 @@ class TestWeights:
         with pytest.raises(ValueError):
             w[J] = 1.0
 
+    def test_blocks_memoized_read_only(self):
+        k = Kernel(ONE_SIDED_LEFT, 0.05)
+        W, _ = _toeplitz_blocks(k, 0.01)
+        assert _toeplitz_blocks(k, 0.01)[0] is W
+        assert not W.flags.writeable
+        with pytest.raises(ValueError):
+            W[0, 0, 0] = 1.0
+
     def test_one_kernel_at_two_dx(self, rng):
         # weights memoized for one grid must not serve the other
         k = Kernel(ONE_SIDED_LEFT, 0.05)
@@ -186,6 +224,7 @@ class TestWeights:
         fresh = []
         for f in fields:
             _weights.cache_clear()
+            _toeplitz_blocks.cache_clear()
             fresh.append(convolve(f, k).values.tobytes())
         for _ in range(2):
             for f, ref in zip(fields, fresh):
