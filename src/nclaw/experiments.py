@@ -367,7 +367,7 @@ def counterexample_1(
                 windows=(window,), signed_masses=True,
             ),
             "godunov": lambda: run_local(
-                odd_datum(Grid1D(-4.5, 4.5, godunov_n // k)), t_end, cfl=0.9,
+                odd_datum(Grid1D(-4.5, 4.5, godunov_n // k)), t_end,
                 windows=(window,), n_outputs=25,
             ),
         }
@@ -459,7 +459,7 @@ def counterexample_2(
                 windows=(right_window,),
             ),
             "godunov": lambda: run_local(
-                step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), t_godunov, cfl=0.9,
+                step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), t_godunov,
                 windows=((0.0, 1.0),), n_outputs=75,
             ),
         }
@@ -609,8 +609,7 @@ def counterexample_3(
                 step_datum(_support_datum_grid(-2.0, 1.5, 1.0, n_particles // k)),
             ),
             "godunov": lambda: run_local(
-                step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), t_end, cfl=0.9,
-                n_outputs=50,
+                step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), t_end, n_outputs=50,
             ),
         }
         if k == 1:
@@ -709,7 +708,7 @@ def singular_limit_rate(
         # headroom, at CFL 0.9 (the Rusanov advection is monotone up to 1)
         dt = 0.9 * grid.dx / (1.4 * 2.0 * umax)
         config = partial(ViscousRunConfig, grid=grid, nu=nu, t_end=t_end, dt=dt,
-                         cfl=0.9, n_outputs=10)
+                         n_outputs=10)
         return u0, dt, config
 
     def runs(k):
@@ -810,7 +809,7 @@ def vanishing_viscosity(
         out = {"particles": partial(_final, _nonlocal, "particles", grid, kernel, t_end, 5, u0)}
         for nu in nu_list:
             out[f"nu={nu}"] = partial(_final, run_viscous, ViscousRunConfig(
-                grid=grid, nu=nu, t_end=t_end, kernel=kernel, cfl=0.9, n_outputs=5,
+                grid=grid, nu=nu, t_end=t_end, kernel=kernel, n_outputs=5,
             ), u0)
         if k == 1:
             out["corner"] = lambda: _final(
@@ -818,7 +817,7 @@ def vanishing_viscosity(
                 step_datum(_support_datum_grid(-1.5, 0.5, 1.0, 800)),
             )
             out["corner_godunov"] = lambda: _final(run_local, step_datum(gd_grid), 0.5,
-                                                   cfl=0.9, n_outputs=2)
+                                                   n_outputs=2)
         return out
 
     def headline(r, k):

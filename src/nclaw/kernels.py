@@ -14,8 +14,8 @@ Kernels carry their scale epsilon: eta_eps(x) = (1/eps) * eta(x/eps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -69,7 +69,7 @@ class Kernel:
 
     shape: str
     epsilon: float
-    normalization: float = 0.0  # 1/Z in eta(x) = exp(...)/Z, filled in __post_init__
+    normalization: float = field(init=False)  # 1/Z in eta(x) = exp(...)/Z
 
     def __post_init__(self):
         if self.shape not in (EVEN_BUMP, ONE_SIDED_LEFT):
@@ -101,13 +101,6 @@ class Kernel:
 
     def eval(self, x) -> np.ndarray:
         return self.normalization * self._raw(x)
-
-    @cached_property
-    def deriv_sup(self) -> float:
-        """Numerical sup of |eta_eps'|, used by time-step safeguards."""
-        lo, hi = self.support
-        xs = np.linspace(lo, hi, 20001)
-        return float(np.max(np.abs(np.gradient(self.eval(xs), xs))))
 
 
 def kernel_eval(k: Kernel, x: float) -> float:

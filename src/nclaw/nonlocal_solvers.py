@@ -33,7 +33,6 @@ __all__ = [
     "convolve_particles",
     "lf_step",
     "particle_step",
-    "particle_dt_bound",
     "particle_velocity_and_bound",
     "lagrangian_entropy",
     "deposit",
@@ -85,13 +84,13 @@ def convolve_particles(e: ParticleEnsemble, k: Kernel, x):
     return _convolve_atoms(e.positions, e.masses, k, x)
 
 
-def sample_particles(initial: Field, drop_tol: float = 0.0) -> ParticleEnsemble:
+def sample_particles(initial: Field) -> ParticleEnsemble:
     """Midpoint sampling: one particle per cell with m = u_i * dx.
 
-    Cells with |m| <= drop_tol carry no particle.
+    Cells with m == 0 carry no particle.
     """
     m = initial.values * initial.grid.dx
-    keep = np.abs(m) > drop_tol
+    keep = m != 0.0
     if not np.any(keep):
         raise ValueError("initial datum has no mass to sample")
     return ParticleEnsemble(initial.grid.centers[keep], m[keep], initial.time_stamp)
@@ -153,33 +152,20 @@ class CharacteristicsCrossed(RuntimeError):
     """A particle step broke the strict ordering of the positions."""
 
 
-def particle_dt_bound(e: ParticleEnsemble, k: Kernel) -> float:
-    """Global contraction safeguard: dt * sum|m_j| * sup|eta_eps'| < 1/2.
-
-    Time invariant, since masses never change, and never above the local
-    bound of ``particle_velocity_and_bound``. Below it every RK substep is a
-    monotone map of positions, so characteristic ordering cannot break.
-    """
-    total = float(np.sum(np.abs(e.masses)))
-    lam = total * k.deriv_sup
-    return 0.5 / max(lam, 1e-14)
-
-
 def particle_velocity_and_bound(e: ParticleEnsemble, k: Kernel):
     """Velocity at the current positions and the local contraction bound on dt.
 
     The bound is dt * max_i sum_j |m_j| |eta_eps'(X_i - X_j)| < 1/2: the
     Lipschitz constant of the particle velocity field measured at the
-    current positions instead of bounded by the total mass. It is state
-    dependent, typically several times looser than ``particle_dt_bound`` and
-    never tighter. Being sampled at the particles only, it does not certify
-    ordering by itself: ``particle_step`` still checks every stage, and
-    ``run_nonlocal`` rejects and halves a step that crosses. Both values
-    come from one pass over the particle pairs.
+    current positions, so the bound follows the state. Being sampled at the
+    particles only, it does not certify ordering by itself:
+    ``particle_step`` still checks every stage, and ``run_nonlocal`` rejects
+    and halves a step that crosses. Both values come from one pass over the
+    particle pairs.
     """
     conv, slope = convolve_particles_slope(e.positions, e.masses, k, e.positions)
     lam = float(np.max(slope)) if e.n else 0.0
-    return conv, max(0.5 / max(lam, 1e-14), particle_dt_bound(e, k))
+    return conv, 0.5 / max(lam, 1e-14)
 
 
 def _stage_velocity(Y: np.ndarray, m: np.ndarray, k: Kernel):
@@ -277,23 +263,24 @@ def ensemble_diagnostics(
 # run driver
 
 
+_LF_CFL = 0.45  # Courant number of the Lax-Friedrichs runs
+_ENTROPY_DX_OVER_EPS = 0.1  # particle entropy: deposition grid spacing / eps
+
+
 @dataclass
 class NonlocalRunConfig:
-    """Configuration for an inviscid nonlocal run."""
+    """Configuration for an inviscid nonlocal run; ``run_nonlocal`` fixes the
+    step rules and the spacing 0.1 * eps of the particle entropy's grid."""
 
     grid: Grid1D
     kernel: Kernel
     t_end: float
     scheme: str = "particles"  # "particles" | "lax_friedrichs"
-    cfl: float = 0.45
     n_outputs: int = 40
     windows: tuple = ()
     signed_masses: bool = False
-    entropy_dx_over_eps: float = 0.1  # deposition grid spacing for entropy
 
     def __post_init__(self):
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError(f"cfl={self.cfl} must be in (0, 1]")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
         if self.scheme not in ("particles", "lax_friedrichs"):
@@ -318,9 +305,10 @@ def run_nonlocal(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
     of ``particle_velocity_and_bound`` (recomputed from the current positions
     every step) and the time left to the next output. A step whose stages or
     result cross is rejected and retried with half the dt; the count is
-    returned in ``info["n_rejected"]``. For the FV scheme the step follows
-    the CFL rule. States and diagnostics are recorded at n_outputs evenly
-    spaced output times (plus t=0).
+    returned in ``info["n_rejected"]``. For the FV scheme the step is
+    0.45 * dx / max|V|, capped by the time left to the next output. States
+    and diagnostics are recorded at n_outputs evenly spaced output times
+    (plus t=0).
     """
     if cfg.scheme == "lax_friedrichs":
         return _run_lf(cfg, initial)
@@ -331,8 +319,8 @@ def _run_lf(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
     def advance(u, target):
         V = convolve(u, cfg.kernel).values
         vmax = max(float(np.max(np.abs(V))), 1e-12)
-        dt = min(cfg.cfl * u.grid.dx / vmax, target - u.time_stamp)
-        return lf_step(u, cfg.kernel, dt, cfl=cfg.cfl * 1.001, velocity=V)
+        dt = min(_LF_CFL * u.grid.dx / vmax, target - u.time_stamp)
+        return lf_step(u, cfg.kernel, dt, cfl=_LF_CFL, velocity=V)
 
     res = march(
         initial,
@@ -358,7 +346,7 @@ def _run_particles(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
     ent_grid = Grid1D(
         cfg.grid.x_min,
         cfg.grid.x_max,
-        max(2, int(round(span / (cfg.entropy_dx_over_eps * eps)))),
+        max(2, int(round(span / (_ENTROPY_DX_OVER_EPS * eps)))),
     )
     # sign partition at t=0 (odd-type data): positive mass left of 0,
     # negative right; preserved because characteristics cannot cross
@@ -407,6 +395,6 @@ def _run_particles(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
         n_rejected=n_rejected,
         n_particles=e.n,
         entropy_grid_dx=ent_grid.dx,
-        entropy_bias_order=cfg.entropy_dx_over_eps,
+        entropy_bias_order=_ENTROPY_DX_OVER_EPS,
     )
     return res

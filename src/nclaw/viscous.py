@@ -54,26 +54,28 @@ def _lapack() -> tuple:
     return dgttrf, dgttrs, LinAlgError
 
 
+_CFL = 0.9  # Courant number of the advection substep (Rusanov is monotone up to 1)
+
+
 @dataclass
 class ViscousRunConfig:
-    """Configuration for a viscous run; kernel=None selects the local problem."""
+    """Configuration for a viscous run; kernel=None selects the local problem.
+
+    Adaptive runs step at Courant number 0.9; a fixed ``dt`` must stay within it.
+    """
 
     grid: Grid1D
     nu: float
     t_end: float
     kernel: Optional[Kernel] = None
-    cfl: float = 0.45
     dt: Optional[float] = None  # fixed step override (paired experiment runs)
     n_outputs: int = 40
-    windows: tuple = ()
 
     def __post_init__(self):
         if not self.nu > 0.0:
             raise ValueError(f"nu={self.nu} must be positive")
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
-        if not (0.0 < self.cfl <= 1.0):
-            raise ValueError(f"cfl={self.cfl} must be in (0, 1]")
         _lapack()  # now, before the runs are pooled: see _lapack
 
 
@@ -146,11 +148,11 @@ def imex_step(
 
     The advection substep uses the Rusanov flux: its dissipation at an
     interface is half the larger wave speed of the two cells
-    (``_cell_speeds``), so it is monotone up to CFL 1. The CFL restriction,
-    on max ``_cell_speeds``, applies to the advection substep only;
-    diffusion is unconditionally stable. ``velocity`` lets drivers reuse an
-    already computed advective velocity of ``f``; the wave speeds are taken
-    once and serve both the CFL guard and the dissipation. A non-finite
+    (``_cell_speeds``), so it is monotone up to CFL 1. The CFL restriction
+    dt * max ``_cell_speeds`` <= 0.9 * dx applies to the advection substep
+    only; diffusion is unconditionally stable. ``velocity`` lets drivers
+    reuse an already computed advective velocity of ``f``; the wave speeds
+    are taken once and serve both the CFL guard and the dissipation. A non-finite
     advected state raises ``NonFiniteState``; the diffusion substep's own
     finite check detects it.
     """
@@ -158,8 +160,8 @@ def imex_step(
     V = _advective_velocity(f, cfg) if velocity is None else velocity
     s = _cell_speeds(cfg, V)
     speed = float(np.max(s))
-    if speed > 1e-14 and dt > cfg.cfl * dx / speed:
-        raise CFLError(dt, cfg.cfl * dx / speed)
+    if speed > 1e-14 and dt > _CFL * dx / speed:
+        raise CFLError(dt, _CFL * dx / speed)
     star = _lf_update(f.values, V, dx, dt, s)
     try:
         u = diffusion_substep(star, cfg.nu, dt, dx)
@@ -192,8 +194,8 @@ def run_viscous(cfg: ViscousRunConfig, initial: Field) -> RunResult:
     Besides the standard diagnostics, the series carries l1_norm and
     sup_norm so the contraction properties of the flow are visible per run.
     If cfg.dt is set it is used as a fixed step (after a CFL sanity check
-    each step); otherwise the step adapts to the CFL rule, and the velocity
-    that sets it is passed on to ``imex_step``.
+    each step); otherwise the step is 0.9 * dx / max ``_cell_speeds``, and
+    the velocity that sets it is passed on to ``imex_step``.
     """
     _check_domain(cfg, initial)
 
@@ -203,13 +205,13 @@ def run_viscous(cfg: ViscousRunConfig, initial: Field) -> RunResult:
         V = _advective_velocity(u, cfg)
         speed = float(np.max(_cell_speeds(cfg, V)))
         if speed > 1e-14:
-            dt = min(cfg.cfl * u.grid.dx / speed, target - u.time_stamp)
+            dt = min(_CFL * u.grid.dx / speed, target - u.time_stamp)
         else:
             dt = target - u.time_stamp
         return imex_step(u, cfg, dt, velocity=V)
 
     def diagnostics(u):
-        vals = field_diagnostics(u, cfg.windows)
+        vals = field_diagnostics(u)
         vals["l1_norm"] = lp_norm(u, 1)
         vals["sup_norm"] = lp_norm(u, math.inf)
         return vals

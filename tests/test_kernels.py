@@ -63,6 +63,16 @@ class TestKernelShapes:
         # exactly proportional to 1/eps: doubling eps halves it to the bit
         assert Kernel(EVEN_BUMP, 0.2).normalization / 2 == Kernel(EVEN_BUMP, 0.4).normalization
 
+    def test_normalization_is_not_an_argument(self):
+        # it is always computed; a third argument used to be overwritten silently
+        with pytest.raises(TypeError):
+            Kernel(EVEN_BUMP, 0.05, 123.0)
+        with pytest.raises(TypeError):
+            Kernel(EVEN_BUMP, 0.05, normalization=123.0)
+        k = Kernel(EVEN_BUMP, 0.05)
+        assert k == Kernel(EVEN_BUMP, 0.05) and hash(k) == hash(Kernel(EVEN_BUMP, 0.05))
+        assert k != Kernel(EVEN_BUMP, 0.06)
+
     def test_one_sided_vanishes_right_of_origin(self):
         k = Kernel(ONE_SIDED_LEFT, 0.1)
         for x in (0.0, 1e-12, 0.05, 0.2):
@@ -107,14 +117,21 @@ class TestConvolve:
         g = convolve(Field(grid, odd), Kernel(EVEN_BUMP, 0.1)).values
         assert abs(g[200]) < 1e-12
 
-    def test_young_bound(self, rng):
-        grid = Grid1D(-1.0, 1.0, 512)
-        k = Kernel(EVEN_BUMP, 0.06)
-        for _ in range(100):
-            f = Field(grid, rng.normal(size=512))
-            g = convolve(f, k)
-            for p in (1, 2, math.inf):
-                assert lp_norm(g, p) <= lp_norm(f, p) * (1 + 1e-13) + 1e-15
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.sampled_from([EVEN_BUMP, ONE_SIDED_LEFT]),
+        n=st.integers(2, 1024),
+        cells_per_eps=st.floats(1.5, 60.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(EVEN_BUMP, 512, 15.36, 0)  # eps = 0.06 on 512 cells
+    def test_young_bound(self, shape, n, cells_per_eps, seed):
+        grid = Grid1D(-1.0, 1.0, n)
+        k = Kernel(shape, cells_per_eps * grid.dx)
+        f = Field(grid, np.random.default_rng(seed).normal(size=n))
+        g = convolve(f, k)
+        for p in (1, 2, math.inf):
+            assert lp_norm(g, p) <= lp_norm(f, p) * (1 + 1e-13) + 1e-15
 
     def test_mass_preserved(self, rng):
         grid = Grid1D(-1.0, 1.0, 512)
@@ -276,21 +293,52 @@ class TestConvolveParticles:
         assert np.allclose(pv, gv, atol=2e-4)
 
 
-    def test_slope_sum_matches_kernel_derivative(self, rng):
-        # reference: per-atom |eta'| from central differences of Kernel.eval
-        h = 1e-6
-        for shape in (EVEN_BUMP, ONE_SIDED_LEFT):
-            k = Kernel(shape, 0.1)
-            X = np.sort(rng.uniform(-0.3, 0.3, size=25))
-            m = rng.uniform(-1.0, 1.0, size=25)
-            x = np.linspace(-0.5, 0.5, 41)
-            conv, slope = convolve_particles_slope(X, m, k, x)
-            assert np.array_equal(conv, convolve_particles(X, m, k, x))
-            r = x[:, None] - X[None, :]
-            d = (k.eval(r + h) - k.eval(r - h)) / (2.0 * h)
-            expect = np.abs(d) @ np.abs(m)
-            assert np.max(np.abs(slope - expect)) <= 1e-6 * np.max(expect)
-            assert np.all(slope <= np.sum(np.abs(m)) * k.deriv_sup * (1.0 + 1e-6))
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.sampled_from([EVEN_BUMP, ONE_SIDED_LEFT]),
+        eps=st.floats(0.02, 0.5),
+        n_atoms=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        queries=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40),
+    )
+    @example(EVEN_BUMP, 0.1, 25, 0, list(np.linspace(-5.0, 5.0, 41)))
+    @example(ONE_SIDED_LEFT, 0.1, 25, 1, list(np.linspace(-5.0, 5.0, 41)))
+    def test_slope_sum_matches_kernel_derivative(self, shape, eps, n_atoms, seed, queries):
+        # reference: per-atom |eta'| from central differences of Kernel.eval;
+        # atoms spread over 3 eps, query points in units of eps around them
+        k = Kernel(shape, eps)
+        rng = np.random.default_rng(seed)
+        X = np.unique(rng.uniform(-1.5 * eps, 1.5 * eps, size=n_atoms))
+        m = rng.uniform(-1.0, 1.0, size=X.size)
+        x = eps * np.array(queries)
+        conv, slope = convolve_particles_slope(X, m, k, x)
+        assert np.array_equal(conv, convolve_particles(X, m, k, x))
+        h = 1e-6 * eps
+        r = x[:, None] - X[None, :]
+        d = (k.eval(r + h) - k.eval(r - h)) / (2.0 * h)
+        expect = np.abs(d) @ np.abs(m)
+        assert np.max(np.abs(slope - expect)) <= 1e-6 * np.max(expect)
+        # the local bound never exceeds the global one, sum |m_j| * sup|eta_eps'|
+        sup = deriv_sup(k)
+        assert np.all(slope <= np.sum(np.abs(m)) * sup * (1.0 + 1e-12))
+        # the closed form is attained at the peak of |eta_eps'|
+        s_peak = 3.0**-0.25
+        x_peak = eps * s_peak if shape == EVEN_BUMP else 0.5 * eps * (s_peak - 1.0)
+        peak = (k.eval(x_peak + h) - k.eval(x_peak - h)) / (2.0 * h)
+        assert abs(peak) == pytest.approx(sup, rel=1e-6)
+
+
+def deriv_sup(k: Kernel) -> float:
+    """sup |eta_eps'| in closed form.
+
+    |d/ds exp(-1/(1-s^2))| = 2|s| exp(-1/(1-s^2)) / (1-s^2)^2 peaks where
+    s^4 = 1/3; ds/dx is 1/eps for the even bump and 2/eps for the one-sided
+    one, whose support is half as wide.
+    """
+    s = 3.0**-0.25
+    q = 1.0 - s * s
+    sup = k.normalization / k.epsilon * 2.0 * s * math.exp(-1.0 / q) / (q * q)
+    return 2.0 * sup if k.shape == ONE_SIDED_LEFT else sup
 
 
 KERNELS = {

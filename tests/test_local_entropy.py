@@ -100,7 +100,7 @@ class TestExactSolutions:
         errs = {}
         for n in (1024, 4096):
             grid = Grid1D(-4.0, 4.0, n)
-            res = run_local(datum(grid), t, cfl=0.9, n_outputs=2)
+            res = run_local(datum(grid), t, n_outputs=2)
             ex = sample_exact(ExactSolution(variant), t, grid)
             errs[n] = lp_norm(Field(grid, res.final.values - ex.values), 1)
         assert errs[4096] <= 3.0 * (8.0 / 4096)
@@ -112,7 +112,7 @@ class TestExactSolutions:
 def odd_run():
     grid = Grid1D(-4.5, 4.5, 4096)
     return run_local(
-        odd_datum(grid), 0.25, cfl=0.9,
+        odd_datum(grid), 0.25,
         windows=((-4.0, 0.0),), n_outputs=25,
     )
 
@@ -130,7 +130,7 @@ class TestLocalRunDiagnostics:
 
     def test_entropy_dissipation_on_step_datum(self):
         grid = Grid1D(-2.0, 2.0, 4096)
-        res = run_local(step_datum(grid), 0.5, cfl=0.9, n_outputs=50)
+        res = run_local(step_datum(grid), 0.5, n_outputs=50)
         d = res.diagnostics
         ent = d.array("entropy")
         assert np.all(np.diff(ent) <= 1e-10)
@@ -142,7 +142,7 @@ class TestLocalRunDiagnostics:
         # d/dt of the first moment equals the integral of u^2 on resolved
         # profiles (flux u^2)
         grid = Grid1D(-2.0, 2.0, 4096)
-        res = run_local(step_datum(grid), 0.5, cfl=0.9, n_outputs=50)
+        res = run_local(step_datum(grid), 0.5, n_outputs=50)
         states = res.states
         for a, b in zip(states[10:20], states[11:21]):
             dt = b.time_stamp - a.time_stamp
@@ -158,7 +158,7 @@ class TestBaricenterBound:
         # its windowed first moment sits below the confined-solution bound
         a, b = -1.05, 0.05
         grid = Grid1D(-2.0, 2.0, 4096)
-        res = run_local(step_datum(grid), 0.75, cfl=0.9, n_outputs=75)
+        res = run_local(step_datum(grid), 0.75, n_outputs=75)
         u0 = step_datum(grid)
         mass0 = window_mass(u0, a, b)
         from nclaw.grids import snap_window
