@@ -25,6 +25,7 @@ from .kernels import (
     HeatKernelSpec,
     Kernel,
     convolve,
+    convolve_particles,
     grad_lq_exponent,
     heat_kernel_eval,
     heat_kernel_grad_lq_norm,
@@ -42,7 +43,6 @@ from .local_entropy import (
 from .nonlocal_solvers import (
     NonlocalRunConfig,
     ParticleEnsemble,
-    convolve_particles,
     deposit,
     lf_step,
     particle_step,
@@ -73,6 +73,7 @@ __all__ = [
     "HeatKernelSpec",
     "Kernel",
     "convolve",
+    "convolve_particles",
     "grad_lq_exponent",
     "heat_kernel_eval",
     "heat_kernel_grad_lq_norm",
@@ -88,7 +89,6 @@ __all__ = [
     "sample_exact",
     "NonlocalRunConfig",
     "ParticleEnsemble",
-    "convolve_particles",
     "deposit",
     "lf_step",
     "particle_step",

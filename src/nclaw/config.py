@@ -1,10 +1,11 @@
-"""Flat key = value configuration files with one section per scenario.
+"""Flat key = value configuration files with one section per ``lab`` command.
 
-An empty file is a valid configuration (all defaults). The scenario
-sections take their keys and defaults from the signatures of the scenario
-functions. Unknown sections or keys are rejected with the offending line
-number; values are typed after the defaults. parse/serialize round-trips
-exactly.
+An empty file is a valid configuration (all defaults). Every section but
+``[lab]`` takes its keys and defaults from the signature of the function
+its command runs (``COMMANDS``), so a key is a parameter name. Unknown
+sections or keys are rejected with the offending line number; values are
+typed after the defaults and checked by ``validate``, which the ``lab``
+flags go through too.
 """
 
 from __future__ import annotations
@@ -12,60 +13,58 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field as dc_field
 
-from . import experiments
+from . import experiments, local_entropy
+from .kernels import SHAPES
+from .local_entropy import VARIANTS
+from .nonlocal_solvers import SCHEMES
 
-__all__ = ["ConfigError", "LabConfig", "parse_config", "DEFAULTS", "SCENARIOS"]
+__all__ = ["COMMANDS", "ConfigError", "DEFAULTS", "LabConfig", "command_function",
+           "parse_config", "parse_value", "validate"]
 
 
 class ConfigError(ValueError):
     pass
 
 
-# section -> the function in nclaw.experiments whose signature holds its defaults
-SCENARIOS = {
-    "ce1": "counterexample_1",
-    "ce2": "counterexample_2",
-    "ce3": "counterexample_3",
-    "rate": "singular_limit_rate",
-    "visc": "vanishing_viscosity",
+# section -> the module and the name of the function its command runs,
+# whose signature holds the section's keys and defaults
+COMMANDS = {
+    "ce1": (experiments, "counterexample_1"),
+    "ce2": (experiments, "counterexample_2"),
+    "ce3": (experiments, "counterexample_3"),
+    "rate": (experiments, "singular_limit_rate"),
+    "visc": (experiments, "vanishing_viscosity"),
+    "oracle": (local_entropy, "sample_oracle"),
 }
-# parameter -> config key, where users' config files spell it differently
-CONFIG_KEYS = {"eps": "epsilon"}
-# keys with a fixed set of values, shared with the CLI flags
-CHOICES = {
-    "solver": ("particles", "lax_friedrichs"),
-    "kernel_shape": ("even_bump", "one_sided_left"),
-    "variant": ("step", "odd"),
-}
+# keys with a fixed set of values: the tuples the library checks against
+CHOICES = {"solver": SCHEMES, "kernel_shape": SHAPES, "variant": VARIANTS}
 
 
-def _signature_defaults(fn_name: str) -> dict:
-    out = {}
-    for p in inspect.signature(getattr(experiments, fn_name)).parameters.values():
-        default = list(p.default) if isinstance(p.default, tuple) else p.default
-        out[CONFIG_KEYS.get(p.name, p.name)] = default
-    return out
+def command_function(section: str):
+    """The function the command of ``section`` runs, looked up by name now,
+    so a wrapper or patch put on the module attribute applies."""
+    module, name = COMMANDS[section]
+    return getattr(module, name)
+
+
+def _signature_defaults(section: str) -> dict:
+    params = inspect.signature(command_function(section)).parameters.values()
+    return {p.name: list(p.default) if isinstance(p.default, tuple) else p.default
+            for p in params}
 
 
 DEFAULTS = {
     "lab": {"out_dir": "runs"},
-    **{section: _signature_defaults(fn) for section, fn in SCENARIOS.items()},
-    "oracle": {
-        "variant": "step",
-        "t": 0.5,
-        "x_min": -4.0,
-        "x_max": 4.0,
-        "n_cells": 2048,
-    },
+    **{section: _signature_defaults(section) for section in COMMANDS},
 }
 
-_POSITIVE_KEYS = {"epsilon", "t_end", "nu", "width", "t"}
-_POSITIVE_INT_KEYS = {"n_particles", "godunov_n", "n_cells"}
+_POSITIVE_KEYS = {"eps", "t_end", "nu", "width", "t", "n_particles", "godunov_n", "n_cells"}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
 @dataclass
 class LabConfig:
-    """Fully resolved configuration: one dict of settings per scenario."""
+    """Fully resolved configuration: one dict of settings per section."""
 
     sections: dict = dc_field(default_factory=dict)
 
@@ -79,41 +78,35 @@ class LabConfig:
         return self.sections[section]
 
 
-def _parse_value(section: str, key: str, raw: str, lineno: int):
+def validate(key: str, value, where: str):
+    """Return ``value`` if it is a valid setting of ``key``, else raise
+    ConfigError naming ``where`` (a config line or a flag)."""
+    if key in _POSITIVE_KEYS and not value > 0:
+        raise ConfigError(f"{where}: {key} must be > 0")
+    if key in ("eps_list", "nu_list"):
+        if not value or any(not x > 0 for x in value):
+            raise ConfigError(f"{where}: {key} entries must be > 0")
+    if key in CHOICES and value not in CHOICES[key]:
+        raise ConfigError(f"{where}: {key} must be {'|'.join(CHOICES[key])}")
+    return value
+
+
+def parse_value(section: str, key: str, raw: str, where: str):
+    """Type ``raw`` after the default of ``key`` in ``section``, then validate it."""
     default = DEFAULTS[section][key]
     raw = raw.strip()
     try:
         if isinstance(default, bool):
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        if isinstance(default, list):
-            return [float(x) for x in raw.split(",") if x.strip()]
-        return raw
-    except ValueError:
+            value = _BOOLS[raw.lower()]
+        elif isinstance(default, list):
+            value = [float(x) for x in raw.split(",") if x.strip()]
+        else:
+            value = type(default)(raw)  # int, float or str
+    except (KeyError, ValueError):
         raise ConfigError(
-            f"line {lineno}: key {key!r} expects a "
-            f"{type(default).__name__}, got {raw!r}"
+            f"{where}: key {key!r} expects a {type(default).__name__}, got {raw!r}"
         ) from None
-
-
-def _validate(section: str, key: str, value, lineno: int):
-    if key in _POSITIVE_KEYS and not value > 0:
-        raise ConfigError(f"line {lineno}: {key} must be > 0")
-    if key in _POSITIVE_INT_KEYS and not value > 0:
-        raise ConfigError(f"line {lineno}: {key} must be > 0")
-    if key in ("eps_list", "nu_list"):
-        if not value or any(x <= 0 for x in value):
-            raise ConfigError(f"line {lineno}: {key} entries must be > 0")
-    if key in CHOICES and value not in CHOICES[key]:
-        raise ConfigError(f"line {lineno}: {key} must be {'|'.join(CHOICES[key])}")
-    return value
+    return validate(key, value, where)
 
 
 def parse_config(text: str) -> LabConfig:
@@ -138,6 +131,5 @@ def parse_config(text: str) -> LabConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in DEFAULTS[current]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{current}]")
-        value = _parse_value(current, key, raw, lineno)
-        sections[current][key] = _validate(current, key, value, lineno)
+        sections[current][key] = parse_value(current, key, raw, f"line {lineno}")
     return LabConfig(sections)

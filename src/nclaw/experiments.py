@@ -169,6 +169,9 @@ def _window_moment(f: Field, a: float, b: float) -> float:
 
 def _support_datum_grid(x_min, x_max, support_len, n_particles):
     """Grid whose cells give one particle per support cell at the asked count."""
+    if n_particles < 1:
+        raise ValueError(f"n_particles gives {n_particles} particles at this resolution; "
+                         "need at least 1")
     n = int(round((x_max - x_min) / (support_len / n_particles)))
     return Grid1D(x_min, x_max, n)
 
@@ -364,7 +367,7 @@ def counterexample_1(
         out = {
             "nonlocal": lambda: _nonlocal(
                 solver, run_grid, kernel, t_end, 25, odd_datum(datum_grid),
-                windows=(window,), signed_masses=True,
+                windows=(window,),
             ),
             "godunov": lambda: run_local(
                 odd_datum(Grid1D(-4.5, 4.5, godunov_n // k)), t_end,
@@ -374,7 +377,7 @@ def counterexample_1(
         if k == 1:
             out["lf_coarse"] = lambda: _nonlocal(
                 "lax_friedrichs", lf_grid, kernel, t_end, 10, odd_datum(lf_grid),
-                windows=(window,), signed_masses=True,
+                windows=(window,),
             )
         return out
 
@@ -452,10 +455,10 @@ def counterexample_2(
     lf_grid = Grid1D(-3.5, 2.5, max(int(round(6.0 / (eps / 2.0))), 8))
 
     def runs(k):
+        datum_grid = _support_datum_grid(-1.5, 0.5, 1.0, n_particles // k)
         out = {
             "nonlocal": lambda: _nonlocal(
-                "particles", diag_grid, kernel, t_end, 25,
-                step_datum(_support_datum_grid(-1.5, 0.5, 1.0, n_particles // k)),
+                "particles", diag_grid, kernel, t_end, 25, step_datum(datum_grid),
                 windows=(right_window,),
             ),
             "godunov": lambda: run_local(
@@ -603,10 +606,10 @@ def counterexample_3(
     lf_grid = Grid1D(-3.5, 3.5, max(int(round(7.0 / eps)), 8))
 
     def runs(k):
+        datum_grid = _support_datum_grid(-2.0, 1.5, 1.0, n_particles // k)
         out = {
             "nonlocal": lambda: _nonlocal(
-                "particles", diag_grid, kernel, t_end, 25,
-                step_datum(_support_datum_grid(-2.0, 1.5, 1.0, n_particles // k)),
+                "particles", diag_grid, kernel, t_end, 25, step_datum(datum_grid),
             ),
             "godunov": lambda: run_local(
                 step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), t_end, n_outputs=50,
@@ -694,8 +697,14 @@ def singular_limit_rate(
     bad stability constants and is explicitly not checked. The one-sided
     kernel has nonzero first moment, which makes the distance genuinely
     first order in eps for smooth data (an even kernel would show order ~2).
-    The gate reruns the sweep at half the cell width.
+    The gate reruns the sweep at half the cell width. Needs p >= 1 and at
+    least two distinct eps to fit the order.
     """
+    if not p >= 1.0:
+        raise ValueError(f"p={p} must be >= 1: the L^p distance needs a norm")
+    if len(set(eps_list)) < 2:
+        raise ValueError(f"eps_list={list(eps_list)} needs at least two distinct eps "
+                         "to fit an order")
     eps_list = tuple(sorted(eps_list, reverse=True))
     params = dict(locals())  # the manifest records every argument
     dx = min(eps_list) / 10.0
@@ -743,7 +752,7 @@ def singular_limit_rate(
             "numbers": {
                 "nu": nu,
                 "p": p,
-                "beta_exponent": (p + 1.0) / (p - 1.0),
+                "beta_exponent": math.inf if p == 1.0 else (p + 1.0) / (p - 1.0),
                 "eps_list": list(eps_list),
                 "distances": ds,
                 "halving_ratios": [ds[i] / ds[i + 1] for i in range(len(ds) - 1)],
@@ -786,8 +795,12 @@ def vanishing_viscosity(
     not free of aliasing: at the preset the reference from 3786 particles is
     4.5e-3 off in L1 from one with 14,898 particles, about 60% of the
     nu = 0.003 distance, so the smallest-nu line carries deposit noise.
-    The gate reruns the sweep at half the cell width.
+    The gate reruns the sweep at half the cell width. Needs at least two
+    distinct nu to compare.
     """
+    if len(set(nu_list)) < 2:
+        raise ValueError(f"nu_list={list(nu_list)} needs at least two distinct nu "
+                         "to compare")
     nu_list = tuple(sorted(nu_list, reverse=True))
     params = dict(locals())  # the manifest records every argument
     kernel = Kernel(EVEN_BUMP, eps)

@@ -38,6 +38,7 @@ __all__ = [
 
 EVEN_BUMP = "even_bump"
 ONE_SIDED_LEFT = "one_sided_left"
+SHAPES = (EVEN_BUMP, ONE_SIDED_LEFT)
 
 # Z1 = integral of exp(-1/(1-s^2)) over (-1, 1) = 0.443993816168079437823...,
 # rounded to the nearest double; the trapezoid rule on 400, 4000 and 40,000
@@ -72,7 +73,7 @@ class Kernel:
     normalization: float = field(init=False)  # 1/Z in eta(x) = exp(...)/Z
 
     def __post_init__(self):
-        if self.shape not in (EVEN_BUMP, ONE_SIDED_LEFT):
+        if self.shape not in SHAPES:
             raise ValueError(f"unknown kernel shape {self.shape!r}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon={self.epsilon} must be positive")

@@ -25,6 +25,7 @@ __all__ = [
     "ExactSolution",
     "exact_eval",
     "sample_exact",
+    "sample_oracle",
     "baricenter_lower_bound",
 ]
 
@@ -146,6 +147,9 @@ def run_local(
 # closed-form entropy solutions
 
 
+VARIANTS = ("step", "odd")
+
+
 @dataclass(frozen=True)
 class ExactSolution:
     """Entropy solution formulas for the two catalogued initial data.
@@ -160,7 +164,7 @@ class ExactSolution:
     variant: str
 
     def __post_init__(self):
-        if self.variant not in ("step", "odd"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown exact solution variant {self.variant!r}")
 
     @property
@@ -208,6 +212,21 @@ def exact_eval(sol: ExactSolution, t: float, x):
 def sample_exact(sol: ExactSolution, t: float, grid: Grid1D) -> Field:
     """Midpoint-sampled exact solution as a Field (second-order accurate)."""
     return Field(grid, np.asarray(exact_eval(sol, t, grid.centers), dtype=float), t)
+
+
+def sample_oracle(
+    variant: str = "step",
+    t: float = 0.5,
+    x_min: float = -4.0,
+    x_max: float = 4.0,
+    n_cells: int = 2048,
+) -> Field:
+    """Sample a closed-form entropy solution on a uniform grid.
+
+    ``sample_exact`` of ``ExactSolution(variant)`` at time t on n_cells
+    cells of [x_min, x_max]; the ``lab oracle`` command writes it to CSV.
+    """
+    return sample_exact(ExactSolution(variant), t, Grid1D(x_min, x_max, n_cells))
 
 
 def baricenter_lower_bound(

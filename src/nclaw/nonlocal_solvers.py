@@ -30,7 +30,6 @@ __all__ = [
     "CharacteristicsCrossed",
     "ParticleEnsemble",
     "NonlocalRunConfig",
-    "convolve_particles",
     "lf_step",
     "particle_step",
     "particle_velocity_and_bound",
@@ -77,11 +76,6 @@ class ParticleEnsemble:
         return ParticleEnsemble(
             self.positions.copy(), self.masses.copy(), self.time_stamp
         )
-
-
-def convolve_particles(e: ParticleEnsemble, k: Kernel, x):
-    """(u * eta_eps)(x) for the particle measure: sum_j m_j eta_eps(x - X_j)."""
-    return _convolve_atoms(e.positions, e.masses, k, x)
 
 
 def sample_particles(initial: Field) -> ParticleEnsemble:
@@ -265,6 +259,7 @@ def ensemble_diagnostics(
 
 _LF_CFL = 0.45  # Courant number of the Lax-Friedrichs runs
 _ENTROPY_DX_OVER_EPS = 0.1  # particle entropy: deposition grid spacing / eps
+SCHEMES = ("particles", "lax_friedrichs")
 
 
 @dataclass
@@ -275,15 +270,14 @@ class NonlocalRunConfig:
     grid: Grid1D
     kernel: Kernel
     t_end: float
-    scheme: str = "particles"  # "particles" | "lax_friedrichs"
+    scheme: str = "particles"  # one of SCHEMES
     n_outputs: int = 40
     windows: tuple = ()
-    signed_masses: bool = False
 
     def __post_init__(self):
         if self.t_end <= 0.0:
             raise ValueError("t_end must be positive")
-        if self.scheme not in ("particles", "lax_friedrichs"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
@@ -338,9 +332,6 @@ _MAX_HALVINGS = 30  # a crossing that survives dt / 2**30 is not a step-size iss
 
 def _run_particles(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
     e = sample_particles(initial)
-    if not cfg.signed_masses and np.any(e.masses < 0.0):
-        raise ValueError("signed initial masses require signed_masses=True")
-
     eps = cfg.kernel.epsilon
     span = cfg.grid.x_max - cfg.grid.x_min
     ent_grid = Grid1D(
@@ -350,8 +341,9 @@ def _run_particles(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
     )
     # sign partition at t=0 (odd-type data): positive mass left of 0,
     # negative right; preserved because characteristics cannot cross
-    partition_ok = cfg.signed_masses and bool(
-        np.all(e.positions[e.masses > 0] < 0.0)
+    partition_ok = bool(
+        np.any(e.masses < 0.0)
+        and np.all(e.positions[e.masses > 0] < 0.0)
         and np.all(e.positions[e.masses < 0] > 0.0)
     )
     n_rejected = 0
@@ -373,13 +365,10 @@ def _run_particles(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
         )
 
     def check(e):
-        if not cfg.signed_masses and np.any(e.masses < 0.0):
-            raise RuntimeError("nonnegative run produced negative masses")
-        if partition_ok:
-            if np.any(e.positions[e.masses > 0] >= 0.0) or np.any(
-                e.positions[e.masses < 0] <= 0.0
-            ):
-                raise RuntimeError("sign partition violated: mass crossed 0")
+        if np.any(e.positions[e.masses > 0] >= 0.0) or np.any(
+            e.positions[e.masses < 0] <= 0.0
+        ):
+            raise RuntimeError("sign partition violated: mass crossed 0")
 
     mass0 = e.masses.copy()
     res = march(
@@ -387,7 +376,7 @@ def _run_particles(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
         output_times(cfg.t_end, cfg.n_outputs),
         advance,
         lambda e: ensemble_diagnostics(e, cfg.windows, ent_grid),
-        check,
+        check if partition_ok else None,
     )
     assert np.array_equal(res.final.masses, mass0)  # transport never edits masses
     res.info.update(

@@ -34,7 +34,6 @@ def test_ce1_mass_gap_persists_at_smaller_eps():
         scheme="particles",
         n_outputs=5,
         windows=((-4.0, 0.0),),
-        signed_masses=True,
     )
     from nclaw.data import odd_datum
 
@@ -74,7 +73,7 @@ def test_ce1_lax_friedrichs_gate_reruns_on_half_the_cells():
 # ---------------------------------------------------------------------------
 # the pooled runs: this process and one forked helper
 
-TINY_CE1 = ["--no-emit", "ce1", "--n", "300", "--godunov-n", "512"]
+TINY_CE1 = ["--no-emit", "ce1", "--n-particles", "300", "--godunov-n", "512"]
 FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not FORK, reason="the runs are not pooled without fork")
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nclaw.data import odd_datum, step_datum
@@ -29,6 +31,13 @@ def hat_field(grid):
     return Field(grid, v)
 
 
+@st.composite
+def _cells_and_cut(draw):
+    """A cell count n and an interior edge index in [1, n - 1]."""
+    n = draw(st.integers(2, 1024))
+    return n, draw(st.integers(1, n - 1))
+
+
 class TestLpNorm:
     def test_unit_constant_on_unit_interval(self):
         for n in (2, 7, 64, 501):
@@ -51,15 +60,21 @@ class TestLpNorm:
         f = Field(grid, np.linspace(-3.0, 2.0, 10))
         assert lp_norm(f, math.inf) == 3.0
 
-    def test_homogeneity(self, rng):
-        grid = Grid1D(-1.0, 2.0, 257)
-        for _ in range(100):
-            v = rng.normal(size=257)
-            c = float(rng.normal() * 5)
-            for p in (1, 1.5, 2, 4, math.inf):
-                assert lp_norm(Field(grid, c * v), p) == pytest.approx(
-                    abs(c) * lp_norm(Field(grid, v), p), rel=1e-12, abs=1e-300
-                )
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 1024),
+        # |c| >= 1e-6 keeps c**4 * v**4 clear of underflow
+        c=st.one_of(st.just(0.0), st.floats(1e-6, 20.0), st.floats(-20.0, -1e-6)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(257, -3.7, 0)
+    def test_homogeneity(self, n, c, seed):
+        grid = Grid1D(-1.0, 2.0, n)
+        v = np.random.default_rng(seed).normal(size=n)
+        for p in (1, 1.5, 2, 4, math.inf):
+            assert lp_norm(Field(grid, c * v), p) == pytest.approx(
+                abs(c) * lp_norm(Field(grid, v), p), rel=1e-12, abs=1e-300
+            )
 
     def test_rejects_bad_p(self):
         f = Field(Grid1D(0, 1, 4), np.ones(4))
@@ -89,15 +104,18 @@ class TestWindowMass:
         f = sample_exact(ExactSolution("odd"), 0.25, grid)
         assert window_mass(f, -4.0, 0.0) == pytest.approx(0.75, abs=1e-6)
 
-    def test_additivity(self, rng):
-        grid = Grid1D(-1.0, 1.0, 500)
-        for _ in range(100):
-            f = Field(grid, rng.normal(size=500))
-            m = int(rng.integers(1, 499))
-            mid = grid.x_min + m * grid.dx
-            lhs = window_mass(f, -1.0, 1.0)
-            rhs = window_mass(f, -1.0, mid) + window_mass(f, mid, 1.0)
-            assert lhs == pytest.approx(rhs, abs=1e-14)
+    @settings(max_examples=100, deadline=None)
+    @given(cells_and_cut=_cells_and_cut(), seed=st.integers(0, 2**32 - 1))
+    @example((500, 250), 0)
+    def test_additivity(self, cells_and_cut, seed):
+        # splitting the domain at an interior edge splits its mass
+        n, m = cells_and_cut
+        grid = Grid1D(-1.0, 1.0, n)
+        f = Field(grid, np.random.default_rng(seed).normal(size=n))
+        mid = grid.x_min + m * grid.dx
+        lhs = window_mass(f, -1.0, 1.0)
+        rhs = window_mass(f, -1.0, mid) + window_mass(f, mid, 1.0)
+        assert lhs == pytest.approx(rhs, abs=1e-14)
 
     def test_snap_offsets_reported(self):
         # each end snaps to its nearest edge: [0.33, 0.68] covers [0.3, 0.7]
@@ -149,11 +167,17 @@ class TestEntropy:
         f = sample_exact(ExactSolution("step"), t, grid)
         assert entropy_functional(f) == pytest.approx(oracle, abs=2e-4)
 
-    def test_zero_one_valued_fields_exact_zero(self, rng):
-        grid = Grid1D(-1.0, 1.0, 400)
-        for _ in range(50):
-            v = (rng.random(400) < 0.3).astype(float)
-            assert entropy_functional(Field(grid, v)) == 0.0
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 1024),
+        fill=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(400, 0.3, 0)
+    def test_zero_one_valued_fields_exact_zero(self, n, fill, seed):
+        grid = Grid1D(-1.0, 1.0, n)
+        v = (np.random.default_rng(seed).random(n) < fill).astype(float)
+        assert entropy_functional(Field(grid, v)) == 0.0
 
     def test_jensen_lower_bound(self, rng):
         # entropy >= mass * ln(mass / support_length) for nonnegative fields

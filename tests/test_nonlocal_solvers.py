@@ -13,13 +13,12 @@ from nclaw.grids import (
     lp_norm,
     window_mass,
 )
-from nclaw.kernels import EVEN_BUMP, ONE_SIDED_LEFT, Kernel, convolve
+from nclaw.kernels import EVEN_BUMP, ONE_SIDED_LEFT, Kernel, convolve, convolve_particles
 from nclaw.local_entropy import CFLError
 from nclaw.nonlocal_solvers import (
     CharacteristicsCrossed,
     NonlocalRunConfig,
     ParticleEnsemble,
-    convolve_particles,
     deposit,
     lagrangian_entropy,
     lf_step,
@@ -92,7 +91,7 @@ class TestParticleStep:
         k = Kernel(EVEN_BUMP, 0.1)
         X = np.array([-0.6, -0.3, -0.1, 0.0, 0.1, 0.3, 0.6])
         m = np.array([0.2, 0.3, 0.1, 0.0, -0.1, -0.3, -0.2])
-        v0 = convolve_particles(ParticleEnsemble(X, m), k, 0.0)
+        v0 = convolve_particles(X, m, k, 0.0)
         assert abs(v0) < 1e-15
         e = ParticleEnsemble(X, m)
         for _ in range(50):
@@ -240,7 +239,7 @@ class TestRunNonlocal:
         cfg = NonlocalRunConfig(
             grid=grid, kernel=Kernel(EVEN_BUMP, 0.05),
             t_end=0.25, scheme="particles", n_outputs=10,
-            windows=((-4.0, 0.0),), signed_masses=True,
+            windows=((-4.0, 0.0),),
         )
         res = run_nonlocal(cfg, odd_datum(fine))
         wm = res.diagnostics.array("window_mass")
@@ -347,16 +346,8 @@ class TestRunNonlocal:
         assert np.all(np.abs(orders - 1.0) <= 0.25), orders
 
         xs = np.linspace(-1.0, 1.5, 51)
-        conv = [convolve_particles(final("particles", n), k, xs) for n in (300, 600, 1200, 2400)]
+        finals = [final("particles", n) for n in (300, 600, 1200, 2400)]
+        conv = [convolve_particles(e.positions, e.masses, k, xs) for e in finals]
         diffs = np.array([np.max(np.abs(a - b)) for a, b in zip(conv, conv[1:])])
         orders = np.log2(diffs[:-1] / diffs[1:])
         assert np.all(orders >= 1.5), orders
-
-    def test_signed_masses_need_flag(self):
-        grid = Grid1D(-3.0, 3.0, 600)
-        cfg = NonlocalRunConfig(
-            grid=grid, kernel=Kernel(EVEN_BUMP, 0.1),
-            t_end=0.05, scheme="particles",
-        )
-        with pytest.raises(ValueError, match="signed"):
-            run_nonlocal(cfg, odd_datum(grid))

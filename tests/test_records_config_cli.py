@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from nclaw.cli import _build_parser, main
-from nclaw.config import ConfigError, parse_config
+from nclaw.config import COMMANDS, DEFAULTS, ConfigError, command_function, parse_config
 from nclaw.experiments import Check, GateResult, grid_convergence_gate
 from nclaw.grids import Field, Grid1D
 from nclaw.records import (
@@ -153,13 +154,13 @@ class TestEmitReport:
 class TestConfig:
     def test_empty_is_all_defaults(self):
         cfg = parse_config("")
-        assert cfg["ce1"]["epsilon"] == 0.05
+        assert cfg["ce1"]["eps"] == 0.05
         assert cfg["rate"]["eps_list"] == [0.2, 0.1, 0.05, 0.025]
 
     def test_override(self):
-        cfg = parse_config("[ce1]\nepsilon = 0.025\n")
-        assert cfg["ce1"]["epsilon"] == 0.025
-        assert cfg["ce2"]["epsilon"] == 0.05
+        cfg = parse_config("[ce1]\neps = 0.025\n")
+        assert cfg["ce1"]["eps"] == 0.025
+        assert cfg["ce2"]["eps"] == 0.05
 
     def test_unknown_key_named_with_line(self):
         with pytest.raises(ConfigError, match="line 2.*frobnicate"):
@@ -174,12 +175,30 @@ class TestConfig:
             parse_config("[ce1]\ngodunov_n = soon\n")
 
     def test_negative_epsilon_rejected(self):
-        with pytest.raises(ConfigError, match="epsilon must be > 0"):
-            parse_config("[ce1]\nepsilon = -1\n")
+        with pytest.raises(ConfigError, match="eps must be > 0"):
+            parse_config("[ce1]\neps = -1\n")
 
     def test_list_parsing(self):
         cfg = parse_config("[visc]\nnu_list = 0.2, 0.1\n")
         assert cfg["visc"]["nu_list"] == [0.2, 0.1]
+
+    def test_old_key_epsilon_is_unknown(self):
+        with pytest.raises(ConfigError, match="line 2: unknown key 'epsilon'"):
+            parse_config("[ce1]\nepsilon = 0.05\n")
+
+    @pytest.mark.parametrize("section", sorted(COMMANDS))
+    def test_keys_and_flags_are_the_signature_parameters(self, section):
+        # one name per setting: config key = parameter, flag = --key-with-dashes
+        params = inspect.signature(command_function(section)).parameters
+        assert list(DEFAULTS[section]) == list(params)
+        (sub,) = [a for a in _build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        flags = {a.dest: a.option_strings for a in sub.choices[section]._actions
+                 if a.dest != "help"}
+        assert sorted(flags) == sorted(params)
+        for name, p in params.items():
+            prefix = "--no-" if p.default is True else "--"
+            assert flags[name] == [prefix + name.replace("_", "-")]
 
 
 class TestCLI:
@@ -188,7 +207,7 @@ class TestCLI:
         assert code == 0
         out = capsys.readouterr().out.strip()
         assert out.endswith(".csv")
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "x,u"
 
     def test_oracle_outside_validity_is_usage_error(self, tmp_path):
@@ -197,13 +216,13 @@ class TestCLI:
 
     def test_bad_config_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("[ce1]\nepsilon = -3\n")
+        bad.write_text("[ce1]\neps = -3\n")
         code = main(["--config", str(bad), "oracle"])
         assert code == 1
 
     def test_tiny_ce1_passes_and_emits(self, tmp_path, capsys):
         code = main(
-            ["--out", str(tmp_path), "ce1", "--n", "300", "--godunov-n", "1024"]
+            ["--out", str(tmp_path), "ce1", "--n-particles", "300", "--godunov-n", "1024"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -236,6 +255,50 @@ class TestCLI:
         )
         assert main(["--no-emit", "rate"]) == EXIT_NUMERICAL
         assert "non-finite advected state" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, raw", [
+        ("ce1", "n_particles", "-5"),
+        ("ce1", "solver", "spectral"),
+        ("ce2", "godunov_n", "soon"),
+        ("rate", "eps_list", "0.1,-0.2"),
+        ("oracle", "n_cells", "-4"),
+    ])
+    def test_flag_value_is_validated_like_a_config_value(self, section, key, raw, capsys):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"[{section}]\n{key} = {raw}\n")
+        message = str(info.value).removeprefix("line 2: ")
+        flag = "--" + key.replace("_", "-")
+        assert main(["--no-emit", section, flag, raw]) == 1
+        assert capsys.readouterr().err == f"error: {flag}: {message}\n"
+
+    def test_old_flag_n_is_rejected(self, capsys):
+        assert main(["--no-emit", "ce1", "--n", "300", "--no-gate"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["rate", "--p", "0.5"], "p=0.5"),
+        (["rate", "--eps-list", "0.2"], "eps_list=[0.2]"),
+        (["rate", "--eps-list", "0.1,0.1"], "eps_list=[0.1, 0.1]"),
+        (["visc", "--nu-list", "0.1"], "nu_list=[0.1]"),
+        (["ce2", "--n-particles", "1"], "n_particles"),
+        (["ce3", "--n-particles", "1"], "n_particles"),
+    ])
+    def test_input_without_a_verdict_is_rejected_before_any_run(
+        self, monkeypatch, capsys, argv, name
+    ):
+        import nclaw.experiments
+
+        monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
+        assert main(["--no-emit", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}") and "Traceback" not in err
+
+    def test_rate_at_p_1_records_an_open_beta_exponent(self, tmp_path, capsys):
+        code = main(["--out", str(tmp_path), "rate", "--p", "1", "--eps-list", "0.4,0.2",
+                     "--t-end", "0.2", "--no-gate"])
+        assert code in (0, 2)
+        (report,) = tmp_path.glob("rate-*/report.json")
+        assert json.loads(report.read_text())["numbers"]["beta_exponent"] is None
 
     def test_exit_code_mapping(self):
         from nclaw.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, EXIT_USAGE
