@@ -43,8 +43,10 @@ def _flag(key: str, default) -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: a misspelt flag must not set another setting
     p = argparse.ArgumentParser(
         prog="lab",
+        allow_abbrev=False,
         description="1D nonlocal conservation-law laboratory: counterexample "
         "scenarios, convergence-rate experiments and the closed-form oracle.",
     )
@@ -56,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for section in COMMANDS:
         doc = inspect.getdoc(command_function(section)) or ""
         summary = " ".join(doc.split("\n\n")[0].split())
-        sp = sub.add_parser(section, help=summary, description=summary)
+        sp = sub.add_parser(section, help=summary, description=summary,
+                            allow_abbrev=False)
         for key, default in DEFAULTS[section].items():
             flag = _flag(key, default)
             if default is True:

@@ -58,7 +58,7 @@ DEFAULTS = {
     **{section: _signature_defaults(section) for section in COMMANDS},
 }
 
-_POSITIVE_KEYS = {"eps", "t_end", "nu", "width", "t", "n_particles", "godunov_n", "n_cells"}
+_POSITIVE_KEYS = {"eps", "t_end", "nu", "width", "n_particles", "godunov_n", "n_cells"}
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -83,6 +83,8 @@ def validate(key: str, value, where: str):
     ConfigError naming ``where`` (a config line or a flag)."""
     if key in _POSITIVE_KEYS and not value > 0:
         raise ConfigError(f"{where}: {key} must be > 0")
+    if key == "t" and not value >= 0:  # the oracle holds from the datum on
+        raise ConfigError(f"{where}: t must be >= 0")
     if key in ("eps_list", "nu_list"):
         if not value or any(not x > 0 for x in value):
             raise ConfigError(f"{where}: {key} entries must be > 0")

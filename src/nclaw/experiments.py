@@ -348,6 +348,8 @@ def counterexample_1(
     exposed instead (the check is then expected to fail).
     """
     params = dict(locals())  # the manifest records every argument
+    if n_particles < 1:
+        raise ValueError(f"n_particles={n_particles} must be >= 1")
     kernel = Kernel(EVEN_BUMP, eps)
     window = (-4.0, 0.0)
     diag_grid = Grid1D(-4.5, 4.5, 4500)

@@ -41,7 +41,7 @@ class NonFiniteState(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _lapack() -> tuple:
-    """SciPy's ``dgttrf``, ``dgttrs`` and ``LinAlgError``, imported once per process.
+    """SciPy's ``dpttrf``, ``dpttrs`` and ``LinAlgError``, imported once per process.
 
     Only the viscous solver needs SciPy, so importing nclaw does not load
     it. Each ``ViscousRunConfig`` loads it, so that a process which builds
@@ -49,9 +49,9 @@ def _lapack() -> tuple:
     already imported.
     """
     from scipy.linalg import LinAlgError
-    from scipy.linalg.lapack import dgttrf, dgttrs
+    from scipy.linalg.lapack import dpttrf, dpttrs
 
-    return dgttrf, dgttrs, LinAlgError
+    return dpttrf, dpttrs, LinAlgError
 
 
 _CFL = 0.9  # Courant number of the advection substep (Rusanov is monotone up to 1)
@@ -99,23 +99,17 @@ def _cell_speeds(cfg: ViscousRunConfig, V: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _backward_euler_factors(n: int, r: float) -> tuple:
-    """LAPACK LU factors (dgttrf) of I - r*D2 on n cells, zero-Dirichlet.
+    """LAPACK LDL^T factors (dpttrf) of I - r*D2 on n cells, zero-Dirichlet.
 
-    The matrix is bordered by one decoupled identity row, because SciPy's
-    dgttrf/dgttrs wrappers reject off-diagonals of length 1 (n = 2). The
-    border changes no operation on the first n rows and its unknown solves
-    to 0. The matrix is diagonally dominant, so nothing is pivoted and the
-    solve performs the operations of dgtsv (``solve_banded``) bit for bit.
-    One entry suffices: a run holds one grid and mostly one step size.
+    The matrix is symmetric positive definite for r >= 0, so the factors
+    need no pivoting and the solve performs the operations of ``ptsv``
+    (``solveh_banded``). One entry suffices: a run holds one grid and
+    mostly one step size.
     """
-    dgttrf, _, LinAlgError = _lapack()
-    off = np.full(n, -r)
-    off[-1] = 0.0
-    diag = np.full(n + 1, 1.0 + 2.0 * r)
-    diag[-1] = 1.0
-    *factors, info = dgttrf(off, diag, off)
+    dpttrf, _, LinAlgError = _lapack()
+    *factors, info = dpttrf(np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r))
     if info > 0:
-        raise LinAlgError("singular matrix")
+        raise LinAlgError("matrix not positive definite")
     return tuple(factors)
 
 
@@ -124,21 +118,17 @@ def diffusion_substep(u: np.ndarray, nu: float, dt: float, dx: float) -> np.ndar
 
     The matrix is a tridiagonal M-matrix, so the substep obeys the maximum
     principle min(u, 0) <= out <= max(u, 0) and is unconditionally stable.
-    Its LU factors are kept for the last cell count and nu*dt/dx^2, so while
-    the step size repeats each call only back-substitutes.
+    Its LDL^T factors are kept for the last cell count and nu*dt/dx^2, so
+    while the step size repeats each call only back-substitutes.
     """
-    n = u.size
     r = nu * dt / (dx * dx)
     if not (math.isfinite(r) and np.isfinite(u).all()):
         raise ValueError("diffusion substep: non-finite matrix or right-hand side")
-    b = np.empty(n + 1)
-    b[:n] = u
-    b[n] = 0.0  # the border unknown
-    _, dgttrs, _ = _lapack()
-    out, info = dgttrs(*_backward_euler_factors(n, r), b, overwrite_b=True)
+    _, dpttrs, _ = _lapack()
+    out, info = dpttrs(*_backward_euler_factors(u.size, r), u)
     if info < 0:
-        raise ValueError(f"dgttrs: illegal value in argument {-info}")
-    return out[:n]
+        raise ValueError(f"dpttrs: illegal value in argument {-info}")
+    return out
 
 
 def imex_step(

@@ -21,6 +21,17 @@ from nclaw.nonlocal_solvers import CharacteristicsCrossed, NonlocalRunConfig, ru
 from nclaw.viscous import NonFiniteState
 
 
+@pytest.mark.parametrize("n_particles", [-5, 0])
+def test_ce1_rejects_a_particle_count_below_one_before_any_run(monkeypatch, n_particles):
+    # ce1 rounds its count to a multiple of 4; a count below 1 must not
+    # round up to 4 particles and pass
+    import nclaw.experiments
+
+    monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
+    with pytest.raises(ValueError, match="n_particles"):
+        counterexample_1(n_particles=n_particles, godunov_n=512, gate=False)
+
+
 def test_ce1_mass_gap_persists_at_smaller_eps():
     # the equality branch of the half-line mass identity is uniform in eps:
     # rerun the nonlocal side with eps = 0.025 (shorter horizon, fewer

@@ -48,11 +48,11 @@ GOLDEN = [
      "9bf47de56426b4ff52eac65fd23156e8e6b94363b5cb13b331ccbf24d51c771d"),
     ("rate", "singular_limit_rate", dict(eps_list=(0.4, 0.2), t_end=0.2),
      "rate-5d5d7e979357829b", "FAIL", 0,
-     "aa46399be564a0be618cbb0afa06cb35af86849de2016d06e935e179252eed12",
+     "8ae0392e995a0d9605c6353f7a9407ba7e5eeab706ae9bebbd637bc62acd2f6f",
      hashlib.sha256(b"").hexdigest()),
     ("visc", "vanishing_viscosity", dict(nu_list=(0.1, 0.03), t_end=0.1),
      "visc-15a01de0cf99a9dd", "FAIL", 0,
-     "5ff0859e2c56764fad0b6803642c51d823a4e8d470855622d8d19de0275deb96",
+     "a18e25714e5db303813f87e8c4bcae7c7af99784fdf8d0e0deeb9763ecba2c5a",
      hashlib.sha256(b"").hexdigest()),
 ]
 

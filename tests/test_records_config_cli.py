@@ -9,6 +9,7 @@ import pytest
 
 from nclaw.cli import _build_parser, main
 from nclaw.config import COMMANDS, DEFAULTS, ConfigError, command_function, parse_config
+from nclaw.data import odd_datum, step_datum
 from nclaw.experiments import Check, GateResult, grid_convergence_gate
 from nclaw.grids import Field, Grid1D
 from nclaw.records import (
@@ -210,6 +211,17 @@ class TestCLI:
         lines = Path(out).read_text().splitlines()
         assert lines[0] == "x,u"
 
+    @pytest.mark.parametrize("variant, datum", [("step", step_datum), ("odd", odd_datum)])
+    def test_oracle_at_t_0_writes_the_datum(self, tmp_path, capsys, variant, datum):
+        # the closed forms hold from t = 0, where they are the scenario data
+        code = main(["--out", str(tmp_path), "oracle", "--variant", variant, "--t", "0"])
+        assert code == 0
+        out = Path(capsys.readouterr().out.strip())
+        assert out.name == f"oracle_{variant}_t0.csv"
+        rows = out.read_text().splitlines()[1:]
+        u = np.array([float(row.split(",")[1]) for row in rows])
+        assert np.array_equal(u, datum(Grid1D(-4.0, 4.0, 2048)).values)
+
     def test_oracle_outside_validity_is_usage_error(self, tmp_path):
         code = main(["--out", str(tmp_path), "oracle", "--variant", "odd", "--t", "0.5"])
         assert code == 1
@@ -262,6 +274,7 @@ class TestCLI:
         ("ce2", "godunov_n", "soon"),
         ("rate", "eps_list", "0.1,-0.2"),
         ("oracle", "n_cells", "-4"),
+        ("oracle", "t", "-0.5"),
     ])
     def test_flag_value_is_validated_like_a_config_value(self, section, key, raw, capsys):
         with pytest.raises(ConfigError) as info:
@@ -274,6 +287,19 @@ class TestCLI:
     def test_old_flag_n_is_rejected(self, capsys):
         assert main(["--no-emit", "ce1", "--n", "300", "--no-gate"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, prefix", [
+        (["rate", "--eps", "0.4,0.2", "--t-end", "0.1", "--no-gate"], "--eps"),
+        (["visc", "--nu", "0.1,0.03", "--t-end", "0.1", "--no-gate"], "--nu"),
+        (["--no-em", "ce1", "--n-particles", "300", "--no-gate"], "--no-em"),
+    ], ids=["rate-eps", "visc-nu", "lab-no-em"])
+    def test_flag_prefix_is_a_usage_error(self, monkeypatch, capsys, argv, prefix):
+        # a prefix of a flag name does not stand for the flag
+        import nclaw.experiments
+
+        monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, name", [
         (["rate", "--p", "0.5"], "p=0.5"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 from nclaw.data import gaussian_datum, step_datum
 from nclaw.grids import Field, Grid1D, lp_norm
@@ -116,7 +116,16 @@ class TestImexStep:
 
 
 def banded_reference(u, nu, dt, dx):
-    """The backward-Euler substep as a fresh banded solve (LAPACK dgtsv)."""
+    """The backward-Euler substep as a fresh SPD banded solve (LAPACK ptsv)."""
+    r = nu * dt / (dx * dx)
+    ab = np.empty((2, u.size))
+    ab[0, :] = -r  # the superdiagonal, upper form: ab[0, 0] is not read
+    ab[1, :] = 1.0 + 2.0 * r
+    return solveh_banded(ab, u)
+
+
+def general_banded_reference(u, nu, dt, dx):
+    """The same substep as a general pivoted banded solve (LAPACK gtsv)."""
     r = nu * dt / (dx * dx)
     ab = np.zeros((3, u.size))
     ab[0, 1:] = -r
@@ -160,6 +169,15 @@ class TestDiffusionSubstep:
             assert np.array_equal(u, u_in)  # the right-hand side is not overwritten
         after = _backward_euler_factors.cache_info()
         assert after.hits > before.hits and after.misses > before.misses
+
+    def test_agrees_with_general_banded_solve(self, rng):
+        # the LDL^T solve and a pivoted LU solve of the same system differ
+        # only by rounding
+        for n, dt in SOLVE_CASES:
+            u = rng.normal(size=n)
+            out = diffusion_substep(u, 0.3, dt, 0.01)
+            ref = general_banded_reference(u, 0.3, dt, 0.01)
+            assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_right_hand_side_rejected(self, bad):
