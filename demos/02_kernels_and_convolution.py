@@ -9,7 +9,7 @@ convolve exactly as atomic measures.
 
 import numpy as np
 
-from nclaw import Field, Grid1D, Kernel, convolve, kernel_eval, lp_norm
+from nclaw import Field, Grid1D, Kernel, convolve, lp_norm
 from nclaw.kernels import (
     HeatKernelSpec,
     convolve_particles,
@@ -21,8 +21,8 @@ from nclaw.kernels import (
 eps = 0.05
 even = Kernel("even_bump", eps)
 left = Kernel("one_sided_left", eps)
-print(f"even bump:  support {even.support}, peak {kernel_eval(even, 0.0):.3f}")
-print(f"one-sided:  support {left.support}, peak {kernel_eval(left, -eps / 2):.3f}")
+print(f"even bump:  support {even.support}, peak {float(even.eval(0.0)):.3f}")
+print(f"one-sided:  support {left.support}, peak {float(left.eval(-eps / 2)):.3f}")
 print("the normalization is closed-form; unit mass is verified at construction (to 1e-12)")
 
 grid = Grid1D(-2.0, 2.0, 800)

@@ -30,7 +30,6 @@ from .kernels import (
     heat_kernel_eval,
     heat_kernel_grad_lq_norm,
     heat_kernel_l1_norm,
-    kernel_eval,
 )
 from .data import gaussian_datum, odd_datum, step_datum
 from .local_entropy import (
@@ -78,7 +77,6 @@ __all__ = [
     "heat_kernel_eval",
     "heat_kernel_grad_lq_norm",
     "heat_kernel_l1_norm",
-    "kernel_eval",
     "gaussian_datum",
     "odd_datum",
     "step_datum",

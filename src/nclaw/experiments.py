@@ -176,6 +176,16 @@ def _support_datum_grid(x_min, x_max, support_len, n_particles):
     return Grid1D(x_min, x_max, n)
 
 
+def _check_oracle_horizon(variant: str, t_end: float) -> ExactSolution:
+    """The exact solution a verdict reads, after rejecting a t_end it is not valid at."""
+    oracle = ExactSolution(variant)
+    lo, hi = oracle.validity
+    if not lo <= t_end <= hi:
+        raise ValueError(f"t_end={t_end} is outside the validity [{lo}, {hi}] of the "
+                         f"{variant!r} exact solution the verdict reads")
+    return oracle
+
+
 def _nonlocal(scheme, grid, kernel, t_end, n_outputs, initial, **cfg):
     """An inviscid nonlocal run (cfg: further config fields)."""
     return run_nonlocal(
@@ -350,6 +360,7 @@ def counterexample_1(
     params = dict(locals())  # the manifest records every argument
     if n_particles < 1:
         raise ValueError(f"n_particles={n_particles} must be >= 1")
+    oracle = _check_oracle_horizon("odd", t_end)
     kernel = Kernel(EVEN_BUMP, eps)
     window = (-4.0, 0.0)
     diag_grid = Grid1D(-4.5, 4.5, 4500)
@@ -392,7 +403,7 @@ def counterexample_1(
     def judge(r, main, rerun):
         nl, gd, lf = r["nonlocal"], r["godunov"], r["lf_coarse"]
         oracle_grid = Grid1D(-4.5, 4.5, 9000)
-        oracle_wm = window_mass(sample_exact(ExactSolution("odd"), t_end, oracle_grid), *window)
+        oracle_wm = window_mass(sample_exact(oracle, t_end, oracle_grid), *window)
         return {
             "checks": [
                 Check("nonlocal_window_mass", main["nonlocal_window_mass"], 0.98, 1.02,
@@ -599,6 +610,7 @@ def counterexample_3(
     finite-volume run whose numerical viscosity visibly dissipates.
     """
     params = dict(locals())  # the manifest records every argument
+    oracle = _check_oracle_horizon("step", t_end)
     kernel = Kernel(EVEN_BUMP, eps)
     diag_grid = Grid1D(-2.0, 1.5, 1400)
     # finite-volume nonlocal run at dx = eps/20: resolved in eps but its
@@ -633,7 +645,7 @@ def counterexample_3(
     def judge(r, main, rerun):
         nl, gd, fv, lf = r["nonlocal"], r["godunov"], r["fv"], r["lf_coarse"]
         oracle_grid = Grid1D(-2.0, 2.0, 16000)
-        oracle_ent = entropy_functional(sample_exact(ExactSolution("step"), t_end, oracle_grid))
+        oracle_ent = entropy_functional(sample_exact(oracle, t_end, oracle_grid))
         return {
             "checks": [
                 Check("nonlocal_entropy_at_T", main["nonlocal_entropy_at_T"], -0.05, 0.05,

@@ -24,7 +24,6 @@ from .grids import Field
 
 __all__ = [
     "Kernel",
-    "kernel_eval",
     "convolve",
     "convolve_particles",
     "convolve_particles_slope",
@@ -102,11 +101,6 @@ class Kernel:
 
     def eval(self, x) -> np.ndarray:
         return self.normalization * self._raw(x)
-
-
-def kernel_eval(k: Kernel, x: float) -> float:
-    """Pointwise value of the scaled kernel eta_eps at x."""
-    return float(k.eval(np.array([x]))[0])
 
 
 @lru_cache(maxsize=8)
@@ -198,24 +192,25 @@ def convolve(f: Field, k: Kernel) -> Field:
     return Field(f.grid, g.reshape(-1)[:n], f.time_stamp)
 
 
-_TINY = 1e-300
-_TILE_CELLS = 16384  # query points x atom offsets evaluated per tile
+# 1 - s^2 at or below this drops the term: it is below exp(-700)|m_j|, and
+# every exp argument stays in [-700, -1], where exp takes its fast path
+_EDGE = 1.0 / 700.0
+_TILE_CELLS = 32768  # query points x atom offsets per tile; the fastest of 16k-64k
 
 
 def _tile_ends(count: np.ndarray) -> list[int]:
-    """End indices of consecutive tiles of query points, each >= 2 points.
+    """End indices of consecutive tiles of query points.
 
     A tile of rows query points, w the largest reach count among them,
-    holds rows x w cells and grows while that stays within ``_TILE_CELLS``.
-    A trailing single point joins the tile before it.
+    holds rows x w cells and grows while that stays within ``_TILE_CELLS``;
+    a point whose reach alone is wider is a tile of its own.
     """
     n = count.size
     ends, a = [], 0
     while a < n:
         look = min(n - a, _TILE_CELLS // max(int(count[a]), 1))
         cells = np.maximum.accumulate(count[a : a + look]) * np.arange(1, look + 1)
-        b = a + max(2, int(np.searchsorted(cells, _TILE_CELLS, side="right")))
-        a = n if n - b < 2 else b
+        a += max(1, int(np.searchsorted(cells, _TILE_CELLS, side="right")))
         ends.append(a)
     return ends
 
@@ -227,71 +222,70 @@ def _atom_sums(X, m, k: Kernel, xq, slope: bool):
     sum_j |m_j| |eta_eps'(xq - X_j)|, with one exp per pair and the
     normalization applied once at the end.
 
-    Consecutive query points are evaluated together as one tile (see
-    ``_tile_ends``), a (w, rows) array whose column i holds the atoms
-    j0_i + r, r < w (j0_i = first atom in reach of point i, w = largest
-    reach count in the tile). The columns are gathered at once from a
-    transposed sliding-window view of the padded atoms. Atoms past a point's
-    reach, and the zero-mass padding behind the last atom, evaluate to an
-    exact +-0.
+    Positions are scaled once per call, Y = X c/eps and yq = xq c/eps + c - 1
+    (c = 1 for the even bump, 2 for the one-sided one), so the bump
+    argument of a pair is the one subtraction s = yq - Y_j. Consecutive
+    query points are evaluated together as one query-major tile (see
+    ``_tile_ends``): a (rows, w) array whose row i holds the atoms j0_i + r,
+    r < w (j0_i = first atom in reach of point i, w = largest reach count in
+    the tile), gathered by fancy indexing from a sliding-window view of the
+    padded atoms. Each row is summed by one contiguous dot product, NumPy's
+    own einsum loop and no BLAS, so the bytes do not depend on the BLAS
+    kernel. Every tile writes into the same four 64-byte aligned buffers:
+    NumPy's AVX-512 loops run up to twice as slow when their stores straddle
+    cache lines.
 
-    The terms go into a (w + 1, rows) buffer whose row 0 is +0.0, reduced
-    over axis 0. NumPy adds the rows one after another for each column (it
-    sums pairwise only along the contiguous axis), so every point is summed
-    left to right in j from +0.0, and the +-0 terms change no bit. A tile
-    therefore needs at least 2 columns: with one, axis 0 is the contiguous
-    axis. A lone query point is evaluated twice.
+    Atoms with 1 - s^2 <= 1/700 weigh an exact +-0: their mass is masked
+    and 1 - s^2 is clamped at 1/700, so exp never sees an argument below
+    -700, where it leaves its fast path. That covers the atoms past a
+    point's reach, the zero-mass padding behind the last atom and the atoms
+    at the support edge, the one-sided self term included. An atom in reach
+    dropped this way has a true term below exp(-700) |m_j| ~ 1e-304 |m_j|.
     """
     lo, hi = k.support
-    n = xq.size
-    if n == 1:
-        acc, dacc = _atom_sums(X, m, k, np.repeat(xq, 2), slope)
-        return acc[:1], (dacc[:1] if slope else None)
     # eta_eps(x - X_j) != 0  <=>  X_j in (x - hi, x - lo)
     j0 = np.searchsorted(X, xq - hi, side="left")
     count = np.searchsorted(X, xq - lo, side="right") - j0
-    width = int(np.max(count)) if n else 0
+    width = int(np.max(count)) if xq.size else 0
     acc = np.zeros_like(xq)
     dacc = np.zeros_like(xq) if slope else None
     if width == 0:
         return acc, dacc
-    # finite far-right padding keeps every window in bounds without masking
-    far = max(float(X[-1]), float(xq.max())) + 2.0 * (hi - lo)
-    Xw = sliding_window_view(np.concatenate([X, np.full(width, far)]), width).T
-    mw = sliding_window_view(np.concatenate([m, np.zeros(width)]), width).T
-    one_sided = k.shape == ONE_SIDED_LEFT
+    c = 2.0 if k.shape == ONE_SIDED_LEFT else 1.0
+    Y = X * (c / k.epsilon)
+    yq = xq * (c / k.epsilon) + (c - 1.0)
+    # the padding sits at s <= -4, two support widths right of every point
+    far = max(float(Y[-1]), float(yq.max())) + 4.0
+    Yw = sliding_window_view(np.concatenate([Y, np.full(width, far)]), width)
+    mw = sliding_window_view(np.concatenate([m, np.zeros(width)]), width)
+    # cells of the largest tile, in whole 64-byte lines
+    cap = -(-max(_TILE_CELLS, width) // 8) * 8
+    buf = np.empty(4 * (cap + 8))
+    o = (-buf.ctypes.data % 64) // 8
+    S, T, M, G = (buf[o + i * (cap + 8):][:cap] for i in range(4))
     a = 0
     for b in _tile_ends(count):
         w = int(count[a:b].max())
-        s = Xw[:w, j0[a:b]]
-        np.subtract(xq[a:b], s, out=s)
-        s /= k.epsilon
-        if one_sided:
-            s *= 2.0
-            s += 1.0
-        t = np.multiply(s, s)
+        cells = (b - a) * w
+        s = np.subtract(yq[a:b, None], Yw[j0[a:b], :w], out=S[:cells].reshape(b - a, w))
+        t = np.multiply(s, s, out=T[:cells].reshape(b - a, w))
         np.subtract(1.0, t, out=t)
-        np.maximum(t, _TINY, out=t)  # outside the support: exp(-1/tiny) == 0
-        mj = mw[:w, j0[a:b]]
-        terms = np.empty((w + 1, b - a))
-        terms[0] = 0.0
-        g = np.divide(-1.0, t, out=None if slope else t)
+        mj = np.multiply(mw[j0[a:b], :w], t > _EDGE, out=M[:cells].reshape(b - a, w))
+        np.maximum(t, _EDGE, out=t)
+        g = np.divide(-1.0, t, out=G[:cells].reshape(b - a, w) if slope else t)
         np.exp(g, out=g)
-        np.multiply(g, mj, out=terms[1:])
-        np.add.reduce(terms, axis=0, out=acc[a:b])
+        np.einsum("ij,ij->i", g, mj, out=acc[a:b], optimize=False)
         if slope:
             # |d/dx exp(-1/(1-s^2))| = exp(...) * 2|s| / (1-s^2)^2 * ds/dx
-            g /= t
-            g /= t
+            g /= np.multiply(t, t, out=t)
             np.abs(s, out=s)
             s *= g
             np.abs(mj, out=mj)
-            np.multiply(mj, s, out=terms[1:])
-            np.add.reduce(terms, axis=0, out=dacc[a:b])
+            np.einsum("ij,ij->i", s, mj, out=dacc[a:b], optimize=False)
         a = b
     acc *= k.normalization
     if slope:
-        dacc *= k.normalization * 2.0 * (2.0 if one_sided else 1.0) / k.epsilon
+        dacc *= k.normalization * 2.0 * c / k.epsilon
     return acc, dacc
 
 
@@ -300,8 +294,11 @@ def convolve_particles(positions, masses, k: Kernel, x):
 
     Evaluates sum_j m_j * eta_eps(x - X_j) at each query point. ``positions``
     must be sorted ascending. Smooth in x because eta is smooth. Only
-    particles within the kernel support of each query point contribute, with
-    a fixed left-to-right summation order for reproducibility.
+    particles within the kernel support of each query point contribute; each
+    point's terms are added by one contiguous NumPy reduction without BLAS,
+    so a rerun on the same install gives the same bytes. A term with
+    1 - s^2 <= 1/700 (s the bump argument) is dropped; it is below
+    exp(-700) |m_j| (see ``_atom_sums``).
     """
     xq = np.atleast_1d(np.asarray(x, dtype=float))
     out, _ = _atom_sums(

@@ -32,7 +32,7 @@ GOLDEN = [
     ("ce1", "counterexample_1", dict(n_particles=300, godunov_n=512),
      "ce1-a6e396ad9b3253ff", "PASS", 62,
      "007255b555c50d586a514b003376c29f890c321ad003c6a2c82f8e277ab6dac9",
-     "4c4cd5c2ea971035446fdec87d701de3078b44102a729b0273132c8c6c2b5706"),
+     "067afe4fc313e4ab0105dfa03f524252b69ccc667c9d5213e721142e3233f5ae"),
     ("ce1_lax_friedrichs", "counterexample_1",
      dict(n_particles=300, godunov_n=512, solver="lax_friedrichs", gate=False),
      "ce1-020b2745f187133b", "FAIL", 62,
@@ -40,19 +40,19 @@ GOLDEN = [
      "a348592896d4461b1f9bcdf875a4cc912253b98ddb182e985c389dcc0b480899"),
     ("ce2", "counterexample_2", dict(n_particles=200, godunov_n=512),
      "ce2-42c3262a7a4a7ca9", "PASS", 137,
-     "1d318972d213414b70a88012ae7dd0452277df708268cd4c1c3b3b6a868d0d12",
-     "115ab89886c48869f54ff4e30d86c9674380e70868ce8eba106d1d8398442dcb"),
+     "1483bee999cc2044d075b14374ea1b3e375d95da43b6a6bb59effcf15b78fa53",
+     "43ca257e5ef7e1cb87b7aca9ebfb287450899b3c4ef59e785a11f33e4b9ab877"),
     ("ce3", "counterexample_3", dict(n_particles=200, godunov_n=512),
      "ce3-1d3ca951566f4874", "INCONCLUSIVE", 103,
-     "96ac5dc6821faa382289ac49c47dbb5c1c91051ad9bceb0527fb41943af0b48e",
-     "9bf47de56426b4ff52eac65fd23156e8e6b94363b5cb13b331ccbf24d51c771d"),
+     "d4b7d9c3a2bd72dd0fab7106d99216e268d9095e80aab34d08bf99d98f935a35",
+     "8c378cede67f797bc379935c8ab1a0bd8aa0496ddf3650462ff32f4efebceb16"),
     ("rate", "singular_limit_rate", dict(eps_list=(0.4, 0.2), t_end=0.2),
      "rate-5d5d7e979357829b", "FAIL", 0,
      "8ae0392e995a0d9605c6353f7a9407ba7e5eeab706ae9bebbd637bc62acd2f6f",
      hashlib.sha256(b"").hexdigest()),
     ("visc", "vanishing_viscosity", dict(nu_list=(0.1, 0.03), t_end=0.1),
      "visc-15a01de0cf99a9dd", "FAIL", 0,
-     "a18e25714e5db303813f87e8c4bcae7c7af99784fdf8d0e0deeb9763ecba2c5a",
+     "9b4f6b7779ef13a4f04e794063ad9919eccec338ad88af85d3628fc28d59b03d",
      hashlib.sha256(b"").hexdigest()),
 ]
 

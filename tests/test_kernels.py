@@ -25,7 +25,6 @@ from nclaw.kernels import (
     heat_kernel_eval,
     heat_kernel_grad_lq_norm,
     heat_kernel_l1_norm,
-    kernel_eval,
 )
 
 
@@ -40,18 +39,18 @@ class TestKernelShapes:
     def test_even_bump_compact_support(self):
         k = Kernel(EVEN_BUMP, 0.05)
         for x in (0.05, -0.05, 0.2, -1.0):
-            assert kernel_eval(k, x) == 0.0
+            assert float(k.eval(x)) == 0.0
 
     def test_even_symmetry_exact(self, rng):
         k = Kernel(EVEN_BUMP, 0.07)
         for x in rng.uniform(-0.07, 0.07, size=50):
-            assert kernel_eval(k, x) == kernel_eval(k, -x)
+            assert float(k.eval(x)) == float(k.eval(-x))
 
     def test_unit_mass_by_quadrature(self):
         for shape, eps in ((EVEN_BUMP, 0.05), (ONE_SIDED_LEFT, 0.05),
                            (EVEN_BUMP, 0.3), (ONE_SIDED_LEFT, 1.0)):
             k = Kernel(shape, eps)
-            total, _ = quad(lambda x: kernel_eval(k, x), *k.support, limit=200)
+            total, _ = quad(lambda x: float(k.eval(x)), *k.support, limit=200)
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_bump_mass_constant_matches_quadrature_oracle(self):
@@ -83,9 +82,9 @@ class TestKernelShapes:
     def test_one_sided_vanishes_right_of_origin(self):
         k = Kernel(ONE_SIDED_LEFT, 0.1)
         for x in (0.0, 1e-12, 0.05, 0.2):
-            assert kernel_eval(k, x) == 0.0
-        assert kernel_eval(k, -0.05) > 0.0
-        assert kernel_eval(k, -0.1) == 0.0
+            assert float(k.eval(x)) == 0.0
+        assert float(k.eval(-0.05)) > 0.0
+        assert float(k.eval(-0.1)) == 0.0
 
     def test_nonnegative(self, rng):
         for shape in (EVEN_BUMP, ONE_SIDED_LEFT):
@@ -275,7 +274,7 @@ class TestConvolveParticles:
         expect = math.exp(-1.0) / (z * eps)
         got = convolve_particles(np.array([0.0]), np.array([1.0]), k, 0.0)
         assert got == pytest.approx(expect, rel=1e-9)
-        assert got == pytest.approx(kernel_eval(k, 0.0), rel=1e-13)
+        assert got == pytest.approx(float(k.eval(0.0)), rel=1e-13)
 
     def test_zero_outside_reach(self, rng):
         k = Kernel(EVEN_BUMP, 0.05)
@@ -378,26 +377,27 @@ KERNELS = {
 }
 
 
-def atom_sums_reference(X, m, k, xq):
-    """Per query point: NumPy terms of the atoms in reach, added left to right in j."""
+def atom_terms(X, m, k, x):
+    """The rounded per-atom terms of both sums at x over the atoms in reach.
+
+    Each term is computed on its own, from the bump argument in the scaled
+    coordinates the sums use: s = (x c/eps + c - 1) - X_j c/eps, c = 2 for
+    the one-sided kernel and 1 for the even one. Returns the conv terms
+    m_j exp(-1/t), the slope terms |m_j| |s| exp(-1/t)/t^2 (t = 1 - s^2;
+    both 0 where t <= 0) and the masses of the atoms with t <= 1/700, whose
+    terms the sums drop.
+    """
     lo, hi = k.support
-    one_sided = k.shape == ONE_SIDED_LEFT
-    conv, slope = [], []
-    for x in xq:
-        j = (X >= x - hi) & (X <= x - lo)
-        s = (x - X[j]) / k.epsilon
-        if one_sided:
-            s = s * 2.0 + 1.0
-        t = np.maximum(1.0 - s * s, 1e-300)
-        g = np.exp(-1.0 / t)
-        c = d = 0.0
-        for term in (g * m[j]).tolist():
-            c += term
-        for term in (np.abs(m[j]) * (g / t / t * np.abs(s))).tolist():
-            d += term
-        conv.append(c * k.normalization)
-        slope.append(d * (k.normalization * 2.0 * (2.0 if one_sided else 1.0) / k.epsilon))
-    return np.array(conv), np.array(slope)
+    c = 2.0 if k.shape == ONE_SIDED_LEFT else 1.0
+    j = (X >= x - hi) & (X <= x - lo)
+    s = (x * (c / k.epsilon) + (c - 1.0)) - X[j] * (c / k.epsilon)
+    t = 1.0 - s * s
+    inside = t > 0.0
+    tt = np.where(inside, t, 1.0)
+    g = np.where(inside, np.exp(-1.0 / tt), 0.0)
+    conv = g * m[j]
+    slope = np.abs(s) * (g / (tt * tt)) * np.abs(m[j])
+    return conv, slope, m[j][t <= 1.0 / 700.0]
 
 
 @st.composite
@@ -428,7 +428,27 @@ def atoms_and_queries(draw):
     return X, m, xq
 
 
-class TestAtomSumsBitExact:
+def exp_arguments(monkeypatch):
+    """Patch np.exp to record the smallest argument of every call."""
+    lowest, exp = [], np.exp
+
+    def spy(x, *args, **kwargs):
+        lowest.append(float(np.min(x)) if np.size(x) else 0.0)
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    return lowest
+
+
+def compressed_odd_ensemble(n):
+    """A ce1-like ensemble late in the run: odd masses +-1/n on (-1, 1), the
+    positions compressed towards the origin, where hundreds of atoms fall
+    within the reach of an eps = 0.05 kernel."""
+    y = (np.arange(n) + 0.5) / n * 2.0 - 1.0
+    return y * y * y, np.where(y < 0.0, 1.0, -1.0) / n
+
+
+class TestAtomSums:
     @settings(max_examples=60, deadline=None)
     @given(
         shape=st.sampled_from([EVEN_BUMP, ONE_SIDED_LEFT]),
@@ -436,22 +456,79 @@ class TestAtomSumsBitExact:
         case=atoms_and_queries(),
     )
     @example(EVEN_BUMP, 0.05, (np.array([0.0]), np.array([1.0]), 0.0))
+    @example(EVEN_BUMP, 0.05, (np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.array([0.0, 0.5])))
     @example(
         ONE_SIDED_LEFT,
         0.3,
         (np.linspace(-0.2, 0.2, 300), np.linspace(-1.0, 1.0, 300), np.array([0.1, 0.0])),
     )
-    def test_matches_left_to_right_reference(self, shape, eps, case):
+    def test_matches_exact_sum_within_rounding(self, shape, eps, case):
+        # oracle: math.fsum of the rounded per-atom terms in reach. Summing
+        # w of them in another order, the dot product's fused multiply-add
+        # and the normalization stay within 2 w u sum |terms| (u = 2^-53);
+        # a dropped edge term is below exp(-700) |m_j| for conv and, as
+        # exp(-1/t)/t^2 grows for t < 1/2, below 700^2 exp(-700) |m_j| for
+        # the slope. A point with no atom in reach reads exactly 0.0
         X, m, xq = case
         k = KERNELS[shape, eps]
-        ref_conv, ref_slope = atom_sums_reference(X, m, k, np.atleast_1d(xq))
+        c = 2.0 if shape == ONE_SIDED_LEFT else 1.0
         conv = convolve_particles(X, m, k, xq)
         if np.ndim(xq) == 0:
             assert isinstance(conv, float)
-        assert np.atleast_1d(conv).tobytes() == ref_conv.tobytes()
         conv2, slope = convolve_particles_slope(X, m, k, xq)
-        assert conv2.tobytes() == ref_conv.tobytes()
-        assert slope.tobytes() == ref_slope.tobytes()
+        assert np.atleast_1d(conv).tobytes() == conv2.tobytes()
+        u, edge = 2.0**-53, math.exp(-700.0)
+        for x, got, got_slope in zip(np.atleast_1d(xq), conv2, slope):
+            terms, slope_terms, dropped = atom_terms(X, m, k, x)
+            w = terms.size
+            if w == 0:
+                assert got == 0.0 and got_slope == 0.0
+            drop = edge * math.fsum(np.abs(dropped))
+            norm = k.normalization
+            assert abs(got - math.fsum(terms) * norm) <= (
+                2 * w * u * math.fsum(np.abs(terms)) + drop
+            ) * norm
+            norm = k.normalization * 2.0 * c / eps
+            assert abs(got_slope - math.fsum(slope_terms) * norm) <= (
+                2 * w * u * math.fsum(slope_terms) + 700.0**2 * drop
+            ) * norm
+
+    @settings(max_examples=30, deadline=None)
+    @given(eps=st.sampled_from([0.05, 0.3]), case=atoms_and_queries())
+    def test_one_sided_rightmost_atom_is_pinned(self, eps, case):
+        # nothing lies right of the rightmost atom, and its own term sits at
+        # the support edge: its velocity is exactly 0.0, as ce2's confinement
+        # needs, whatever the rounding of the scaled coordinates
+        X, m, _ = case
+        k = KERNELS[ONE_SIDED_LEFT, eps]
+        conv, slope = convolve_particles_slope(X, m, k, X)
+        assert conv[-1] == 0.0 and slope[-1] == 0.0
+        assert convolve_particles(X[-1:], m[-1:], k, X[-1]) == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.sampled_from([EVEN_BUMP, ONE_SIDED_LEFT]),
+        eps=st.sampled_from([0.05, 0.3]),
+        case=atoms_and_queries(),
+    )
+    def test_exp_stays_on_its_fast_path(self, shape, eps, case):
+        # np.exp is several times slower below -700, where its result nears
+        # the denormals, and one such lane slows its whole SIMD vector: no
+        # argument may fall below -700, out of reach or at the support edge
+        X, m, xq = case
+        with pytest.MonkeyPatch.context() as mp:
+            lowest = exp_arguments(mp)
+            convolve_particles_slope(X, m, KERNELS[shape, eps], xq)
+            convolve_particles(X, m, KERNELS[shape, eps], xq)
+        assert min(lowest, default=0.0) >= -700.0
+
+    def test_exp_stays_on_its_fast_path_in_a_compressed_ensemble(self, monkeypatch):
+        X, m = compressed_odd_ensemble(1200)
+        k = KERNELS[EVEN_BUMP, 0.05]
+        lowest = exp_arguments(monkeypatch)
+        conv, slope = convolve_particles_slope(X, m, k, X)
+        assert lowest and min(lowest) >= -700.0
+        assert np.all(np.isfinite(conv)) and np.max(slope) > 0.0
 
 
 class TestHeatKernel:

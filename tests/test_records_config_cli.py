@@ -308,6 +308,8 @@ class TestCLI:
         (["visc", "--nu-list", "0.1"], "nu_list=[0.1]"),
         (["ce2", "--n-particles", "1"], "n_particles"),
         (["ce3", "--n-particles", "1"], "n_particles"),
+        (["ce1", "--t-end", "0.3"], "t_end=0.3"),
+        (["ce3", "--t-end", "1.5"], "t_end=1.5"),
     ])
     def test_input_without_a_verdict_is_rejected_before_any_run(
         self, monkeypatch, capsys, argv, name
