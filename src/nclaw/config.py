@@ -16,7 +16,6 @@ from dataclasses import dataclass, field as dc_field
 from . import experiments, local_entropy
 from .kernels import SHAPES
 from .local_entropy import VARIANTS
-from .nonlocal_solvers import SCHEMES
 
 __all__ = ["COMMANDS", "ConfigError", "DEFAULTS", "LabConfig", "command_function",
            "parse_config", "parse_value", "validate"]
@@ -37,7 +36,7 @@ COMMANDS = {
     "oracle": (local_entropy, "sample_oracle"),
 }
 # keys with a fixed set of values: the tuples the library checks against
-CHOICES = {"solver": SCHEMES, "kernel_shape": SHAPES, "variant": VARIANTS}
+CHOICES = {"kernel_shape": SHAPES, "variant": VARIANTS}
 
 
 def command_function(section: str):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from functools import partial
 
 import numpy as np
@@ -61,15 +61,7 @@ class Check:
         return self.lo <= self.value <= self.hi
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "lo": self.lo,
-            "hi": self.hi,
-            "passed": self.passed,
-            "provenance": self.provenance,
-            "note": self.note,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass
@@ -176,6 +168,14 @@ def _support_datum_grid(x_min, x_max, support_len, n_particles):
     return Grid1D(x_min, x_max, n)
 
 
+def _godunov_grid(x_min, x_max, godunov_n, k):
+    """The Godunov grid at resolution k, which ``runs(k)`` builds before any run."""
+    if godunov_n // k < 2:
+        raise ValueError(f"godunov_n={godunov_n} must be >= {2 * k}"
+                         + (" with the gate on" if k > 1 else ""))
+    return Grid1D(x_min, x_max, godunov_n // k)
+
+
 def _check_oracle_horizon(variant: str, t_end: float) -> ExactSolution:
     """The exact solution a verdict reads, after rejecting a t_end it is not valid at."""
     oracle = ExactSolution(variant)
@@ -211,11 +211,11 @@ def _scenario(name: str, params: dict, runs, headline, judge, sweep=None) -> Sce
     """Run a scenario through the steps every scenario shares.
 
     ``runs(k)`` names the scenario's solver calls (zero-argument callables)
-    with its resolution parameter divided by k: the particle or
-    Lax-Friedrichs count and the Godunov cell count for the counterexamples,
-    the cell width for the viscous experiments. ``runs(1)`` may add calls
-    that only ``judge`` reads, and ``sweep(k, results)`` calls that read the
-    results of ``runs(k)``. The calls run at k = 1, and at k = 2 too when
+    with its resolution parameter divided by k: the particle count and the
+    Godunov cell count for the counterexamples, the cell width for the
+    viscous experiments. ``runs(1)`` may add calls that only ``judge``
+    reads, and ``sweep(k, results)`` calls that read the results of
+    ``runs(k)``. The calls run at k = 1, and at k = 2 too when
     ``params["gate"]`` is set; with the gate on, the independent calls of
     each round are pooled over two processes (``_pool``), the k = 2 calls
     first. ``headline(results, k)`` reduces the results of each k to the
@@ -347,15 +347,15 @@ def counterexample_1(
     n_particles: int = 2400,
     t_end: float = 0.25,
     godunov_n: int = 4096,
-    solver: str = "particles",
     gate: bool = True,
 ) -> ScenarioReport:
     """Half-line mass: conserved by the odd nonlocal flow, drained at unit
     rate by the standing shock of the entropy solution.
 
-    The nonlocal number comes from the particle solver by default; with
-    solver="lax_friedrichs" the masking behavior of a dissipative scheme is
-    exposed instead (the check is then expected to fail).
+    The nonlocal number comes from the particle solver. A Lax-Friedrichs run
+    on the 4500-cell sampling grid (dx = 0.04 eps at the preset) is reported
+    alongside: resolved in eps, its numerical viscosity still drains the
+    window mass, the evidence that had pointed the other way.
     """
     params = dict(locals())  # the manifest records every argument
     if n_particles < 1:
@@ -369,25 +369,20 @@ def counterexample_1(
     lf_grid = Grid1D(-4.5, 4.5, int(round(9.0 / eps)))
 
     def runs(k):
-        if solver == "lax_friedrichs":
-            run_grid = datum_grid = Grid1D(-4.5, 4.5, diag_grid.n_cells // k)
-        else:
-            run_grid = diag_grid
-            # multiples of 4 keep the datum edges and the origin on cell edges
-            # of the sampling grid, so the sampled window mass starts at exactly 1
-            n = 4 * max(1, round(n_particles // k / 4))
-            datum_grid = _support_datum_grid(-4.5, 4.5, 2.0, n)
+        # multiples of 4 keep the datum edges and the origin on cell edges
+        # of the sampling grid, so the sampled window mass starts at exactly 1
+        n = 4 * max(1, round(n_particles // k / 4))
+        datum_grid = _support_datum_grid(-4.5, 4.5, 2.0, n)
+        gd_grid = _godunov_grid(-4.5, 4.5, godunov_n, k)
         out = {
-            "nonlocal": lambda: _nonlocal(
-                solver, run_grid, kernel, t_end, 25, odd_datum(datum_grid),
-                windows=(window,),
-            ),
-            "godunov": lambda: run_local(
-                odd_datum(Grid1D(-4.5, 4.5, godunov_n // k)), t_end,
-                windows=(window,), n_outputs=25,
-            ),
+            "nonlocal": lambda: _nonlocal("particles", diag_grid, kernel, t_end, 25,
+                                          odd_datum(datum_grid), windows=(window,)),
+            "godunov": lambda: run_local(odd_datum(gd_grid), t_end, windows=(window,),
+                                         n_outputs=25),
         }
         if k == 1:
+            out["fv"] = lambda: _final(_nonlocal, "lax_friedrichs", diag_grid, kernel, t_end,
+                                       25, odd_datum(diag_grid), windows=(window,))
             out["lf_coarse"] = lambda: _nonlocal(
                 "lax_friedrichs", lf_grid, kernel, t_end, 10, odd_datum(lf_grid),
                 windows=(window,),
@@ -401,13 +396,13 @@ def counterexample_1(
         }
 
     def judge(r, main, rerun):
-        nl, gd, lf = r["nonlocal"], r["godunov"], r["lf_coarse"]
+        nl, gd, fv, lf = r["nonlocal"], r["godunov"], r["fv"], r["lf_coarse"]
         oracle_grid = Grid1D(-4.5, 4.5, 9000)
         oracle_wm = window_mass(sample_exact(oracle, t_end, oracle_grid), *window)
         return {
             "checks": [
                 Check("nonlocal_window_mass", main["nonlocal_window_mass"], 0.98, 1.02,
-                      provenance=solver),
+                      provenance="particles"),
                 Check("entropy_window_mass", main["entropy_window_mass"], 0.73, 0.77,
                       provenance="godunov"),
             ],
@@ -417,24 +412,26 @@ def counterexample_1(
                 "window": list(window),
                 "nonlocal_mass_total": nl.diagnostics.last("mass"),
                 "nonlocal_window_mass_initial": nl.diagnostics.array("window_mass")[0],
+                "fv_window_mass": fv.diagnostics.last("window_mass"),
+                "fv_dx_over_eps": diag_grid.dx / eps,
                 "lf_coarse_window_mass": lf.diagnostics.last("window_mass"),
                 "lf_coarse_dx": lf_grid.dx,
                 "godunov_window_mass_slope_band": [-1.05, -0.95],
             },
             "provenance": {
-                "nonlocal_window_mass": solver,
+                "nonlocal_window_mass": "particles",
                 "entropy_window_mass": f"godunov N={godunov_n}",
+                "fv_window_mass": f"lax_friedrichs N={diag_grid.n_cells}",
                 "lf_coarse_window_mass": f"lax_friedrichs N={lf_grid.n_cells}",
             },
             "series": {
                 "nonlocal": nl.diagnostics,
                 "godunov": gd.diagnostics,
+                "fv": fv.diagnostics,
                 "lf_coarse": lf.diagnostics,
             },
             "trajectories": {
-                "nonlocal": [
-                    s if isinstance(s, Field) else deposit(s, diag_grid) for s in nl.states
-                ],
+                "nonlocal": [deposit(s, diag_grid) for s in nl.states],
                 "godunov": gd.states,
             },
         }
@@ -469,14 +466,14 @@ def counterexample_2(
 
     def runs(k):
         datum_grid = _support_datum_grid(-1.5, 0.5, 1.0, n_particles // k)
+        gd_grid = _godunov_grid(-2.0, 2.0, godunov_n, k)
         out = {
             "nonlocal": lambda: _nonlocal(
                 "particles", diag_grid, kernel, t_end, 25, step_datum(datum_grid),
                 windows=(right_window,),
             ),
             "godunov": lambda: run_local(
-                step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), t_godunov,
-                windows=((0.0, 1.0),), n_outputs=75,
+                step_datum(gd_grid), t_godunov, windows=((0.0, 1.0),), n_outputs=75,
             ),
         }
         if k == 1:
@@ -621,13 +618,12 @@ def counterexample_3(
 
     def runs(k):
         datum_grid = _support_datum_grid(-2.0, 1.5, 1.0, n_particles // k)
+        gd_grid = _godunov_grid(-2.0, 2.0, godunov_n, k)
         out = {
             "nonlocal": lambda: _nonlocal(
                 "particles", diag_grid, kernel, t_end, 25, step_datum(datum_grid),
             ),
-            "godunov": lambda: run_local(
-                step_datum(Grid1D(-2.0, 2.0, godunov_n // k)), t_end, n_outputs=50,
-            ),
+            "godunov": lambda: run_local(step_datum(gd_grid), t_end, n_outputs=50),
         }
         if k == 1:
             out["fv"] = lambda: _nonlocal("lax_friedrichs", fv_grid, kernel, t_end, 25,

@@ -13,7 +13,13 @@ import pytest
 
 import nclaw
 from nclaw.cli import main
-from nclaw.experiments import _pool, counterexample_1, singular_limit_rate
+from nclaw.experiments import (
+    _pool,
+    counterexample_1,
+    counterexample_2,
+    counterexample_3,
+    singular_limit_rate,
+)
 from nclaw.grids import Grid1D
 from nclaw.kernels import EVEN_BUMP, Kernel
 from nclaw.local_entropy import CFLError
@@ -30,6 +36,22 @@ def test_ce1_rejects_a_particle_count_below_one_before_any_run(monkeypatch, n_pa
     monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
     with pytest.raises(ValueError, match="n_particles"):
         counterexample_1(n_particles=n_particles, godunov_n=512, gate=False)
+
+
+@pytest.mark.parametrize("scenario", [counterexample_1, counterexample_2, counterexample_3])
+@pytest.mark.parametrize("godunov_n, gate, message", [
+    (3, True, "godunov_n=3 must be >= 4 with the gate on"),
+    (1, False, "godunov_n=1 must be >= 2$"),
+])
+def test_a_godunov_count_below_two_cells_is_rejected_before_any_run(
+    monkeypatch, scenario, godunov_n, gate, message
+):
+    # with the gate on the rerun halves the count: 3 cells become 1
+    import nclaw.experiments
+
+    monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
+    with pytest.raises(ValueError, match=message):
+        scenario(n_particles=300, godunov_n=godunov_n, gate=gate)
 
 
 def test_ce1_mass_gap_persists_at_smaller_eps():
@@ -73,12 +95,15 @@ def test_rate_extrapolates_its_distances_from_the_gate_rerun():
     assert singular_limit_rate(**kw, gate=False).numbers["distances_extrapolated"] is None
 
 
-def test_ce1_lax_friedrichs_gate_reruns_on_half_the_cells():
-    # the gate must compare two resolutions, not a run with itself
-    r = counterexample_1(n_particles=300, godunov_n=512, t_end=0.05,
-                         solver="lax_friedrichs", gate=True)
-    (cmp,) = [c for c in r.gate.comparisons if c["name"] == "nonlocal_window_mass"]
-    assert cmp["main"] != cmp["rerun"]
+def test_ce1_reports_the_resolved_lax_friedrichs_drain_beside_a_passing_check():
+    # resolved in eps (dx = 0.04 eps), the dissipative scheme still drains
+    # the half-line mass that the particle flow keeps: a side number, not a check
+    r = counterexample_1(n_particles=300, godunov_n=512, t_end=0.05, gate=False)
+    (check,) = [c for c in r.checks if c.name == "nonlocal_window_mass"]
+    assert check.passed and check.provenance == "particles"
+    assert r.numbers["fv_window_mass"] < 0.98
+    assert r.numbers["fv_dx_over_eps"] == 0.04
+    assert next(iter(r.series)) == "nonlocal" and "fv" in r.series
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +230,14 @@ def test_no_gate_starts_no_helper_and_runs_are_recorded(monkeypatch):
     r = counterexample_1(n_particles=300, godunov_n=512, gate=False)
     assert forks == []
     assert [(s["label"], s["k"], s["process"]) for s in r.manifest.run_stats] == [
-        ("nonlocal", 1, "parent"), ("godunov", 1, "parent"), ("lf_coarse", 1, "parent")]
+        ("nonlocal", 1, "parent"), ("godunov", 1, "parent"), ("fv", 1, "parent"),
+        ("lf_coarse", 1, "parent")]
     r = counterexample_1(n_particles=300, godunov_n=512)
     assert len(forks) == FORK
     stats = r.manifest.run_stats
     assert [(s["label"], s["k"]) for s in stats] == [
-        ("nonlocal", 2), ("godunov", 2), ("nonlocal", 1), ("godunov", 1), ("lf_coarse", 1)]
+        ("nonlocal", 2), ("godunov", 2), ("nonlocal", 1), ("godunov", 1), ("fv", 1),
+        ("lf_coarse", 1)]
     assert all(s["wall_s"] > 0.0 and s["n_steps"] > 0 for s in stats)
     assert [s["n_rejected"] for s in stats if s["label"] == "nonlocal"] == [0, 0]
     assert stats[1]["n_rejected"] is None  # Godunov runs reject no step

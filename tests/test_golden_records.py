@@ -5,39 +5,43 @@ of its ``report.json`` and of every CSV it writes, plus the run-directory
 name (the manifest hash): once with the gated runs pooled over two
 processes, once with fork hidden, so that they all run in one. A refactor
 of the solvers, the scenario layer or the records must leave every one of
-these unchanged. The gate is on in every preset but the Lax-Friedrichs
-one, and the presets cover all three verdicts, so the gate and verdict
-paths are pinned too. Every ``report.json`` and ``manifest.json`` must
-also read back through a strict JSON parser.
+these unchanged. The gate is on in every preset but ``ce1_no_gate``, and
+the presets cover all three verdicts, so the gate and verdict paths are
+pinned too. Every ``report.json`` and ``manifest.json`` must also read
+back through a strict JSON parser.
 
 The hashes belong to NumPy 2.4 on x86-64 Linux: another NumPy build may sum
 or round in a different order and change the last digits of the CSVs. The
 grid convolution is a BLAS matrix product, so the bytes of the runs that
 convolve on a grid (Lax-Friedrichs, IMEX) also depend on the OpenBLAS kernel
 NumPy picks for the CPU, as they did when ``np.convolve`` called ``ddot``.
+``PINNED_BACKEND`` records the NumPy and BLAS build the hashes were pinned
+on, and a hash that differs on another backend says so.
 """
 
 import hashlib
 import json
 import multiprocessing
 
+import numpy as np
 import pytest
 
 from nclaw import experiments as ex
 from nclaw.records import emit_report
 
+PINNED_BACKEND = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
+
 # (preset, scenario function, arguments, run directory, verdict, CSV count,
 #  sha256 of report.json, sha256 of the sorted "path sha256" lines of the CSVs)
 GOLDEN = [
     ("ce1", "counterexample_1", dict(n_particles=300, godunov_n=512),
-     "ce1-a6e396ad9b3253ff", "PASS", 62,
-     "007255b555c50d586a514b003376c29f890c321ad003c6a2c82f8e277ab6dac9",
-     "067afe4fc313e4ab0105dfa03f524252b69ccc667c9d5213e721142e3233f5ae"),
-    ("ce1_lax_friedrichs", "counterexample_1",
-     dict(n_particles=300, godunov_n=512, solver="lax_friedrichs", gate=False),
-     "ce1-020b2745f187133b", "FAIL", 62,
-     "26c7f1bc13a0075c2d06e9130903234ef65cbc21b23e6990d899a88ec2c9a978",
-     "a348592896d4461b1f9bcdf875a4cc912253b98ddb182e985c389dcc0b480899"),
+     "ce1-4fc80cad95a1a297", "PASS", 63,
+     "f0413c63aeae29d20707470b712c3d637e2f7f9c35fd64350db2af39005189a0",
+     "6cee3573485660fe79b6404ce2e7e8ca83e4f63c1535f8cc8d07869f3c809621"),
+    ("ce1_no_gate", "counterexample_1", dict(n_particles=300, godunov_n=512, gate=False),
+     "ce1-130da4e6f506f372", "PASS", 63,
+     "e043b5a2b446405982448f5ea98423e7a6c0d6d265577339985b9b383bc10fd0",
+     "6cee3573485660fe79b6404ce2e7e8ca83e4f63c1535f8cc8d07869f3c809621"),
     ("ce2", "counterexample_2", dict(n_particles=200, godunov_n=512),
      "ce2-42c3262a7a4a7ca9", "PASS", 137,
      "1483bee999cc2044d075b14374ea1b3e375d95da43b6a6bb59effcf15b78fa53",
@@ -59,6 +63,21 @@ GOLDEN = [
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _backend() -> dict:
+    """NumPy's version and the name and version of the BLAS it was built with."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+
+
+def _backend_note(backend: dict) -> str:
+    """Why a hash may differ on ``backend``: empty where it is the pinned one."""
+    if backend == PINNED_BACKEND:
+        return ""
+    return (f"pinned on NumPy {PINNED_BACKEND['numpy']} with {PINNED_BACKEND['blas']}, "
+            f"run on NumPy {backend['numpy']} with {backend['blas']}: another backend "
+            "may sum or round in another order")
 
 
 pinned = pytest.mark.parametrize(
@@ -90,11 +109,19 @@ def _check(tmp_path, fn_name, kwargs, run_dir_name, verdict, n_csv, report_sha, 
     assert report.verdict == verdict
     run_dir = emit_report(report, tmp_path)["run_dir"]
     assert run_dir.name == run_dir_name
-    assert _sha256(run_dir / "report.json") == report_sha
+    note = _backend_note(_backend())
+    assert _sha256(run_dir / "report.json") == report_sha, note
     csvs = sorted(str(p.relative_to(run_dir)) for p in run_dir.rglob("*.csv"))
     assert len(csvs) == n_csv
     lines = "".join(f"{name} {_sha256(run_dir / name)}\n" for name in csvs)
-    assert hashlib.sha256(lines.encode()).hexdigest() == csv_sha
+    assert hashlib.sha256(lines.encode()).hexdigest() == csv_sha, note
+
+
+def test_a_hash_on_another_backend_names_both_backends():
+    assert _backend_note(PINNED_BACKEND) == ""
+    for key, other in (("numpy", "2.0.0"), ("blas", "openblas 0.3.23")):
+        note = _backend_note(dict(PINNED_BACKEND, **{key: other}))
+        assert other in note and PINNED_BACKEND[key] in note
 
 
 @pytest.mark.parametrize("fn_name, kwargs", [g[1:3] for g in GOLDEN], ids=[g[0] for g in GOLDEN])

@@ -270,7 +270,8 @@ class TestCLI:
 
     @pytest.mark.parametrize("section, key, raw", [
         ("ce1", "n_particles", "-5"),
-        ("ce1", "solver", "spectral"),
+        ("rate", "kernel_shape", "spectral"),
+        ("oracle", "variant", "spectral"),
         ("ce2", "godunov_n", "soon"),
         ("rate", "eps_list", "0.1,-0.2"),
         ("oracle", "n_cells", "-4"),
@@ -285,8 +286,10 @@ class TestCLI:
         assert capsys.readouterr().err == f"error: {flag}: {message}\n"
 
     def test_old_flag_n_is_rejected(self, capsys):
-        assert main(["--no-emit", "ce1", "--n", "300", "--no-gate"]) == 1
-        assert "error:" in capsys.readouterr().err
+        # so is --solver: ce1's Lax-Friedrichs drain is a side number now
+        for flag in (["--n", "300"], ["--solver", "particles"]):
+            assert main(["--no-emit", "ce1", *flag, "--no-gate"]) == 1
+            assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, prefix", [
         (["rate", "--eps", "0.4,0.2", "--t-end", "0.1", "--no-gate"], "--eps"),
