@@ -15,7 +15,7 @@ from nclaw.data import odd_datum, step_datum
 
 # indicator datum: compare against the closed form at t = 0.5
 grid = Grid1D(-4.0, 4.0, 2048)
-res = run_local(step_datum(grid), 0.5, windows=((0.0, 1.0),), n_outputs=25)
+res = run_local(step_datum(grid), 0.5, window=(0.0, 1.0), n_outputs=25)
 exact = sample_exact(ExactSolution("step"), 0.5, grid)
 err = lp_norm(Field(grid, res.final.values - exact.values), 1)
 print(f"indicator datum, t=0.5, N=2048: L1 error vs closed form = {err:.5f}")
@@ -26,7 +26,7 @@ print(f"  entropy {d.last('entropy'):+.4f} (exact -0.25), nonincreasing: "
 
 # odd datum: the standing shock at 0 drains the window [-4, 0] at rate 1
 grid2 = Grid1D(-4.5, 4.5, 2048)
-res2 = run_local(odd_datum(grid2), 0.25, windows=((-4.0, 0.0),), n_outputs=25)
+res2 = run_local(odd_datum(grid2), 0.25, window=(-4.0, 0.0), n_outputs=25)
 t = res2.diagnostics.t
 wm = res2.diagnostics.array("window_mass")
 sel = (t >= 0.05) & (t <= 0.2)

@@ -40,7 +40,6 @@ from .local_entropy import (
     sample_exact,
 )
 from .nonlocal_solvers import (
-    NonlocalRunConfig,
     ParticleEnsemble,
     deposit,
     lf_step,
@@ -85,7 +84,6 @@ __all__ = [
     "godunov_step",
     "run_local",
     "sample_exact",
-    "NonlocalRunConfig",
     "ParticleEnsemble",
     "deposit",
     "lf_step",

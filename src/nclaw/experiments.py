@@ -28,7 +28,7 @@ from .local_entropy import (
     run_local,
     sample_exact,
 )
-from .nonlocal_solvers import NonlocalRunConfig, deposit, run_nonlocal
+from .nonlocal_solvers import deposit, run_nonlocal
 from .records import RunManifest
 from .viscous import ViscousRunConfig, run_viscous
 
@@ -184,21 +184,6 @@ def _check_oracle_horizon(variant: str, t_end: float) -> ExactSolution:
         raise ValueError(f"t_end={t_end} is outside the validity [{lo}, {hi}] of the "
                          f"{variant!r} exact solution the verdict reads")
     return oracle
-
-
-def _nonlocal(scheme, grid, kernel, t_end, n_outputs, initial, **cfg):
-    """An inviscid nonlocal run (cfg: further config fields)."""
-    return run_nonlocal(
-        NonlocalRunConfig(
-            grid=grid,
-            kernel=kernel,
-            t_end=t_end,
-            scheme=scheme,
-            n_outputs=n_outputs,
-            **cfg,
-        ),
-        initial,
-    )
 
 
 def _final(solver, *args, **kwargs):
@@ -375,18 +360,17 @@ def counterexample_1(
         datum_grid = _support_datum_grid(-4.5, 4.5, 2.0, n)
         gd_grid = _godunov_grid(-4.5, 4.5, godunov_n, k)
         out = {
-            "nonlocal": lambda: _nonlocal("particles", diag_grid, kernel, t_end, 25,
-                                          odd_datum(datum_grid), windows=(window,)),
-            "godunov": lambda: run_local(odd_datum(gd_grid), t_end, windows=(window,),
+            "nonlocal": lambda: run_nonlocal(odd_datum(datum_grid), kernel, t_end,
+                                             n_outputs=25, window=window),
+            "godunov": lambda: run_local(odd_datum(gd_grid), t_end, window=window,
                                          n_outputs=25),
         }
         if k == 1:
-            out["fv"] = lambda: _final(_nonlocal, "lax_friedrichs", diag_grid, kernel, t_end,
-                                       25, odd_datum(diag_grid), windows=(window,))
-            out["lf_coarse"] = lambda: _nonlocal(
-                "lax_friedrichs", lf_grid, kernel, t_end, 10, odd_datum(lf_grid),
-                windows=(window,),
-            )
+            out["fv"] = lambda: _final(run_nonlocal, odd_datum(diag_grid), kernel, t_end,
+                                       scheme="lax_friedrichs", n_outputs=25, window=window)
+            out["lf_coarse"] = lambda: _final(run_nonlocal, odd_datum(lf_grid), kernel, t_end,
+                                              scheme="lax_friedrichs", n_outputs=10,
+                                              window=window)
         return out
 
     def headline(r, k):
@@ -468,19 +452,15 @@ def counterexample_2(
         datum_grid = _support_datum_grid(-1.5, 0.5, 1.0, n_particles // k)
         gd_grid = _godunov_grid(-2.0, 2.0, godunov_n, k)
         out = {
-            "nonlocal": lambda: _nonlocal(
-                "particles", diag_grid, kernel, t_end, 25, step_datum(datum_grid),
-                windows=(right_window,),
-            ),
-            "godunov": lambda: run_local(
-                step_datum(gd_grid), t_godunov, windows=((0.0, 1.0),), n_outputs=75,
-            ),
+            "nonlocal": lambda: run_nonlocal(step_datum(datum_grid), kernel, t_end,
+                                             n_outputs=25, window=right_window),
+            "godunov": lambda: run_local(step_datum(gd_grid), t_godunov, window=(0.0, 1.0),
+                                         n_outputs=75),
         }
         if k == 1:
-            out["lf_coarse"] = lambda: _nonlocal(
-                "lax_friedrichs", lf_grid, kernel, t_end, 10, step_datum(lf_grid),
-                windows=(right_window,),
-            )
+            out["lf_coarse"] = lambda: _final(run_nonlocal, step_datum(lf_grid), kernel, t_end,
+                                              scheme="lax_friedrichs", n_outputs=10,
+                                              window=right_window)
         return out
 
     def headline(r, k):
@@ -620,16 +600,15 @@ def counterexample_3(
         datum_grid = _support_datum_grid(-2.0, 1.5, 1.0, n_particles // k)
         gd_grid = _godunov_grid(-2.0, 2.0, godunov_n, k)
         out = {
-            "nonlocal": lambda: _nonlocal(
-                "particles", diag_grid, kernel, t_end, 25, step_datum(datum_grid),
-            ),
+            "nonlocal": lambda: run_nonlocal(step_datum(datum_grid), kernel, t_end,
+                                             n_outputs=25),
             "godunov": lambda: run_local(step_datum(gd_grid), t_end, n_outputs=50),
         }
         if k == 1:
-            out["fv"] = lambda: _nonlocal("lax_friedrichs", fv_grid, kernel, t_end, 25,
-                                          step_datum(fv_grid))
-            out["lf_coarse"] = lambda: _nonlocal("lax_friedrichs", lf_grid, kernel, t_end, 10,
-                                                 step_datum(lf_grid))
+            out["fv"] = lambda: _final(run_nonlocal, step_datum(fv_grid), kernel, t_end,
+                                       scheme="lax_friedrichs", n_outputs=25)
+            out["lf_coarse"] = lambda: _final(run_nonlocal, step_datum(lf_grid), kernel, t_end,
+                                              scheme="lax_friedrichs", n_outputs=10)
         return out
 
     def headline(r, k):
@@ -829,15 +808,15 @@ def vanishing_viscosity(
     def runs(k):
         grid = grids(k)[0]
         u0 = gaussian_datum(grid, mass=1.0, width=width)
-        out = {"particles": partial(_final, _nonlocal, "particles", grid, kernel, t_end, 5, u0)}
+        out = {"particles": lambda: _final(run_nonlocal, u0, kernel, t_end, n_outputs=5)}
         for nu in nu_list:
             out[f"nu={nu}"] = partial(_final, run_viscous, ViscousRunConfig(
                 grid=grid, nu=nu, t_end=t_end, kernel=kernel, n_outputs=5,
             ), u0)
         if k == 1:
             out["corner"] = lambda: _final(
-                _nonlocal, "particles", corner_grid, Kernel(ONE_SIDED_LEFT, eps), 0.5, 2,
-                step_datum(_support_datum_grid(-1.5, 0.5, 1.0, 800)),
+                run_nonlocal, step_datum(_support_datum_grid(-1.5, 0.5, 1.0, 800)),
+                Kernel(ONE_SIDED_LEFT, eps), 0.5, n_outputs=2,
             )
             out["corner_godunov"] = lambda: _final(run_local, step_datum(gd_grid), 0.5,
                                                    n_outputs=2)

@@ -110,14 +110,17 @@ _GODUNOV_CFL = 0.9  # Courant number of run_local's fixed step
 def run_local(
     initial: Field,
     t_end: float,
-    windows=(),
+    *,
+    window=None,
     n_outputs: int = 50,
 ) -> RunResult:
     """March the Godunov solver to t_end, recording diagnostics.
 
-    The step is fixed at Courant number 0.9 for the initial datum's Burgers
-    speed max 2|u|, checked with a 5% margin: the scheme is monotone, so
-    every later state stays inside [min u, max u] and the step admissible.
+    ``window`` (a, b) feeds the ``window_mass`` channel (the whole domain if
+    None). The step is fixed at Courant number 0.9 for the initial datum's
+    Burgers speed max 2|u|, checked with a 5% margin: the scheme is
+    monotone, so every later state stays inside [min u, max u] and the step
+    admissible.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -137,7 +140,7 @@ def run_local(
         initial,
         targets,
         lambda u, target: godunov_step(u, dt, cfl=min(1.0, _GODUNOV_CFL * 1.05)),
-        lambda u: field_diagnostics(u, windows),
+        lambda u: field_diagnostics(u, window),
     )
     res.info.update(scheme="godunov", dt=dt, cfl=_GODUNOV_CFL)
     return res

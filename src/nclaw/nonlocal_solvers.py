@@ -29,7 +29,6 @@ from .records import RunResult, field_diagnostics, march, output_times
 __all__ = [
     "CharacteristicsCrossed",
     "ParticleEnsemble",
-    "NonlocalRunConfig",
     "lf_step",
     "particle_step",
     "particle_velocity_and_bound",
@@ -223,29 +222,25 @@ def lagrangian_entropy(e: ParticleEnsemble) -> float:
     return float(np.sum(m[keep] * np.log(m[keep] / g[keep])))
 
 
-def ensemble_diagnostics(
-    e: ParticleEnsemble, windows=(), entropy_grid: Optional[Grid1D] = None
-) -> dict:
+def ensemble_diagnostics(e: ParticleEnsemble, entropy_grid: Grid1D, window=None) -> dict:
     """Scalar functionals evaluated directly on the particle measure.
 
-    Mass, window masses, first moment and support need no density and are
-    exact for the atomic measure (window edges are honored exactly, no cell
-    snapping). Entropy needs a density, so it is computed from a linear
-    deposition onto entropy_grid (bias O(dx/eps)); NaN for signed ensembles
-    or when no grid is supplied.
+    Mass, the mass in ``window`` (a, b) (the whole ensemble if None), first
+    moment and support need no density and are exact for the atomic measure
+    (window edges are honored exactly, no cell snapping). Entropy needs a
+    density, so it is computed from a linear deposition onto entropy_grid
+    (bias O(dx/eps)); NaN for signed ensembles.
     """
     out = {"mass": e.total_mass()}
-    if windows:
-        for i, (a, b) in enumerate(windows):
-            name = "window_mass" if i == 0 else f"window_mass_{i + 1}"
-            inside = (e.positions >= a) & (e.positions <= b)
-            out[name] = float(e.masses[inside].sum())
-    else:
+    if window is None:
         out["window_mass"] = out["mass"]
-    if entropy_grid is not None and not np.any(e.masses < 0.0):
-        out["entropy"] = entropy_functional(deposit(e, entropy_grid))
     else:
+        inside = (e.positions >= window[0]) & (e.positions <= window[1])
+        out["window_mass"] = float(e.masses[inside].sum())
+    if np.any(e.masses < 0.0):
         out["entropy"] = math.nan
+    else:
+        out["entropy"] = entropy_functional(deposit(e, entropy_grid))
     out["entropy_lagrangian"] = lagrangian_entropy(e)
     out["baricenter"] = float(np.sum(e.masses * e.positions))
     out["support_lo"] = float(e.positions.min())
@@ -262,25 +257,6 @@ _ENTROPY_DX_OVER_EPS = 0.1  # particle entropy: deposition grid spacing / eps
 SCHEMES = ("particles", "lax_friedrichs")
 
 
-@dataclass
-class NonlocalRunConfig:
-    """Configuration for an inviscid nonlocal run; ``run_nonlocal`` fixes the
-    step rules and the spacing 0.1 * eps of the particle entropy's grid."""
-
-    grid: Grid1D
-    kernel: Kernel
-    t_end: float
-    scheme: str = "particles"  # one of SCHEMES
-    n_outputs: int = 40
-    windows: tuple = ()
-
-    def __post_init__(self):
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-
-
 def _check_boundary_clear(f: Field, rel_tol: float):
     """Raise if either edge cell holds more than rel_tol of the sup norm."""
     scale = float(np.max(np.abs(f.values)))
@@ -290,37 +266,51 @@ def _check_boundary_clear(f: Field, rel_tol: float):
         raise RuntimeError("domain too small: support reached the boundary")
 
 
-def run_nonlocal(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
+def run_nonlocal(
+    initial: Field,
+    kernel: Kernel,
+    t_end: float,
+    *,
+    scheme: str = "particles",
+    n_outputs: int = 40,
+    window=None,
+) -> RunResult:
     """Time-step the nonlocal problem to t_end and record diagnostics.
 
-    For the particle scheme the datum is midpoint-sampled (one particle per
-    cell, zero-mass cells dropped) and each step takes the smallest of the
+    ``scheme`` is one of ``SCHEMES``; ``window`` (a, b) feeds the
+    ``window_mass`` channel (the whole domain if None). For the particle
+    scheme the datum is midpoint-sampled (one particle per cell, zero-mass
+    cells dropped) and each step takes the smallest of the
     0.1*eps/max-speed resolution rule, 0.9 times the local contraction bound
     of ``particle_velocity_and_bound`` (recomputed from the current positions
     every step) and the time left to the next output. A step whose stages or
     result cross is rejected and retried with half the dt; the count is
-    returned in ``info["n_rejected"]``. For the FV scheme the step is
-    0.45 * dx / max|V|, capped by the time left to the next output. States
-    and diagnostics are recorded at n_outputs evenly spaced output times
-    (plus t=0).
+    returned in ``info["n_rejected"]``. The particle entropy is deposited on
+    a grid spanning ``initial.grid`` at spacing 0.1*eps. For the FV scheme
+    the step is 0.45 * dx / max|V|, capped by the time left to the next
+    output. States and diagnostics are recorded at n_outputs evenly spaced
+    output times (plus t=0).
     """
-    if cfg.scheme == "lax_friedrichs":
-        return _run_lf(cfg, initial)
-    return _run_particles(cfg, initial)
+    if t_end <= 0.0:
+        raise ValueError("t_end must be positive")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    run = _run_lf if scheme == "lax_friedrichs" else _run_particles
+    return run(initial, kernel, output_times(t_end, n_outputs), window)
 
 
-def _run_lf(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
+def _run_lf(initial: Field, kernel: Kernel, targets, window) -> RunResult:
     def advance(u, target):
-        V = convolve(u, cfg.kernel).values
+        V = convolve(u, kernel).values
         vmax = max(float(np.max(np.abs(V))), 1e-12)
         dt = min(_LF_CFL * u.grid.dx / vmax, target - u.time_stamp)
-        return lf_step(u, cfg.kernel, dt, cfl=_LF_CFL, velocity=V)
+        return lf_step(u, kernel, dt, cfl=_LF_CFL, velocity=V)
 
     res = march(
         initial,
-        output_times(cfg.t_end, cfg.n_outputs),
+        targets,
         advance,
-        lambda u: field_diagnostics(u, cfg.windows),
+        lambda u: field_diagnostics(u, window),
         lambda u: _check_boundary_clear(u, 1e-12),
     )
     res.info["scheme"] = "lax_friedrichs"
@@ -330,14 +320,14 @@ def _run_lf(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
 _MAX_HALVINGS = 30  # a crossing that survives dt / 2**30 is not a step-size issue
 
 
-def _run_particles(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
+def _run_particles(initial: Field, kernel: Kernel, targets, window) -> RunResult:
     e = sample_particles(initial)
-    eps = cfg.kernel.epsilon
-    span = cfg.grid.x_max - cfg.grid.x_min
+    eps = kernel.epsilon
+    g = initial.grid
     ent_grid = Grid1D(
-        cfg.grid.x_min,
-        cfg.grid.x_max,
-        max(2, int(round(span / (_ENTROPY_DX_OVER_EPS * eps)))),
+        g.x_min,
+        g.x_max,
+        max(2, int(round((g.x_max - g.x_min) / (_ENTROPY_DX_OVER_EPS * eps)))),
     )
     # sign partition at t=0 (odd-type data): positive mass left of 0,
     # negative right; preserved because characteristics cannot cross
@@ -350,12 +340,12 @@ def _run_particles(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
 
     def advance(e, target):
         nonlocal n_rejected
-        v1, bound = particle_velocity_and_bound(e, cfg.kernel)
+        v1, bound = particle_velocity_and_bound(e, kernel)
         vmax = max(float(np.max(np.abs(v1))), 1e-12)
         dt = min(0.9 * bound, 0.1 * eps / vmax, target - e.time_stamp)
         for _ in range(_MAX_HALVINGS):
             try:
-                return particle_step(e, cfg.kernel, dt, stage1=(v1, bound))
+                return particle_step(e, kernel, dt, stage1=(v1, bound))
             except CharacteristicsCrossed:
                 n_rejected += 1
                 dt *= 0.5
@@ -373,9 +363,9 @@ def _run_particles(cfg: NonlocalRunConfig, initial: Field) -> RunResult:
     mass0 = e.masses.copy()
     res = march(
         e,
-        output_times(cfg.t_end, cfg.n_outputs),
+        targets,
         advance,
-        lambda e: ensemble_diagnostics(e, cfg.windows, ent_grid),
+        lambda e: ensemble_diagnostics(e, ent_grid, window),
         check if partition_ok else None,
     )
     assert np.array_equal(res.final.masses, mass0)  # transport never edits masses

@@ -86,20 +86,15 @@ class DiagnosticSeries:
                 w.writerow([repr(t)] + [repr(self.channels[c][i]) for c in cols])
 
 
-def field_diagnostics(f: Field, windows=()) -> dict:
+def field_diagnostics(f: Field, window=None) -> dict:
     """Standard scalar functionals of a field.
 
-    The first window feeds the ``window_mass`` channel (full domain if no
-    window is given); further windows get numbered channels. Entropy is NaN
-    for sign-changing fields, where u*ln(u) is not defined.
+    ``window`` (a, b) feeds the ``window_mass`` channel (the full domain if
+    None). Entropy is NaN for sign-changing fields, where u*ln(u) is not
+    defined.
     """
     out = {"mass": window_mass(f, f.grid.x_min, f.grid.x_max)}
-    if windows:
-        for i, (a, b) in enumerate(windows):
-            name = "window_mass" if i == 0 else f"window_mass_{i + 1}"
-            out[name] = window_mass(f, a, b)
-    else:
-        out["window_mass"] = out["mass"]
+    out["window_mass"] = out["mass"] if window is None else window_mass(f, *window)
     if np.min(f.values) >= -NEG_TOL:
         out["entropy"] = entropy_functional(f)
     else:
@@ -181,14 +176,39 @@ def manifest_hash(params: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _openblas_core():
+    """The CPU kernel the OpenBLAS bundled with NumPy picked when it was
+    loaded, or None where no such library is loaded or it does not say."""
+    import ctypes
+    import os
+
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            # RTLD_NOLOAD: a handle only to a library that is already loaded
+            corename = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def _backend() -> dict:
     """The versions of the numerical libraries this process runs on.
 
     SciPy's is None where this process has not loaded SciPy: the
-    counterexamples never do, the viscous experiments do.
+    counterexamples never do, the viscous experiments do. ``blas`` is the
+    name and version of the BLAS NumPy was built with, ``blas_core`` the
+    kernel OpenBLAS chose for this CPU (``_openblas_core``).
     """
     scipy = sys.modules.get("scipy")
-    return {"numpy": np.__version__, "scipy": None if scipy is None else scipy.__version__}
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas")
+    return {
+        "numpy": np.__version__,
+        "scipy": None if scipy is None else scipy.__version__,
+        "blas": None if blas is None else f"{blas['name']} {blas['version']}",
+        "blas_core": _openblas_core(),
+    }
 
 
 @dataclass

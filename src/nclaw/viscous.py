@@ -185,8 +185,11 @@ def run_viscous(cfg: ViscousRunConfig, initial: Field) -> RunResult:
     sup_norm so the contraction properties of the flow are visible per run.
     If cfg.dt is set it is used as a fixed step (after a CFL sanity check
     each step); otherwise the step is 0.9 * dx / max ``_cell_speeds``, and
-    the velocity that sets it is passed on to ``imex_step``.
+    the velocity that sets it is passed on to ``imex_step``. The datum must
+    live on ``cfg.grid``, whose bounds the domain check reads.
     """
+    if initial.grid != cfg.grid:
+        raise ValueError(f"the datum's grid {initial.grid} is not the run's grid {cfg.grid}")
     _check_domain(cfg, initial)
 
     def advance(u, target):

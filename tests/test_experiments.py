@@ -23,7 +23,7 @@ from nclaw.experiments import (
 from nclaw.grids import Grid1D
 from nclaw.kernels import EVEN_BUMP, Kernel
 from nclaw.local_entropy import CFLError
-from nclaw.nonlocal_solvers import CharacteristicsCrossed, NonlocalRunConfig, run_nonlocal
+from nclaw.nonlocal_solvers import CharacteristicsCrossed, run_nonlocal
 from nclaw.viscous import NonFiniteState
 
 
@@ -58,19 +58,11 @@ def test_ce1_mass_gap_persists_at_smaller_eps():
     # the equality branch of the half-line mass identity is uniform in eps:
     # rerun the nonlocal side with eps = 0.025 (shorter horizon, fewer
     # particles; the structure is resolution independent)
-    grid = Grid1D(-4.5, 4.5, 900)
     fine = Grid1D(-4.5, 4.5, int(round(9.0 / (2.0 / 1000))))
-    cfg = NonlocalRunConfig(
-        grid=grid,
-        kernel=Kernel(EVEN_BUMP, 0.025),
-        t_end=0.1,
-        scheme="particles",
-        n_outputs=5,
-        windows=((-4.0, 0.0),),
-    )
     from nclaw.data import odd_datum
 
-    res = run_nonlocal(cfg, odd_datum(fine))
+    res = run_nonlocal(odd_datum(fine), Kernel(EVEN_BUMP, 0.025), 0.1, n_outputs=5,
+                       window=(-4.0, 0.0))
     wm = res.diagnostics.array("window_mass")
     assert np.max(np.abs(wm - 1.0)) <= 0.02
 

@@ -15,21 +15,23 @@ or round in a different order and change the last digits of the CSVs. The
 grid convolution is a BLAS matrix product, so the bytes of the runs that
 convolve on a grid (Lax-Friedrichs, IMEX) also depend on the OpenBLAS kernel
 NumPy picks for the CPU, as they did when ``np.convolve`` called ``ddot``.
-``PINNED_BACKEND`` records the NumPy and BLAS build the hashes were pinned
-on, and a hash that differs on another backend says so.
+``PINNED_BACKEND`` records the NumPy and BLAS build and the OpenBLAS kernel
+the hashes were pinned on, read as the manifest reads them, and a hash that
+differs on another backend says so.
 """
 
 import hashlib
 import json
 import multiprocessing
 
-import numpy as np
 import pytest
 
 from nclaw import experiments as ex
+from nclaw import records
 from nclaw.records import emit_report
 
-PINNED_BACKEND = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
+PINNED_BACKEND = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0",
+                  "blas_core": "SkylakeX"}
 
 # (preset, scenario function, arguments, run directory, verdict, CSV count,
 #  sha256 of report.json, sha256 of the sorted "path sha256" lines of the CSVs)
@@ -66,18 +68,21 @@ def _sha256(path) -> str:
 
 
 def _backend() -> dict:
-    """NumPy's version and the name and version of the BLAS it was built with."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    """The keys of the manifest's backend that the hashes may depend on."""
+    backend = records._backend()
+    return {key: backend[key] for key in PINNED_BACKEND}
 
 
 def _backend_note(backend: dict) -> str:
     """Why a hash may differ on ``backend``: empty where it is the pinned one."""
     if backend == PINNED_BACKEND:
         return ""
-    return (f"pinned on NumPy {PINNED_BACKEND['numpy']} with {PINNED_BACKEND['blas']}, "
-            f"run on NumPy {backend['numpy']} with {backend['blas']}: another backend "
-            "may sum or round in another order")
+
+    def named(b):
+        return f"NumPy {b['numpy']} with {b['blas']} (kernel {b['blas_core']})"
+
+    return (f"pinned on {named(PINNED_BACKEND)}, run on {named(backend)}: another "
+            "backend may sum or round in another order")
 
 
 pinned = pytest.mark.parametrize(
@@ -119,7 +124,7 @@ def _check(tmp_path, fn_name, kwargs, run_dir_name, verdict, n_csv, report_sha, 
 
 def test_a_hash_on_another_backend_names_both_backends():
     assert _backend_note(PINNED_BACKEND) == ""
-    for key, other in (("numpy", "2.0.0"), ("blas", "openblas 0.3.23")):
+    for key, other in (("numpy", "2.0.0"), ("blas", "openblas 0.3.23"), ("blas_core", "Haswell")):
         note = _backend_note(dict(PINNED_BACKEND, **{key: other}))
         assert other in note and PINNED_BACKEND[key] in note
 

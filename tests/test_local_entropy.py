@@ -111,10 +111,7 @@ class TestExactSolutions:
 @pytest.fixture(scope="module")
 def odd_run():
     grid = Grid1D(-4.5, 4.5, 4096)
-    return run_local(
-        odd_datum(grid), 0.25,
-        windows=((-4.0, 0.0),), n_outputs=25,
-    )
+    return run_local(odd_datum(grid), 0.25, window=(-4.0, 0.0), n_outputs=25)
 
 
 class TestLocalRunDiagnostics:

@@ -17,7 +17,6 @@ from nclaw.kernels import EVEN_BUMP, ONE_SIDED_LEFT, Kernel, convolve, convolve_
 from nclaw.local_entropy import CFLError
 from nclaw.nonlocal_solvers import (
     CharacteristicsCrossed,
-    NonlocalRunConfig,
     ParticleEnsemble,
     deposit,
     lagrangian_entropy,
@@ -214,34 +213,23 @@ class TestLagrangianEntropy:
 class TestRunNonlocal:
     def test_zero_datum_stays_zero_fv(self):
         grid = Grid1D(-1.0, 1.0, 200)
-        cfg = NonlocalRunConfig(
-            grid=grid, kernel=Kernel(EVEN_BUMP, 0.1),
-            t_end=0.1, scheme="lax_friedrichs", n_outputs=4,
-        )
-        res = run_nonlocal(cfg, Field(grid, np.zeros(200)))
+        res = run_nonlocal(Field(grid, np.zeros(200)), Kernel(EVEN_BUMP, 0.1), 0.1,
+                           scheme="lax_friedrichs", n_outputs=4)
         assert np.array_equal(res.final.values, np.zeros(200))
 
     def test_one_sided_confinement(self):
         grid = Grid1D(-1.5, 0.5, 1000)
-        cfg = NonlocalRunConfig(
-            grid=grid, kernel=Kernel(ONE_SIDED_LEFT, 0.05),
-            t_end=0.5, scheme="particles", n_outputs=10, windows=((0.0, 0.5),),
-        )
-        res = run_nonlocal(cfg, step_datum(grid))
+        res = run_nonlocal(step_datum(grid), Kernel(ONE_SIDED_LEFT, 0.05), 0.5,
+                           n_outputs=10, window=(0.0, 0.5))
         d = res.diagnostics
         assert np.all(d.array("support_hi") <= 0.0)
         assert np.all(d.array("support_lo") >= -1.0)
         assert d.last("window_mass") == 0.0
 
     def test_odd_window_mass_constant(self):
-        grid = Grid1D(-4.5, 4.5, 4500)
         fine = Grid1D(-4.5, 4.5, 9000)
-        cfg = NonlocalRunConfig(
-            grid=grid, kernel=Kernel(EVEN_BUMP, 0.05),
-            t_end=0.25, scheme="particles", n_outputs=10,
-            windows=((-4.0, 0.0),),
-        )
-        res = run_nonlocal(cfg, odd_datum(fine))
+        res = run_nonlocal(odd_datum(fine), Kernel(EVEN_BUMP, 0.05), 0.25,
+                           n_outputs=10, window=(-4.0, 0.0))
         wm = res.diagnostics.array("window_mass")
         assert np.max(np.abs(wm - 1.0)) <= 0.02
         assert np.max(np.abs(res.diagnostics.array("mass"))) <= 1e-12
@@ -251,23 +239,30 @@ class TestRunNonlocal:
         # limits the step: at the pinned front of the one-sided run that rule
         # proposes steps that cross, which must be rejected and halved
         grid = Grid1D(-1.5, 0.5, 400)
-        cfg = NonlocalRunConfig(
-            grid=grid, kernel=Kernel(ONE_SIDED_LEFT, 0.05),
-            t_end=0.5, scheme="particles", n_outputs=5, windows=((0.0, 0.5),),
-        )
-        ref = run_nonlocal(cfg, step_datum(grid))
+        kw = dict(n_outputs=5, window=(0.0, 0.5))
+        ref = run_nonlocal(step_datum(grid), Kernel(ONE_SIDED_LEFT, 0.05), 0.5, **kw)
         exact = nonlocal_solvers.particle_velocity_and_bound
         monkeypatch.setattr(
             nonlocal_solvers,
             "particle_velocity_and_bound",
             lambda e, k: (exact(e, k)[0], math.inf),
         )
-        res = run_nonlocal(cfg, step_datum(grid))
+        res = run_nonlocal(step_datum(grid), Kernel(ONE_SIDED_LEFT, 0.05), 0.5, **kw)
         assert ref.info["n_rejected"] == 0
         assert res.info["n_rejected"] > 0
         assert res.final.time_stamp == pytest.approx(0.5, abs=1e-12)
         assert res.diagnostics.last("window_mass") == 0.0
         assert np.max(np.abs(res.final.positions - ref.final.positions)) <= 1e-3
+
+    def test_particle_entropy_is_deposited_over_the_datum_grid(self):
+        # the deposit grid spans the datum's grid at spacing 0.1 * eps
+        k = Kernel(EVEN_BUMP, 0.05)
+        for x_min, x_max in ((-2.0, 1.0), (-1.5, 0.5)):
+            res = run_nonlocal(step_datum(Grid1D(x_min, x_max, 600)), k, 0.05, n_outputs=1)
+            ent_grid = Grid1D(x_min, x_max, round((x_max - x_min) / 0.005))
+            assert res.info["entropy_grid_dx"] == ent_grid.dx
+            assert res.diagnostics.last("entropy") == entropy_functional(
+                deposit(res.final, ent_grid))
 
     def test_particle_conversion_drops_zero_mass_cells(self):
         grid = Grid1D(-2.0, 1.0, 300)
@@ -279,11 +274,8 @@ class TestRunNonlocal:
         drifts = []
         for n in (700, 1400):
             grid = Grid1D(-2.0, 1.5, n)
-            cfg = NonlocalRunConfig(
-                grid=grid, kernel=Kernel(EVEN_BUMP, 0.05),
-                t_end=0.3, scheme="lax_friedrichs", n_outputs=4,
-            )
-            res = run_nonlocal(cfg, step_datum(grid))
+            res = run_nonlocal(step_datum(grid), Kernel(EVEN_BUMP, 0.05), 0.3,
+                               scheme="lax_friedrichs", n_outputs=4)
             drifts.append(abs(res.diagnostics.last("entropy")))
         assert drifts[1] < drifts[0]
 
@@ -291,38 +283,28 @@ class TestRunNonlocal:
         # deposit scale (ratio * eps) refined together with the particle count
         drifts = []
         for n, ratio in ((500, 0.2), (1000, 0.1), (2000, 0.05)):
-            grid = Grid1D(-2.0, 1.5, 1400)
             fine = Grid1D(-2.0, 1.5, int(3.5 * n))
-            cfg = NonlocalRunConfig(
-                grid=grid, kernel=Kernel(EVEN_BUMP, 0.05),
-                t_end=0.5, scheme="particles", n_outputs=2,
-            )
-            res = run_nonlocal(cfg, step_datum(fine))
+            res = run_nonlocal(step_datum(fine), Kernel(EVEN_BUMP, 0.05), 0.5, n_outputs=2)
             dep_grid = Grid1D(-2.0, 1.5, int(round(3.5 / (ratio * 0.05))))
             drifts.append(abs(entropy_functional(deposit(res.final, dep_grid))))
         assert drifts[2] < drifts[1] < drifts[0]
 
     def test_scaled_constant_datum_conserves_entropy(self):
-        grid = Grid1D(-1.5, 1.0, 1000)
         fine = Grid1D(-1.5, 1.0, 2500)  # 1000 particles across the support
         f = step_datum(fine)
         f.values *= math.e
-        cfg = NonlocalRunConfig(
-            grid=grid, kernel=Kernel(EVEN_BUMP, 0.05),
-            t_end=0.2, scheme="particles", n_outputs=4,
-        )
-        res = run_nonlocal(cfg, f)
+        res = run_nonlocal(f, Kernel(EVEN_BUMP, 0.05), 0.2, n_outputs=4)
         ent = res.diagnostics.array("entropy_lagrangian")
         assert ent[0] == pytest.approx(math.e, rel=1e-9)
         assert abs(ent[-1] - math.e) <= 0.05
 
-    def test_rejects_bad_config(self):
-        grid = Grid1D(-1.0, 1.0, 100)
-        with pytest.raises(ValueError):
-            NonlocalRunConfig(
-                grid=grid, kernel=Kernel(EVEN_BUMP, 0.1),
-                t_end=0.1, scheme="spectral",
-            )
+    def test_rejects_bad_config(self, monkeypatch):
+        # rejected before the datum is sampled or stepped
+        monkeypatch.setattr(nonlocal_solvers, "march", lambda *a, **kw: pytest.fail("ran"))
+        u0 = step_datum(Grid1D(-2.0, 1.0, 300))
+        for t_end, scheme in ((0.1, "spectral"), (0.0, "particles"), (-1.0, "lax_friedrichs")):
+            with pytest.raises(ValueError):
+                run_nonlocal(u0, Kernel(EVEN_BUMP, 0.1), t_end, scheme=scheme)
 
     def test_particles_and_lax_friedrichs_solve_the_same_equation(self):
         # smooth regime: the deposited fine particle run is the reference for
@@ -332,10 +314,8 @@ class TestRunNonlocal:
 
         def final(scheme, n):
             grid = Grid1D(-3.0, 3.0, n)
-            cfg = NonlocalRunConfig(
-                grid=grid, kernel=k, t_end=0.1, scheme=scheme, n_outputs=1
-            )
-            return run_nonlocal(cfg, gaussian_datum(grid, 1.0, 0.3)).final
+            return run_nonlocal(gaussian_datum(grid, 1.0, 0.3), k, 0.1, scheme=scheme,
+                                n_outputs=1).final
 
         ref = final("particles", 4800)
         errs = []

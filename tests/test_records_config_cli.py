@@ -60,10 +60,10 @@ class TestFieldDiagnostics:
     def test_window_channels(self):
         grid = Grid1D(-1.0, 1.0, 10)
         f = Field(grid, np.ones(10))
-        vals = field_diagnostics(f, windows=((-1.0, 0.0), (0.0, 1.0)))
+        vals = field_diagnostics(f, window=(-1.0, 0.0))
         assert vals["window_mass"] == pytest.approx(1.0)
-        assert vals["window_mass_2"] == pytest.approx(1.0)
         assert vals["mass"] == pytest.approx(2.0)
+        assert field_diagnostics(f)["window_mass"] == vals["mass"]
 
 
 class TestManifest:
@@ -76,6 +76,24 @@ class TestManifest:
 
     def test_hash_canonicalizes_numpy_scalars(self):
         assert manifest_hash({"a": np.float64(0.5)}) == manifest_hash({"a": 0.5})
+
+    def test_backend_names_the_blas_and_its_core_outside_the_hash(self):
+        m = RunManifest("ce1", {"eps": 0.05})
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        backend = m.to_json()["backend"]
+        assert backend["blas"] == f"{blas['name']} {blas['version']}"
+        if blas["name"] == "scipy-openblas":  # the OpenBLAS of the NumPy wheels
+            assert isinstance(backend["blas_core"], str) and backend["blas_core"]
+        assert m.hash == RunManifest("ce1", {"eps": 0.05}, backend={}).hash
+
+    def test_blas_core_is_null_without_a_loaded_openblas(self, monkeypatch, tmp_path):
+        # a library file that was never loaded is not opened to ask it
+        import nclaw.records as records
+
+        (tmp_path / "numpy.libs").mkdir()
+        (tmp_path / "numpy.libs" / "libscipy_openblas64_-0.so").write_bytes(b"")
+        monkeypatch.setattr(records.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert records._backend()["blas_core"] is None
 
 
 class TestGate:

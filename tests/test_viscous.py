@@ -270,6 +270,18 @@ class TestRunViscous:
         with pytest.raises(ValueError, match="domain too small"):
             run_viscous(cfg, step_datum(grid))
 
+    @pytest.mark.parametrize("datum_grid", [Grid1D(-1.2, 1.2, 200), Grid1D(-3.0, 3.0, 300)],
+                             ids=["narrower", "coarser"])
+    def test_datum_off_the_run_grid_is_rejected_before_any_step(self, monkeypatch, datum_grid):
+        # the domain check reads cfg.grid while the steps would run on the
+        # datum's grid: a datum elsewhere is a usage error, raised up front
+        import nclaw.viscous as viscous
+
+        monkeypatch.setattr(viscous, "march", lambda *a, **kw: pytest.fail("ran"))
+        cfg = ViscousRunConfig(grid=Grid1D(-3.0, 3.0, 600), nu=0.05, t_end=0.1)
+        with pytest.raises(ValueError, match="is not the run's grid"):
+            run_viscous(cfg, step_datum(datum_grid))
+
     def test_adaptive_step_convolves_once_per_step(self, monkeypatch):
         # the velocity that sets the adaptive dt is the one imex_step uses
         import nclaw.viscous as viscous
