@@ -192,6 +192,12 @@ def _final(solver, *args, **kwargs):
     return replace(run, states=[run.final])
 
 
+def _final_at_rerun(k, solver, *args, **kwargs):
+    """``solver(*args, **kwargs)``; at k = 2, where only ``headline`` reads the
+    run and it reads diagnostics, keeping only the final state (``_final``)."""
+    return _final(solver, *args, **kwargs) if k == 2 else solver(*args, **kwargs)
+
+
 def _scenario(name: str, params: dict, runs, headline, judge, sweep=None) -> ScenarioReport:
     """Run a scenario through the steps every scenario shares.
 
@@ -360,10 +366,10 @@ def counterexample_1(
         datum_grid = _support_datum_grid(-4.5, 4.5, 2.0, n)
         gd_grid = _godunov_grid(-4.5, 4.5, godunov_n, k)
         out = {
-            "nonlocal": lambda: run_nonlocal(odd_datum(datum_grid), kernel, t_end,
-                                             n_outputs=25, window=window),
-            "godunov": lambda: run_local(odd_datum(gd_grid), t_end, window=window,
-                                         n_outputs=25),
+            "nonlocal": lambda: _final_at_rerun(k, run_nonlocal, odd_datum(datum_grid),
+                                                kernel, t_end, n_outputs=25, window=window),
+            "godunov": lambda: _final_at_rerun(k, run_local, odd_datum(gd_grid), t_end,
+                                               window=window, n_outputs=25),
         }
         if k == 1:
             out["fv"] = lambda: _final(run_nonlocal, odd_datum(diag_grid), kernel, t_end,
@@ -452,10 +458,11 @@ def counterexample_2(
         datum_grid = _support_datum_grid(-1.5, 0.5, 1.0, n_particles // k)
         gd_grid = _godunov_grid(-2.0, 2.0, godunov_n, k)
         out = {
-            "nonlocal": lambda: run_nonlocal(step_datum(datum_grid), kernel, t_end,
-                                             n_outputs=25, window=right_window),
-            "godunov": lambda: run_local(step_datum(gd_grid), t_godunov, window=(0.0, 1.0),
-                                         n_outputs=75),
+            "nonlocal": lambda: _final_at_rerun(k, run_nonlocal, step_datum(datum_grid),
+                                                kernel, t_end, n_outputs=25,
+                                                window=right_window),
+            "godunov": lambda: _final_at_rerun(k, run_local, step_datum(gd_grid), t_godunov,
+                                               window=(0.0, 1.0), n_outputs=75),
         }
         if k == 1:
             out["lf_coarse"] = lambda: _final(run_nonlocal, step_datum(lf_grid), kernel, t_end,
@@ -600,9 +607,10 @@ def counterexample_3(
         datum_grid = _support_datum_grid(-2.0, 1.5, 1.0, n_particles // k)
         gd_grid = _godunov_grid(-2.0, 2.0, godunov_n, k)
         out = {
-            "nonlocal": lambda: run_nonlocal(step_datum(datum_grid), kernel, t_end,
-                                             n_outputs=25),
-            "godunov": lambda: run_local(step_datum(gd_grid), t_end, n_outputs=50),
+            "nonlocal": lambda: _final_at_rerun(k, run_nonlocal, step_datum(datum_grid),
+                                                kernel, t_end, n_outputs=25),
+            "godunov": lambda: _final_at_rerun(k, run_local, step_datum(gd_grid), t_end,
+                                               n_outputs=50),
         }
         if k == 1:
             out["fv"] = lambda: _final(run_nonlocal, step_datum(fv_grid), kernel, t_end,

@@ -5,9 +5,11 @@
   mask the structural properties of the nonlocal flow at coarse resolution.
 * A Lagrangian particle solver that advects point masses along the
   characteristics dX/dt = (u * eta_eps)(X), with the convolution of the
-  atomic measure evaluated exactly. This is the structure-preserving
-  instrument: masses are never modified, symmetry and one-sided dependence
-  hold discretely, and no mass can cross a stagnation point.
+  atomic measure evaluated exactly, stepped in time by the third-order
+  strong-stability-preserving Runge-Kutta scheme of Shu & Osher. This is the
+  structure-preserving instrument: masses are never modified, symmetry and
+  one-sided dependence hold discretely, and no mass can cross a stagnation
+  point.
 
 Experiments must state which solver produced each number.
 """
@@ -149,9 +151,14 @@ def particle_velocity_and_bound(e: ParticleEnsemble, k: Kernel):
     """Velocity at the current positions and the local contraction bound on dt.
 
     The bound is dt * max_i sum_j |m_j| |eta_eps'(X_i - X_j)| < 1/2: the
-    Lipschitz constant of the particle velocity field measured at the
-    current positions, so the bound follows the state. Being sampled at the
-    particles only, it does not certify ordering by itself:
+    Lipschitz constant L of the particle velocity field measured at the
+    current positions, so the bound follows the state. A forward-Euler step
+    X + dt v(X) keeps the particles ordered while dt L < 1, since each gap
+    shrinks by at most the factor 1 - dt L. Every stage of ``particle_step``
+    is such a step and its result a convex combination of them, so the
+    same bound serves the whole step; the factor 1/2 leaves room for L to
+    be larger between the particles and at the moved stage positions than
+    where it was sampled. So it does not certify ordering by itself:
     ``particle_step`` still checks every stage, and ``run_nonlocal`` rejects
     and halves a step that crosses. Both values come from one pass over the
     particle pairs.
@@ -173,18 +180,28 @@ def particle_step(
     dt: float,
     stage1: Optional[tuple] = None,
 ) -> ParticleEnsemble:
-    """One RK4 step of the coupled characteristics system
+    """One SSP-RK3 step of the coupled characteristics system
     dX_j/dt = sum_i m_i eta_eps(X_j - X_i).
 
-    Each stage evaluates the velocity field induced by the stage positions
-    themselves (masses fixed), i.e. classical RK4 for the self-consistent
-    particle ODE. Masses are unchanged. ``dt`` must lie below the local
-    contraction bound of ``particle_velocity_and_bound`` (ValueError
-    otherwise). Raises ``CharacteristicsCrossed`` (a RuntimeError) if
-    positions stop being strictly increasing at any stage or in the result;
-    the caller may retry with a smaller dt. ``stage1`` lets drivers pass the
-    pair returned by ``particle_velocity_and_bound`` for the current
-    positions.
+    The third-order strong-stability-preserving scheme of Shu & Osher
+    (J. Comput. Phys. 77, 1988):
+        X1 = X + dt v(X)
+        X2 = 3/4 X + 1/4 (X1 + dt v(X1))
+        Xn = 1/3 X + 2/3 (X2 + dt v(X2)),
+    each stage a forward-Euler step and the result a convex combination of
+    them, so ordering needs no smaller dt than one forward-Euler step does
+    (see ``particle_velocity_and_bound``). It is evaluated in the equivalent
+    increment form Xn = X + dt/6 (v(X) + v(X1) + 4 v(X2)), with
+    X2 = X + dt/4 (v(X) + v(X1)), which leaves a particle of zero velocity
+    bit-exactly in place. Each stage evaluates the velocity field induced by
+    the stage positions themselves (masses fixed); a step costs the first
+    stage's velocity-and-bound pass and two velocity evaluations. Masses are
+    unchanged. ``dt`` must lie below the local contraction bound of
+    ``particle_velocity_and_bound`` (ValueError otherwise). Raises
+    ``CharacteristicsCrossed`` (a RuntimeError) if positions stop being
+    strictly increasing at any stage or in the result; the caller may retry
+    with a smaller dt. ``stage1`` lets drivers pass the pair returned by
+    ``particle_velocity_and_bound`` for the current positions.
     """
     v1, bound = particle_velocity_and_bound(e, k) if stage1 is None else stage1
     if dt >= bound:
@@ -192,10 +209,9 @@ def particle_step(
             f"dt={dt:.3e} violates the contraction safeguard (needs < {bound:.3e})"
         )
     X, m = e.positions, e.masses
-    k2 = _stage_velocity(X + 0.5 * dt * v1, m, k)
-    k3 = _stage_velocity(X + 0.5 * dt * k2, m, k)
-    k4 = _stage_velocity(X + dt * k3, m, k)
-    Xn = X + (dt / 6.0) * (v1 + 2.0 * k2 + 2.0 * k3 + k4)
+    v2 = _stage_velocity(X + dt * v1, m, k)
+    v3 = _stage_velocity(X + (0.25 * dt) * (v1 + v2), m, k)
+    Xn = X + (dt / 6.0) * (v1 + v2 + 4.0 * v3)
     if np.any(np.diff(Xn) <= 0.0):
         raise CharacteristicsCrossed("characteristics crossed: dt too large")
     return ParticleEnsemble(Xn, e.masses, e.time_stamp + dt)

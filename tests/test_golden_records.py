@@ -39,26 +39,26 @@ GOLDEN = [
     ("ce1", "counterexample_1", dict(n_particles=300, godunov_n=512),
      "ce1-4fc80cad95a1a297", "PASS", 63,
      "f0413c63aeae29d20707470b712c3d637e2f7f9c35fd64350db2af39005189a0",
-     "6cee3573485660fe79b6404ce2e7e8ca83e4f63c1535f8cc8d07869f3c809621"),
+     "28229cbf788085537be383d37a443ea6478699cb5121934e20b86a4864b46aac"),
     ("ce1_no_gate", "counterexample_1", dict(n_particles=300, godunov_n=512, gate=False),
      "ce1-130da4e6f506f372", "PASS", 63,
      "e043b5a2b446405982448f5ea98423e7a6c0d6d265577339985b9b383bc10fd0",
-     "6cee3573485660fe79b6404ce2e7e8ca83e4f63c1535f8cc8d07869f3c809621"),
+     "28229cbf788085537be383d37a443ea6478699cb5121934e20b86a4864b46aac"),
     ("ce2", "counterexample_2", dict(n_particles=200, godunov_n=512),
      "ce2-42c3262a7a4a7ca9", "PASS", 137,
-     "1483bee999cc2044d075b14374ea1b3e375d95da43b6a6bb59effcf15b78fa53",
-     "43ca257e5ef7e1cb87b7aca9ebfb287450899b3c4ef59e785a11f33e4b9ab877"),
+     "c8d6be8568deddd280c9a75b788d422b8c0b453339da143a60b8db972899421c",
+     "23cdc3db39e4c219f52a67d12e66bbe7245612465a52bfbae0a50595d9725243"),
     ("ce3", "counterexample_3", dict(n_particles=200, godunov_n=512),
      "ce3-1d3ca951566f4874", "INCONCLUSIVE", 103,
-     "d4b7d9c3a2bd72dd0fab7106d99216e268d9095e80aab34d08bf99d98f935a35",
-     "8c378cede67f797bc379935c8ab1a0bd8aa0496ddf3650462ff32f4efebceb16"),
+     "0ec625468bbc1914d5fec78c3858f38cdf846549c20923add08ebdf4f9bb731c",
+     "fad76e5348a0451302b0802ed945728f0ee852b9b56297d6922956fcf02aab9d"),
     ("rate", "singular_limit_rate", dict(eps_list=(0.4, 0.2), t_end=0.2),
      "rate-5d5d7e979357829b", "FAIL", 0,
      "8ae0392e995a0d9605c6353f7a9407ba7e5eeab706ae9bebbd637bc62acd2f6f",
      hashlib.sha256(b"").hexdigest()),
     ("visc", "vanishing_viscosity", dict(nu_list=(0.1, 0.03), t_end=0.1),
      "visc-15a01de0cf99a9dd", "FAIL", 0,
-     "9b4f6b7779ef13a4f04e794063ad9919eccec338ad88af85d3628fc28d59b03d",
+     "588347634390d1dd964ce047cf1795f8b0a50b8f60c383a13de2b5fafe85c29c",
      hashlib.sha256(b"").hexdigest()),
 ]
 

@@ -125,9 +125,9 @@ class TestParticleStep:
         with pytest.raises(ValueError, match="contraction"):
             particle_step(e, k, dt=1.0)
 
-    def test_rk4_order_four_in_dt(self):
+    def test_ssp_rk3_order_three_in_dt(self):
         # smooth datum and kernel, fixed dt: the change of the final positions
-        # under successive dt halvings shrinks 16x (global error O(dt^4))
+        # under successive dt halvings shrinks 8x (global error O(dt^3))
         grid = Grid1D(-3.0, 3.0, 200)
         k = Kernel(EVEN_BUMP, 0.2)
         e0 = sample_particles(gaussian_datum(grid, 1.0, 0.3))
@@ -144,7 +144,29 @@ class TestParticleStep:
             [np.sqrt(np.sum(e0.masses * (a - b) ** 2)) for a, b in zip(runs, runs[1:])]
         )
         orders = np.log2(diffs[:-1] / diffs[1:])
-        assert np.all(np.abs(orders - 4.0) <= 0.3), orders
+        assert np.all(np.abs(orders - 3.0) <= 0.3), orders
+
+    def test_step_with_stage1_makes_two_velocity_evaluations(self, monkeypatch):
+        # stage 1 comes from the caller; SSP-RK3 evaluates the velocity at
+        # its two further stages only, and never needs the slope there
+        calls = {"conv": 0, "slope": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        grid = Grid1D(-3.0, 3.0, 200)
+        k = Kernel(EVEN_BUMP, 0.2)
+        e = sample_particles(gaussian_datum(grid, 1.0, 0.3))
+        stage1 = particle_velocity_and_bound(e, k)
+        monkeypatch.setattr(nonlocal_solvers, "_convolve_atoms",
+                            counted("conv", nonlocal_solvers._convolve_atoms))
+        monkeypatch.setattr(nonlocal_solvers, "convolve_particles_slope",
+                            counted("slope", nonlocal_solvers.convolve_particles_slope))
+        particle_step(e, k, 0.5 * stage1[1], stage1=stage1)
+        assert calls == {"conv": 2, "slope": 0}
 
     def test_crossing_stage_raises_for_retry(self):
         # with the contraction guard lifted a large step crosses at the
