@@ -250,6 +250,11 @@ def _timed(fn, *args):
     return out, time.monotonic() - t0
 
 
+# the keys of a run's ``info`` that its ``run_stats`` entry copies
+_RUN_STAT_KEYS = ("n_steps", "n_rejected", "dt_min", "dt_median", "dt_max", "steps_by_rule",
+                 "n_startup")
+
+
 def _pool(jobs, fork=True):
     """Call each ``(label, k, call)`` of ``jobs``; return its result and a
     stats entry for each, in the order of ``jobs``.
@@ -264,8 +269,9 @@ def _pool(jobs, fork=True):
     ChildProcessError naming its exit code. Leaving, also by an exception,
     terminates and reaps a helper that still runs. Otherwise the calls run
     here, in order. A stats entry holds the label, k, the process that made
-    the call (``parent`` or ``helper``), its wall seconds, and ``n_steps``
-    and ``n_rejected`` from the result's ``info``.
+    the call (``parent`` or ``helper``), its wall seconds, and the keys of
+    ``_RUN_STAT_KEYS`` from the result's ``info`` (None where it has none):
+    the step counts of every run, and the step telemetry of a particle run.
     """
     import multiprocessing  # here, not at the top: importing nclaw stays lean
     import traceback
@@ -275,7 +281,7 @@ def _pool(jobs, fork=True):
         out, seconds = _timed(call)
         info = getattr(out, "info", {})
         return out, {"label": label, "k": k, "process": process, "wall_s": seconds,
-                     "n_steps": info.get("n_steps"), "n_rejected": info.get("n_rejected")}
+                     **{key: info.get(key) for key in _RUN_STAT_KEYS}}
 
     if not fork or len(jobs) < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [run(i, "parent") for i in range(len(jobs))]

@@ -5,8 +5,10 @@
   mask the structural properties of the nonlocal flow at coarse resolution.
 * A Lagrangian particle solver that advects point masses along the
   characteristics dX/dt = (u * eta_eps)(X), with the convolution of the
-  atomic measure evaluated exactly, stepped in time by the third-order
-  strong-stability-preserving Runge-Kutta scheme of Shu & Osher. This is the
+  atomic measure evaluated exactly, stepped in time by a third-order
+  variable-step Adams predictor-corrector (AB3 predictor, two-step
+  Adams-Moulton corrector, PECE) that reuses the velocities of the two
+  previous steps, started by the SSP-RK3 scheme of Shu & Osher. This is the
   structure-preserving instrument: masses are never modified, symmetry and
   one-sided dependence hold discretely, and no mass can cross a stagnation
   point.
@@ -30,6 +32,7 @@ from .records import RunResult, field_diagnostics, march, output_times
 
 __all__ = [
     "CharacteristicsCrossed",
+    "ParticlesLeftGrid",
     "ParticleEnsemble",
     "lf_step",
     "particle_step",
@@ -147,6 +150,10 @@ class CharacteristicsCrossed(RuntimeError):
     """A particle step broke the strict ordering of the positions."""
 
 
+class ParticlesLeftGrid(RuntimeError):
+    """The particle support left the grid of the run's datum."""
+
+
 def particle_velocity_and_bound(e: ParticleEnsemble, k: Kernel):
     """Velocity at the current positions and the local contraction bound on dt.
 
@@ -154,14 +161,16 @@ def particle_velocity_and_bound(e: ParticleEnsemble, k: Kernel):
     Lipschitz constant L of the particle velocity field measured at the
     current positions, so the bound follows the state. A forward-Euler step
     X + dt v(X) keeps the particles ordered while dt L < 1, since each gap
-    shrinks by at most the factor 1 - dt L. Every stage of ``particle_step``
-    is such a step and its result a convex combination of them, so the
-    same bound serves the whole step; the factor 1/2 leaves room for L to
-    be larger between the particles and at the moved stage positions than
-    where it was sampled. So it does not certify ordering by itself:
-    ``particle_step`` still checks every stage, and ``run_nonlocal`` rejects
-    and halves a step that crosses. Both values come from one pass over the
-    particle pairs.
+    shrinks by at most the factor 1 - dt L. Every stage of an SSP-RK3
+    start-up step of ``particle_step`` is such a step and its result a
+    convex combination of them, so the same bound serves that whole step;
+    the factor 1/2 leaves room for L to be larger between the particles and
+    at the moved stage positions than where it was sampled. The Adams steps
+    weigh one velocity negatively and are no such combination, so for them
+    the bound is a step rule, not an ordering argument. The bound alone
+    certifies ordering for no step: ``particle_step`` checks every evaluated
+    position and the result, and ``run_nonlocal`` rejects and halves a step
+    that crosses. Both values come from one pass over the particle pairs.
     """
     conv, slope = convolve_particles_slope(e.positions, e.masses, k, e.positions)
     lam = float(np.max(slope)) if e.n else 0.0
@@ -174,44 +183,84 @@ def _stage_velocity(Y: np.ndarray, m: np.ndarray, k: Kernel):
     return _convolve_atoms(Y, m, k, Y)
 
 
+def _adams_weights(dt: float, h1: float, h2: float) -> tuple:
+    """The variable-step weights of one PECE step of size ``dt`` whose two
+    previous steps had sizes ``h1`` (the latest) and ``h2``.
+
+    Returns the AB3 predictor weights on (v_n, v_{n-1}, v_{n-2}) and the
+    two-step Adams-Moulton corrector weights on (v_pred, v_n, v_{n-1}):
+    each set integrates over the step the quadratic through its three
+    velocities, int_0^dt p(s) ds = dt sum_i w_i v_i with s measured from
+    the step's start (Hairer, Norsett & Wanner, Solving ODEs I, III.5). At
+    a constant step they are (23, -16, 5)/12 and (5, 8, -1)/12.
+    """
+
+    def w(a, b, c):  # the weight of the node a, from its Lagrange polynomial
+        return (dt * dt / 3.0 - 0.5 * (b + c) * dt + b * c) / ((a - b) * (a - c))
+
+    def weights(a, b, c):
+        return w(a, b, c), w(b, a, c), w(c, a, b)
+
+    return weights(0.0, -h1, -h1 - h2), weights(dt, 0.0, -h1)
+
+
 def particle_step(
     e: ParticleEnsemble,
     k: Kernel,
     dt: float,
     stage1: Optional[tuple] = None,
+    history=(),
 ) -> ParticleEnsemble:
-    """One SSP-RK3 step of the coupled characteristics system
+    """One step of the coupled characteristics system
     dX_j/dt = sum_i m_i eta_eps(X_j - X_i).
 
-    The third-order strong-stability-preserving scheme of Shu & Osher
-    (J. Comput. Phys. 77, 1988):
+    With ``history`` holding the (velocity, dt) pairs of the two previous
+    accepted steps, newest first, the step is a third-order variable-step
+    Adams PECE step (``_adams_weights``):
+        Xp = X + dt (p0 v(X) + p1 v_{n-1} + p2 v_{n-2})    (AB3 predictor)
+        Xn = X + dt (c0 v(Xp) + c1 v(X) + c2 v_{n-1})      (AM2 corrector).
+    It evaluates the velocity once, at Xp; the velocity at Xn is the next
+    step's ``stage1``, which its bound needs anyway. With a shorter history
+    the step is the start-up scheme, the SSP-RK3 scheme of Shu & Osher
+    (J. Comput. Phys. 77, 1988)
         X1 = X + dt v(X)
         X2 = 3/4 X + 1/4 (X1 + dt v(X1))
         Xn = 1/3 X + 2/3 (X2 + dt v(X2)),
-    each stage a forward-Euler step and the result a convex combination of
-    them, so ordering needs no smaller dt than one forward-Euler step does
-    (see ``particle_velocity_and_bound``). It is evaluated in the equivalent
-    increment form Xn = X + dt/6 (v(X) + v(X1) + 4 v(X2)), with
-    X2 = X + dt/4 (v(X) + v(X1)), which leaves a particle of zero velocity
-    bit-exactly in place. Each stage evaluates the velocity field induced by
-    the stage positions themselves (masses fixed); a step costs the first
-    stage's velocity-and-bound pass and two velocity evaluations. Masses are
-    unchanged. ``dt`` must lie below the local contraction bound of
-    ``particle_velocity_and_bound`` (ValueError otherwise). Raises
-    ``CharacteristicsCrossed`` (a RuntimeError) if positions stop being
-    strictly increasing at any stage or in the result; the caller may retry
-    with a smaller dt. ``stage1`` lets drivers pass the pair returned by
-    ``particle_velocity_and_bound`` for the current positions.
+    evaluated as Xn = X + dt/6 (v(X) + v(X1) + 4 v(X2)) with
+    X2 = X + dt/4 (v(X) + v(X1)); it evaluates the velocity twice. Both are
+    in increment form, so a particle of zero velocity stays bit-exactly in
+    place. Each evaluation uses the velocity field induced by the evaluated
+    positions themselves (masses fixed). Masses are unchanged.
+
+    The Adams weights include negative ones, so the PECE step is not SSP and
+    the convex-combination argument of ``particle_velocity_and_bound`` does
+    not cover it. On y' = z y its stability interval reaches z dt = -1.73
+    (plain AB3: -0.545; SSP-RK3: -2.51), and its amplification roots stay
+    within 1 + 2e-4 on the left half-disk |z dt| <= 0.9 that the
+    contraction rule allows, by Gershgorin, for the particle velocity's
+    Jacobian. Ordering rests on the checks: ``CharacteristicsCrossed`` (a
+    RuntimeError) is raised if positions stop being strictly increasing at
+    Xp, at any SSP-RK3 stage or in the result, and ``run_nonlocal`` halves
+    and retries such a step from the start-up scheme. ``dt`` must lie below
+    the local contraction bound of ``particle_velocity_and_bound``
+    (ValueError otherwise). ``stage1`` lets drivers pass the pair returned
+    by ``particle_velocity_and_bound`` for the current positions.
     """
-    v1, bound = particle_velocity_and_bound(e, k) if stage1 is None else stage1
+    v0, bound = particle_velocity_and_bound(e, k) if stage1 is None else stage1
     if dt >= bound:
         raise ValueError(
             f"dt={dt:.3e} violates the contraction safeguard (needs < {bound:.3e})"
         )
     X, m = e.positions, e.masses
-    v2 = _stage_velocity(X + dt * v1, m, k)
-    v3 = _stage_velocity(X + (0.25 * dt) * (v1 + v2), m, k)
-    Xn = X + (dt / 6.0) * (v1 + v2 + 4.0 * v3)
+    if len(history) >= 2:
+        (v1, h1), (v2, h2) = history[:2]
+        (p0, p1, p2), (c0, c1, c2) = _adams_weights(dt, h1, h2)
+        vp = _stage_velocity(X + dt * (p0 * v0 + p1 * v1 + p2 * v2), m, k)
+        Xn = X + dt * (c0 * vp + c1 * v0 + c2 * v1)
+    else:
+        va = _stage_velocity(X + dt * v0, m, k)
+        vb = _stage_velocity(X + (0.25 * dt) * (v0 + va), m, k)
+        Xn = X + (dt / 6.0) * (v0 + va + 4.0 * vb)
     if np.any(np.diff(Xn) <= 0.0):
         raise CharacteristicsCrossed("characteristics crossed: dt too large")
     return ParticleEnsemble(Xn, e.masses, e.time_stamp + dt)
@@ -299,10 +348,20 @@ def run_nonlocal(
     cells dropped) and each step takes the smallest of the
     0.1*eps/max-speed resolution rule, 0.9 times the local contraction bound
     of ``particle_velocity_and_bound`` (recomputed from the current positions
-    every step) and the time left to the next output. A step whose stages or
-    result cross is rejected and retried with half the dt; the count is
-    returned in ``info["n_rejected"]``. The particle entropy is deposited on
-    a grid spanning ``initial.grid`` at spacing 0.1*eps. For the FV scheme
+    every step) and the time left to the next output. The first two steps
+    are SSP-RK3 start-up steps, the later ones Adams PECE steps on the
+    velocities of the two previous steps (``particle_step``). A step whose
+    evaluated positions or result cross is rejected and retried with half
+    the dt, and the velocity history is dropped, so two start-up steps
+    follow; the count is returned in ``info["n_rejected"]``. ``info`` also
+    holds the smallest, median and largest accepted dt (``dt_min``,
+    ``dt_median``, ``dt_max``), how many accepted steps each rule set
+    (``steps_by_rule``: ``contraction``, ``resolution``, ``output``; a
+    halved step counts for the rule that proposed it) and how many were
+    start-up steps (``n_startup``). The particle entropy is deposited on a
+    grid spanning ``initial.grid`` at spacing 0.1*eps; at every output the
+    support must lie inside ``initial.grid`` (``ParticlesLeftGrid``
+    otherwise). For the FV scheme
     the step is 0.45 * dx / max|V|, capped by the time left to the next
     output. States and diagnostics are recorded at n_outputs evenly spaced
     output times (plus t=0).
@@ -334,6 +393,7 @@ def _run_lf(initial: Field, kernel: Kernel, targets, window) -> RunResult:
 
 
 _MAX_HALVINGS = 30  # a crossing that survives dt / 2**30 is not a step-size issue
+_STEP_RULES = ("contraction", "resolution", "output")  # the order of advance's limits
 
 
 def _run_particles(initial: Field, kernel: Kernel, targets, window) -> RunResult:
@@ -352,27 +412,44 @@ def _run_particles(initial: Field, kernel: Kernel, targets, window) -> RunResult
         and np.all(e.positions[e.masses > 0] < 0.0)
         and np.all(e.positions[e.masses < 0] > 0.0)
     )
-    n_rejected = 0
+    n_rejected = n_startup = 0
+    history = []  # (velocity, dt) of the last two accepted steps, newest first
+    dts, steps_by_rule = [], dict.fromkeys(_STEP_RULES, 0)
 
     def advance(e, target):
-        nonlocal n_rejected
-        v1, bound = particle_velocity_and_bound(e, kernel)
-        vmax = max(float(np.max(np.abs(v1))), 1e-12)
-        dt = min(0.9 * bound, 0.1 * eps / vmax, target - e.time_stamp)
+        nonlocal n_rejected, n_startup
+        v, bound = particle_velocity_and_bound(e, kernel)
+        vmax = max(float(np.max(np.abs(v))), 1e-12)
+        limits = (0.9 * bound, 0.1 * eps / vmax, target - e.time_stamp)
+        rule = min(range(len(limits)), key=limits.__getitem__)
+        dt = limits[rule]
         for _ in range(_MAX_HALVINGS):
             try:
-                return particle_step(e, kernel, dt, stage1=(v1, bound))
+                out = particle_step(e, kernel, dt, stage1=(v, bound), history=history)
             except CharacteristicsCrossed:
                 n_rejected += 1
+                history.clear()
                 dt *= 0.5
+                continue
+            n_startup += len(history) < 2
+            history[:] = [(v, dt)] + history[:1]
+            dts.append(dt)
+            steps_by_rule[_STEP_RULES[rule]] += 1
+            return out
         raise CharacteristicsCrossed(
             f"characteristics crossed after {_MAX_HALVINGS} halvings "
             f"of the step at t={e.time_stamp:.6g}"
         )
 
     def check(e):
-        if np.any(e.positions[e.masses > 0] >= 0.0) or np.any(
-            e.positions[e.masses < 0] <= 0.0
+        if e.positions[0] < g.x_min or e.positions[-1] > g.x_max:
+            raise ParticlesLeftGrid(
+                f"particle support [{e.positions[0]:.6g}, {e.positions[-1]:.6g}] left "
+                f"the grid [{g.x_min:.6g}, {g.x_max:.6g}] at t={e.time_stamp:.6g}"
+            )
+        if partition_ok and (
+            np.any(e.positions[e.masses > 0] >= 0.0)
+            or np.any(e.positions[e.masses < 0] <= 0.0)
         ):
             raise RuntimeError("sign partition violated: mass crossed 0")
 
@@ -382,14 +459,21 @@ def _run_particles(initial: Field, kernel: Kernel, targets, window) -> RunResult
         targets,
         advance,
         lambda e: ensemble_diagnostics(e, ent_grid, window),
-        check if partition_ok else None,
+        check,
     )
     assert np.array_equal(res.final.masses, mass0)  # transport never edits masses
+    # the median by hand: np.median imports numpy.ma, about 0.9 MB resident
+    dt_sorted = np.sort(dts)
     res.info.update(
         scheme="particles",
         n_rejected=n_rejected,
         n_particles=e.n,
         entropy_grid_dx=ent_grid.dx,
         entropy_bias_order=_ENTROPY_DX_OVER_EPS,
+        dt_min=float(dt_sorted[0]),
+        dt_median=float(0.5 * (dt_sorted[(len(dts) - 1) // 2] + dt_sorted[len(dts) // 2])),
+        dt_max=float(dt_sorted[-1]),
+        steps_by_rule=steps_by_rule,
+        n_startup=n_startup,
     )
     return res

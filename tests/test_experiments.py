@@ -233,6 +233,13 @@ def test_no_gate_starts_no_helper_and_runs_are_recorded(monkeypatch):
     assert all(s["wall_s"] > 0.0 and s["n_steps"] > 0 for s in stats)
     assert [s["n_rejected"] for s in stats if s["label"] == "nonlocal"] == [0, 0]
     assert stats[1]["n_rejected"] is None  # Godunov runs reject no step
+    for s in stats:
+        if s["label"] == "nonlocal":  # the particle runs' step telemetry
+            assert 0.0 < s["dt_min"] <= s["dt_median"] <= s["dt_max"]
+            assert sum(s["steps_by_rule"].values()) == s["n_steps"]
+            assert s["steps_by_rule"]["output"] > 0 and s["n_startup"] == 2
+        else:
+            assert s["dt_median"] is None and s["steps_by_rule"] is None
     assert r.manifest.judge_wall_s > 0.0
 
 

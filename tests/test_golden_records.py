@@ -39,26 +39,26 @@ GOLDEN = [
     ("ce1", "counterexample_1", dict(n_particles=300, godunov_n=512),
      "ce1-4fc80cad95a1a297", "PASS", 63,
      "f0413c63aeae29d20707470b712c3d637e2f7f9c35fd64350db2af39005189a0",
-     "28229cbf788085537be383d37a443ea6478699cb5121934e20b86a4864b46aac"),
+     "69a3a1b984e7694684fc7e96902ffd3fa898501cb0ca0b1d2816c3d1a04a7d73"),
     ("ce1_no_gate", "counterexample_1", dict(n_particles=300, godunov_n=512, gate=False),
      "ce1-130da4e6f506f372", "PASS", 63,
      "e043b5a2b446405982448f5ea98423e7a6c0d6d265577339985b9b383bc10fd0",
-     "28229cbf788085537be383d37a443ea6478699cb5121934e20b86a4864b46aac"),
+     "69a3a1b984e7694684fc7e96902ffd3fa898501cb0ca0b1d2816c3d1a04a7d73"),
     ("ce2", "counterexample_2", dict(n_particles=200, godunov_n=512),
      "ce2-42c3262a7a4a7ca9", "PASS", 137,
-     "c8d6be8568deddd280c9a75b788d422b8c0b453339da143a60b8db972899421c",
-     "23cdc3db39e4c219f52a67d12e66bbe7245612465a52bfbae0a50595d9725243"),
+     "be11e5aa05292eb1f2aebbc168170263f5f7ed95b634bfa06beb00fb2246897c",
+     "dee88fe479ce813d965160f0b623552aabff75efe7d4608eef48d11644cf8b70"),
     ("ce3", "counterexample_3", dict(n_particles=200, godunov_n=512),
      "ce3-1d3ca951566f4874", "INCONCLUSIVE", 103,
-     "0ec625468bbc1914d5fec78c3858f38cdf846549c20923add08ebdf4f9bb731c",
-     "fad76e5348a0451302b0802ed945728f0ee852b9b56297d6922956fcf02aab9d"),
+     "ff34e313a5c94dc5e2b2d24f8d272706cc5c8ca8f2e776375db12f5803a74756",
+     "f20bd56fc5bb9e7d1c5339a5e57ce50872b4829c3b7bb5e893a6a7ba0f2b6869"),
     ("rate", "singular_limit_rate", dict(eps_list=(0.4, 0.2), t_end=0.2),
      "rate-5d5d7e979357829b", "FAIL", 0,
      "8ae0392e995a0d9605c6353f7a9407ba7e5eeab706ae9bebbd637bc62acd2f6f",
      hashlib.sha256(b"").hexdigest()),
     ("visc", "vanishing_viscosity", dict(nu_list=(0.1, 0.03), t_end=0.1),
      "visc-15a01de0cf99a9dd", "FAIL", 0,
-     "588347634390d1dd964ce047cf1795f8b0a50b8f60c383a13de2b5fafe85c29c",
+     "08ae88b0b83110aa7bea082b18ce55e57e108348695d9da644cfbd86d233e444",
      hashlib.sha256(b"").hexdigest()),
 ]
 

@@ -18,6 +18,7 @@ from nclaw.local_entropy import CFLError
 from nclaw.nonlocal_solvers import (
     CharacteristicsCrossed,
     ParticleEnsemble,
+    ParticlesLeftGrid,
     deposit,
     lagrangian_entropy,
     lf_step,
@@ -79,11 +80,32 @@ class TestLFStep:
             assert abs(lhs - rhs) <= 0.5 * (dt + grid.dx)
 
 
+def _history_steps(e, k, dts):
+    """Step ``e`` by ``dts`` as ``run_nonlocal`` does: the velocity history of
+    the accepted steps goes into the next step, newest first."""
+    history = []
+    for dt in dts:
+        v = particle_velocity_and_bound(e, k)
+        e = particle_step(e, k, dt, stage1=v, history=history)
+        history = [(v[0], dt)] + history[:1]
+    return e
+
+
+def _max_root(weights, z_dt):
+    """Largest amplification root modulus of a three-level step on y' = z y
+    at a constant step: ``weights(z_dt)`` gives y_{n+1} = sum_i a_i y_{n-i}."""
+    a0, a1, a2 = weights(z_dt)
+    return float(np.max(np.abs(np.roots([1.0, -a0, -a1, -a2]))))
+
+
 class TestParticleStep:
     def test_massless_particle_is_stationary(self):
         k = Kernel(EVEN_BUMP, 0.1)
         e = ParticleEnsemble(np.array([-0.4, 0.0, 0.3]), np.array([0.0, 0.0, 0.0]))
         out = particle_step(e, k, dt=1e-3)
+        assert np.array_equal(out.positions, e.positions)
+        # the Adams steps too, on steps of unequal size
+        out = _history_steps(e, k, [1e-3, 2e-3, 5e-4, 1e-3, 3e-3])
         assert np.array_equal(out.positions, e.positions)
 
     def test_antisymmetric_ensemble_pins_origin(self):
@@ -103,9 +125,13 @@ class TestParticleStep:
         e = sample_particles(step_datum(grid))
         right0 = e.positions[-1]
         dt = 0.2 * particle_velocity_and_bound(e, k)[1]
+        e1 = e
         for _ in range(30):
-            e = particle_step(e, k, dt)
-        assert e.positions[-1] == right0
+            e1 = particle_step(e1, k, dt)
+        assert e1.positions[-1] == right0
+        # 28 of these 30 steps are Adams PECE steps
+        e2 = _history_steps(e, k, [dt, 0.5 * dt] * 15)
+        assert e2.positions[-1] == right0
 
     def test_masses_never_change(self):
         grid = Grid1D(-1.5, 0.5, 400)
@@ -125,30 +151,42 @@ class TestParticleStep:
         with pytest.raises(ValueError, match="contraction"):
             particle_step(e, k, dt=1.0)
 
-    def test_ssp_rk3_order_three_in_dt(self):
-        # smooth datum and kernel, fixed dt: the change of the final positions
-        # under successive dt halvings shrinks 8x (global error O(dt^3))
+    def test_multistep_run_order_three_on_non_uniform_steps(self, monkeypatch):
+        # smooth datum and kernel. The contraction bound, scaled by f times a
+        # factor that swings between 0.5 and 1.5 along the run, sets every
+        # step, so the step sizes vary smoothly by 3x; the 7 output times
+        # fall between steps, so the output rule cuts steps short too. The
+        # change of the final positions under successive halvings of f
+        # shrinks 8x (global error O(dt^3))
         grid = Grid1D(-3.0, 3.0, 200)
         k = Kernel(EVEN_BUMP, 0.2)
-        e0 = sample_particles(gaussian_datum(grid, 1.0, 0.3))
-        t_end = 0.16
+        exact = nonlocal_solvers.particle_velocity_and_bound
 
-        def final_positions(n):
-            e = e0
-            for _ in range(n):
-                e = particle_step(e, k, t_end / n)
-            return e.positions
+        def scaled(e, k, f):
+            v, bound = exact(e, k)
+            return v, f * (1.0 + 0.5 * math.sin(40.0 * e.time_stamp)) * bound
 
-        runs = [final_positions(n) for n in (16, 32, 64, 128)]
+        runs = []
+        for f in (1 / 16, 1 / 32, 1 / 64, 1 / 128):
+            monkeypatch.setattr(nonlocal_solvers, "particle_velocity_and_bound",
+                                lambda e, k, f=f: scaled(e, k, f))
+            res = run_nonlocal(gaussian_datum(grid, 1.0, 0.3), k, 0.16, n_outputs=7)
+            rules = res.info["steps_by_rule"]
+            assert rules["resolution"] == 0 and rules["output"] == 7, rules
+            assert res.info["n_startup"] == 2 and res.info["n_rejected"] == 0
+            assert res.info["dt_max"] > 1.3 * res.info["dt_median"]
+            runs.append(res.final)
+        m = runs[0].masses
         diffs = np.array(
-            [np.sqrt(np.sum(e0.masses * (a - b) ** 2)) for a, b in zip(runs, runs[1:])]
+            [np.sqrt(np.sum(m * (a.positions - b.positions) ** 2)) for a, b in zip(runs, runs[1:])]
         )
         orders = np.log2(diffs[:-1] / diffs[1:])
         assert np.all(np.abs(orders - 3.0) <= 0.3), orders
 
-    def test_step_with_stage1_makes_two_velocity_evaluations(self, monkeypatch):
-        # stage 1 comes from the caller; SSP-RK3 evaluates the velocity at
-        # its two further stages only, and never needs the slope there
+    def test_adams_step_makes_one_velocity_evaluation(self, monkeypatch):
+        # the current velocity and bound come from the caller; a PECE step
+        # given its history evaluates the velocity once, at the predicted
+        # positions, a start-up step twice, and neither needs the slope
         calls = {"conv": 0, "slope": 0}
 
         def counted(name, fn):
@@ -161,12 +199,42 @@ class TestParticleStep:
         k = Kernel(EVEN_BUMP, 0.2)
         e = sample_particles(gaussian_datum(grid, 1.0, 0.3))
         stage1 = particle_velocity_and_bound(e, k)
+        dt = 0.5 * stage1[1]
+        history = [(stage1[0], dt), (stage1[0], dt)]
         monkeypatch.setattr(nonlocal_solvers, "_convolve_atoms",
                             counted("conv", nonlocal_solvers._convolve_atoms))
         monkeypatch.setattr(nonlocal_solvers, "convolve_particles_slope",
                             counted("slope", nonlocal_solvers.convolve_particles_slope))
-        particle_step(e, k, 0.5 * stage1[1], stage1=stage1)
-        assert calls == {"conv": 2, "slope": 0}
+        particle_step(e, k, dt, stage1=stage1, history=history)
+        assert calls == {"conv": 1, "slope": 0}
+        for short in ([], history[:1]):
+            calls.update(conv=0, slope=0)
+            particle_step(e, k, dt, stage1=stage1, history=short)
+            assert calls == {"conv": 2, "slope": 0}
+
+    def test_adams_step_is_stable_where_the_contraction_rule_allows(self):
+        # Gershgorin puts the particle velocity's Jacobian eigenvalues in
+        # |z| <= 2 lambda, and the contraction rule allows dt = 0.45/lambda:
+        # z dt on the left half-disk of radius 0.9. There the PECE step's
+        # amplification roots stay within 1 + 1e-3; plain AB3's do not
+        (p0, p1, p2), (c0, c1, c2) = nonlocal_solvers._adams_weights(1.0, 1.0, 1.0)
+
+        def pece(w):
+            # y_p = y_n + w (p0 y_n + p1 y_{n-1} + p2 y_{n-2});
+            # y_{n+1} = y_n + w (c0 y_p + c1 y_n + c2 y_{n-1})
+            return (1.0 + w * (c0 + c1) + c0 * p0 * w * w, c2 * w + c0 * p1 * w * w,
+                    c0 * p2 * w * w)
+
+        def ab3(w):
+            return 1.0 + p0 * w, p1 * w, p2 * w
+
+        r, th = np.meshgrid(np.linspace(0.0, 0.9, 46), np.linspace(0.5, 1.5, 61) * np.pi)
+        disk = (r * np.exp(1j * th)).ravel()
+        assert max(_max_root(pece, w) for w in disk) <= 1.0 + 1e-3
+        assert max(_max_root(ab3, w) for w in disk) > 1.5
+        # the stability intervals on the negative real axis
+        assert _max_root(pece, -1.7) <= 1.0 < _max_root(pece, -1.76)
+        assert _max_root(ab3, -0.54) <= 1.0 < _max_root(ab3, -0.55)
 
     def test_crossing_stage_raises_for_retry(self):
         # with the contraction guard lifted a large step crosses at the
@@ -275,6 +343,16 @@ class TestRunNonlocal:
         assert res.final.time_stamp == pytest.approx(0.5, abs=1e-12)
         assert res.diagnostics.last("window_mass") == 0.0
         assert np.max(np.abs(res.final.positions - ref.final.positions)) <= 1e-3
+
+    def test_particles_leaving_the_datum_grid_are_a_numerical_failure(self):
+        # the right front of the step moves right at about 0.85 and leaves
+        # the grid near t = 0.24; the check after the t = 0.3 output stops
+        # the run before the entropy deposit sees a particle off its grid
+        grid = Grid1D(-1.1, 0.2, 260)
+        with pytest.raises(ParticlesLeftGrid, match=r"grid \[-1\.1, 0\.2\] at t=0\.3$"):
+            run_nonlocal(step_datum(grid), Kernel(EVEN_BUMP, 0.05), 0.3, n_outputs=2)
+        assert issubclass(ParticlesLeftGrid, RuntimeError)
+        assert not issubclass(ParticlesLeftGrid, ValueError)
 
     def test_particle_entropy_is_deposited_over_the_datum_grid(self):
         # the deposit grid spans the datum's grid at spacing 0.1 * eps
