@@ -271,7 +271,7 @@ def _pool(jobs, fork=True):
     here, in order. A stats entry holds the label, k, the process that made
     the call (``parent`` or ``helper``), its wall seconds, and the keys of
     ``_RUN_STAT_KEYS`` from the result's ``info`` (None where it has none):
-    the step counts of every run, and the step telemetry of a particle run.
+    the step count and dt range of every run, and a particle run's step rules.
     """
     import multiprocessing  # here, not at the top: importing nclaw stays lean
     import traceback

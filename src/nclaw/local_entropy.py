@@ -3,9 +3,9 @@ the closed-form entropy solutions used as oracles.
 
 The lab fixes b(u) = u, so the local flux u^2 is convex with its sonic
 point at u = 0, and the Godunov flux is the exact Riemann flux. This
-module also holds what all three finite-volume solvers share: ``CFLError``
-and ``_lf_update``, the one Lax-Friedrichs update (classic LF in
-``lf_step``, Rusanov in the IMEX advection substep).
+module also holds what all three finite-volume solvers share: ``CFLError``,
+``_check_boundary_clear`` and ``_lf_update``, the one Lax-Friedrichs update
+(classic LF in ``lf_step``, Rusanov in the IMEX advection substep).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Field, Grid1D
-from .records import RunResult, field_diagnostics, march
+from .records import RunResult, field_diagnostics, march, output_times
 
 __all__ = [
     "CFLError",
@@ -43,6 +43,15 @@ class CFLError(RuntimeError):
     def __reduce__(self):
         # rebuild from both arguments, so the error survives a pipe to a parent process
         return type(self), (self.dt, self.dt_admissible)
+
+
+def _check_boundary_clear(f: Field, rel_tol: float):
+    """Raise if either edge cell holds more than rel_tol of the sup norm."""
+    scale = float(np.max(np.abs(f.values)))
+    if scale > 0.0 and (
+        abs(f.values[0]) > rel_tol * scale or abs(f.values[-1]) > rel_tol * scale
+    ):
+        raise RuntimeError("domain too small: support reached the boundary")
 
 
 def _lf_update(u: np.ndarray, V: np.ndarray, dx: float, dt: float, speed) -> np.ndarray:
@@ -87,24 +96,25 @@ def _burgers_godunov_flux(ul: np.ndarray, ur: np.ndarray) -> np.ndarray:
     return np.where(ul <= ur, fmin, np.maximum(fl, fr))
 
 
-def godunov_step(f: Field, dt: float, cfl: float = 1.0) -> Field:
+_GODUNOV_CFL = 0.9  # Courant number of run_local's step
+_GODUNOV_CFL_GUARD = 1.05 * _GODUNOV_CFL  # godunov_step's, with a margin for rounding
+
+
+def godunov_step(f: Field, dt: float) -> Field:
     """One conservative step of the local solver with the exact Godunov flux.
 
-    Raises CFLError when dt * max|f'(u)| / dx > cfl, with f'(u) = 2u.
+    Raises CFLError when dt * max|f'(u)| / dx > 0.945, with f'(u) = 2u.
     """
     u = f.values
     dx = f.grid.dx
     speed = float(np.max(2.0 * np.abs(u)))
-    if speed > 0.0 and dt > cfl * dx / speed:
-        raise CFLError(dt, cfl * dx / speed)
+    if speed > 0.0 and dt > _GODUNOV_CFL_GUARD * dx / speed:
+        raise CFLError(dt, _GODUNOV_CFL_GUARD * dx / speed)
     ul = np.concatenate([[0.0], u])   # zero states outside the domain
     ur = np.concatenate([u, [0.0]])
     F = _burgers_godunov_flux(ul, ur)
     out = u - (dt / dx) * (F[1:] - F[:-1])
     return Field(f.grid, out, f.time_stamp + dt)
-
-
-_GODUNOV_CFL = 0.9  # Courant number of run_local's fixed step
 
 
 def run_local(
@@ -114,35 +124,31 @@ def run_local(
     window=None,
     n_outputs: int = 50,
 ) -> RunResult:
-    """March the Godunov solver to t_end, recording diagnostics.
+    """March the Godunov solver to t_end, recording diagnostics at t = 0 and
+    at the ``output_times``, as every driver does.
 
     ``window`` (a, b) feeds the ``window_mass`` channel (the whole domain if
-    None). The step is fixed at Courant number 0.9 for the initial datum's
-    Burgers speed max 2|u|, checked with a 5% margin: the scheme is
-    monotone, so every later state stays inside [min u, max u] and the step
-    admissible.
+    None). The step is the largest uniform one at Courant number at most 0.9
+    for the initial datum's Burgers speed max 2|u| that divides each output
+    interval: the scheme is monotone, so every later state stays inside
+    [min u, max u] and the step admissible. The edge cells must stay clear.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
+    targets = output_times(t_end, n_outputs)
+    h = t_end / targets.size
     speed = float(np.max(2.0 * np.abs(initial.values)))
-    dt = _GODUNOV_CFL * initial.grid.dx / max(speed, 1e-12)
-    n_steps = max(1, int(math.ceil(t_end / dt)))
-    dt = t_end / n_steps
-    out_every = max(1, n_steps // max(n_outputs, 1))
-    # output times summed step by step, exactly as godunov_step stamps the
-    # state, so every output is reached after a whole number of steps
-    targets, t = [], initial.time_stamp
-    for k in range(1, n_steps + 1):
-        t += dt
-        if k % out_every == 0 or k == n_steps:
-            targets.append(t)
+    dt_cfl = _GODUNOV_CFL * initial.grid.dx / max(speed, 1e-12)
+    dt = h / math.ceil(h / dt_cfl)
     res = march(
         initial,
         targets,
-        lambda u, target: godunov_step(u, dt, cfl=min(1.0, _GODUNOV_CFL * 1.05)),
+        # the min only absorbs the rounding of the summed time stamps
+        lambda u, target: godunov_step(u, min(dt, target - u.time_stamp)),
         lambda u: field_diagnostics(u, window),
+        lambda u: _check_boundary_clear(u, 1e-12),
     )
-    res.info.update(scheme="godunov", dt=dt, cfl=_GODUNOV_CFL)
+    res.info["scheme"] = "godunov"
     return res
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .grids import Field, Grid1D, entropy_functional
 from .kernels import Kernel, convolve, convolve_particles_slope
 from .kernels import convolve_particles as _convolve_atoms
-from .local_entropy import CFLError, _lf_update
+from .local_entropy import CFLError, _check_boundary_clear, _lf_update
 from .records import RunResult, field_diagnostics, march, output_times
 
 __all__ = [
@@ -122,7 +122,6 @@ def lf_step(
     f: Field,
     k: Kernel,
     dt: float,
-    cfl: float = 1.0,
     velocity: Optional[np.ndarray] = None,
 ) -> Field:
     """One Lax-Friedrichs step with the convolved velocity V = u * eta_eps.
@@ -131,12 +130,12 @@ def lf_step(
         F_{i+1/2} = (u_i V_i + u_{i+1} V_{i+1})/2 - (dx/2dt) (u_{i+1} - u_i),
     zero states outside the domain. The second term is the numerical
     viscosity (coefficient dx^2/2dt). ``velocity`` lets drivers reuse an
-    already computed V.
+    already computed V. Raises CFLError when dt * max|V| / dx > 0.45.
     """
     dx = f.grid.dx
     V = convolve(f, k).values if velocity is None else velocity
     vmax = float(np.max(np.abs(V))) if V.size else 0.0
-    dt_adm = cfl * dx / max(vmax, 1e-14)
+    dt_adm = _LF_CFL * dx / max(vmax, 1e-14)
     if dt > dt_adm:
         raise CFLError(dt, dt_adm)
     return Field(f.grid, _lf_update(f.values, V, dx, dt, dx / dt), f.time_stamp + dt)
@@ -317,18 +316,9 @@ def ensemble_diagnostics(e: ParticleEnsemble, entropy_grid: Grid1D, window=None)
 # run driver
 
 
-_LF_CFL = 0.45  # Courant number of the Lax-Friedrichs runs
+_LF_CFL = 0.45  # Courant number of the Lax-Friedrichs runs and lf_step's guard
 _ENTROPY_DX_OVER_EPS = 0.1  # particle entropy: deposition grid spacing / eps
 SCHEMES = ("particles", "lax_friedrichs")
-
-
-def _check_boundary_clear(f: Field, rel_tol: float):
-    """Raise if either edge cell holds more than rel_tol of the sup norm."""
-    scale = float(np.max(np.abs(f.values)))
-    if scale > 0.0 and (
-        abs(f.values[0]) > rel_tol * scale or abs(f.values[-1]) > rel_tol * scale
-    ):
-        raise RuntimeError("domain too small: support reached the boundary")
 
 
 def run_nonlocal(
@@ -354,17 +344,16 @@ def run_nonlocal(
     evaluated positions or result cross is rejected and retried with half
     the dt, and the velocity history is dropped, so two start-up steps
     follow; the count is returned in ``info["n_rejected"]``. ``info`` also
-    holds the smallest, median and largest accepted dt (``dt_min``,
-    ``dt_median``, ``dt_max``), how many accepted steps each rule set
-    (``steps_by_rule``: ``contraction``, ``resolution``, ``output``; a
-    halved step counts for the rule that proposed it) and how many were
-    start-up steps (``n_startup``). The particle entropy is deposited on a
-    grid spanning ``initial.grid`` at spacing 0.1*eps; at every output the
-    support must lie inside ``initial.grid`` (``ParticlesLeftGrid``
-    otherwise). For the FV scheme
-    the step is 0.45 * dx / max|V|, capped by the time left to the next
-    output. States and diagnostics are recorded at n_outputs evenly spaced
-    output times (plus t=0).
+    holds how many accepted steps each rule set (``steps_by_rule``:
+    ``contraction``, ``resolution``, ``output``; a halved step counts for
+    the rule that proposed it) and how many were start-up steps
+    (``n_startup``), besides the dt range ``march`` records. The particle
+    entropy is deposited on a grid spanning ``initial.grid`` at spacing
+    0.1*eps; at every output the support must lie inside ``initial.grid``
+    (``ParticlesLeftGrid`` otherwise). For the FV scheme the step is
+    0.45 * dx / max|V|, capped by the time left to the next output. States
+    and diagnostics are recorded at n_outputs evenly spaced output times
+    (plus t=0).
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
@@ -379,7 +368,7 @@ def _run_lf(initial: Field, kernel: Kernel, targets, window) -> RunResult:
         V = convolve(u, kernel).values
         vmax = max(float(np.max(np.abs(V))), 1e-12)
         dt = min(_LF_CFL * u.grid.dx / vmax, target - u.time_stamp)
-        return lf_step(u, kernel, dt, cfl=_LF_CFL, velocity=V)
+        return lf_step(u, kernel, dt, velocity=V)
 
     res = march(
         initial,
@@ -414,7 +403,7 @@ def _run_particles(initial: Field, kernel: Kernel, targets, window) -> RunResult
     )
     n_rejected = n_startup = 0
     history = []  # (velocity, dt) of the last two accepted steps, newest first
-    dts, steps_by_rule = [], dict.fromkeys(_STEP_RULES, 0)
+    steps_by_rule = dict.fromkeys(_STEP_RULES, 0)
 
     def advance(e, target):
         nonlocal n_rejected, n_startup
@@ -433,7 +422,6 @@ def _run_particles(initial: Field, kernel: Kernel, targets, window) -> RunResult
                 continue
             n_startup += len(history) < 2
             history[:] = [(v, dt)] + history[:1]
-            dts.append(dt)
             steps_by_rule[_STEP_RULES[rule]] += 1
             return out
         raise CharacteristicsCrossed(
@@ -462,17 +450,12 @@ def _run_particles(initial: Field, kernel: Kernel, targets, window) -> RunResult
         check,
     )
     assert np.array_equal(res.final.masses, mass0)  # transport never edits masses
-    # the median by hand: np.median imports numpy.ma, about 0.9 MB resident
-    dt_sorted = np.sort(dts)
     res.info.update(
         scheme="particles",
         n_rejected=n_rejected,
         n_particles=e.n,
         entropy_grid_dx=ent_grid.dx,
         entropy_bias_order=_ENTROPY_DX_OVER_EPS,
-        dt_min=float(dt_sorted[0]),
-        dt_median=float(0.5 * (dt_sorted[(len(dts) - 1) // 2] + dt_sorted[len(dts) // 2])),
-        dt_max=float(dt_sorted[-1]),
         steps_by_rule=steps_by_rule,
         n_startup=n_startup,
     )

@@ -133,7 +133,9 @@ def march(state, targets, advance, diagnostics, after_output=None) -> RunResult:
     must not step past ``target``, until the state's time stamp is within
     1e-13 of it. ``after_output(state)`` runs before each output is
     recorded and may raise to abort the run. ``info["n_steps"]`` counts
-    the accepted steps; drivers add their own keys.
+    the accepted steps (at least one: every driver takes t_end > 0), and
+    ``dt_min``, ``dt_median`` and ``dt_max`` give their range, taken from
+    consecutive time stamps; drivers add their own keys.
     """
     series = DiagnosticSeries()
     states = []
@@ -143,15 +145,20 @@ def march(state, targets, advance, diagnostics, after_output=None) -> RunResult:
         states.append(s.copy())
 
     record(state)
-    n_steps = 0
+    dts = []
     for target in targets:
         while state.time_stamp < target - 1e-13:
+            t = state.time_stamp
             state = advance(state, target)
-            n_steps += 1
+            dts.append(state.time_stamp - t)
         if after_output is not None:
             after_output(state)
         record(state)
-    return RunResult(states, series, info={"n_steps": n_steps})
+    # the median by hand: np.median imports numpy.ma, about 0.9 MB resident
+    dt = np.sort(dts)
+    return RunResult(states, series, info={
+        "n_steps": dt.size, "dt_min": float(dt[0]), "dt_max": float(dt[-1]),
+        "dt_median": float(0.5 * (dt[(dt.size - 1) // 2] + dt[dt.size // 2]))})
 
 
 def _canonical(obj):

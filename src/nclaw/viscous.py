@@ -22,8 +22,7 @@ import numpy as np
 
 from .grids import Field, Grid1D, lp_norm, support_bounds
 from .kernels import Kernel, convolve
-from .local_entropy import CFLError, _lf_update
-from .nonlocal_solvers import _check_boundary_clear
+from .local_entropy import CFLError, _check_boundary_clear, _lf_update
 from .records import RunResult, field_diagnostics, march, output_times
 
 __all__ = [

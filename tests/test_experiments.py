@@ -87,6 +87,19 @@ def test_rate_extrapolates_its_distances_from_the_gate_rerun():
     assert singular_limit_rate(**kw, gate=False).numbers["distances_extrapolated"] is None
 
 
+def test_ce2_reads_the_entropy_right_mass_at_t_end():
+    # t_end is a Godunov output: the headline is the window mass there, and
+    # the time integral runs over [0, t_end]
+    r = counterexample_2(n_particles=200, godunov_n=512, gate=False)
+    gd = r.series["godunov"]
+    i = int(np.argmin(np.abs(gd.t - 0.5)))
+    assert gd.t[i] == pytest.approx(0.5, abs=1e-12)
+    wm = gd.array("window_mass")
+    checks = {c.name: c.value for c in r.checks}
+    assert checks["entropy_right_mass_at_T"] == wm[i]
+    assert checks["entropy_right_mass_time_integral"] == np.trapezoid(wm[: i + 1], gd.t[: i + 1])
+
+
 def test_ce1_reports_the_resolved_lax_friedrichs_drain_beside_a_passing_check():
     # resolved in eps (dx = 0.04 eps), the dissipative scheme still drains
     # the half-line mass that the particle flow keeps: a side number, not a check
@@ -234,12 +247,14 @@ def test_no_gate_starts_no_helper_and_runs_are_recorded(monkeypatch):
     assert [s["n_rejected"] for s in stats if s["label"] == "nonlocal"] == [0, 0]
     assert stats[1]["n_rejected"] is None  # Godunov runs reject no step
     for s in stats:
-        if s["label"] == "nonlocal":  # the particle runs' step telemetry
-            assert 0.0 < s["dt_min"] <= s["dt_median"] <= s["dt_max"]
+        assert 0.0 < s["dt_min"] <= s["dt_median"] <= s["dt_max"]  # every run's dt range
+        if s["label"] == "nonlocal":  # the particle runs' step-rule telemetry
             assert sum(s["steps_by_rule"].values()) == s["n_steps"]
             assert s["steps_by_rule"]["output"] > 0 and s["n_startup"] == 2
         else:
-            assert s["dt_median"] is None and s["steps_by_rule"] is None
+            assert s["steps_by_rule"] is None
+        if s["label"] == "godunov":  # one uniform step
+            assert s["dt_max"] == pytest.approx(s["dt_min"], rel=1e-9)
     assert r.manifest.judge_wall_s > 0.0
 
 

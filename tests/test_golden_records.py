@@ -37,28 +37,28 @@ PINNED_BACKEND = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0",
 #  sha256 of report.json, sha256 of the sorted "path sha256" lines of the CSVs)
 GOLDEN = [
     ("ce1", "counterexample_1", dict(n_particles=300, godunov_n=512),
-     "ce1-4fc80cad95a1a297", "PASS", 63,
-     "f0413c63aeae29d20707470b712c3d637e2f7f9c35fd64350db2af39005189a0",
-     "69a3a1b984e7694684fc7e96902ffd3fa898501cb0ca0b1d2816c3d1a04a7d73"),
+     "ce1-4fc80cad95a1a297", "PASS", 56,
+     "277778ad4b21b7b8bdbdc8b0787cb7461e5e58df6a22b8dbd5b508dd7bd17d44",
+     "ffda6c9b09361bb5465bf7dfac4b99a9e92edc9ecdcb36b2f6d525948ec38d86"),
     ("ce1_no_gate", "counterexample_1", dict(n_particles=300, godunov_n=512, gate=False),
-     "ce1-130da4e6f506f372", "PASS", 63,
-     "e043b5a2b446405982448f5ea98423e7a6c0d6d265577339985b9b383bc10fd0",
-     "69a3a1b984e7694684fc7e96902ffd3fa898501cb0ca0b1d2816c3d1a04a7d73"),
+     "ce1-130da4e6f506f372", "PASS", 56,
+     "fad5939fc5398ff194bac2e975ff13da621a044e7c2cc653ad05c14e53c7193b",
+     "ffda6c9b09361bb5465bf7dfac4b99a9e92edc9ecdcb36b2f6d525948ec38d86"),
     ("ce2", "counterexample_2", dict(n_particles=200, godunov_n=512),
-     "ce2-42c3262a7a4a7ca9", "PASS", 137,
-     "be11e5aa05292eb1f2aebbc168170263f5f7ed95b634bfa06beb00fb2246897c",
-     "dee88fe479ce813d965160f0b623552aabff75efe7d4608eef48d11644cf8b70"),
+     "ce2-42c3262a7a4a7ca9", "PASS", 105,
+     "32e545286108397cc2dd794f8d4dfe22b65479cec0bf02d255b6b208c736f872",
+     "8b9d2ae86d5e43f38f7dc4740b5a3da6b02d208b5227309375f9ec4f9cbd2a27"),
     ("ce3", "counterexample_3", dict(n_particles=200, godunov_n=512),
-     "ce3-1d3ca951566f4874", "INCONCLUSIVE", 103,
-     "ff34e313a5c94dc5e2b2d24f8d272706cc5c8ca8f2e776375db12f5803a74756",
-     "f20bd56fc5bb9e7d1c5339a5e57ce50872b4829c3b7bb5e893a6a7ba0f2b6869"),
+     "ce3-1d3ca951566f4874", "INCONCLUSIVE", 81,
+     "9d4b5b430a29d510096ee64e7be981a24276bdb3a3d55bd7d67ac96c35a8a53d",
+     "517f0a4901e246f3a4e16cba578a577ceb2370275fd88ccb0e964af3d6183413"),
     ("rate", "singular_limit_rate", dict(eps_list=(0.4, 0.2), t_end=0.2),
      "rate-5d5d7e979357829b", "FAIL", 0,
      "8ae0392e995a0d9605c6353f7a9407ba7e5eeab706ae9bebbd637bc62acd2f6f",
      hashlib.sha256(b"").hexdigest()),
     ("visc", "vanishing_viscosity", dict(nu_list=(0.1, 0.03), t_end=0.1),
      "visc-15a01de0cf99a9dd", "FAIL", 0,
-     "08ae88b0b83110aa7bea082b18ce55e57e108348695d9da644cfbd86d233e444",
+     "4e0317264b38a2016a81e42fbfd8960159b3af7000832705f41df6899b310460",
      hashlib.sha256(b"").hexdigest()),
 ]
 

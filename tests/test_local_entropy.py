@@ -29,7 +29,7 @@ class TestGodunovStep:
         f = odd_datum(grid)
         g = f
         for _ in range(10):
-            g = godunov_step(g, dt=0.004, cfl=0.9)
+            g = godunov_step(g, dt=0.004)
         mid = slice(24, 40)
         assert np.array_equal(g.values[mid], f.values[mid])
 
@@ -45,7 +45,7 @@ class TestGodunovStep:
         u = step_datum(grid)
         m0 = float(np.sum(u.values) * grid.dx)
         for _ in range(1000):
-            u = godunov_step(u, dt=0.4 * grid.dx / 2.0, cfl=0.9)
+            u = godunov_step(u, dt=0.4 * grid.dx / 2.0)
         assert abs(float(np.sum(u.values) * grid.dx) - m0) <= 1e-12
 
     def test_run_stays_admissible_from_datum_speed(self):
@@ -60,6 +60,14 @@ class TestGodunovStep:
         for state in res.states:
             assert -1e-12 <= float(state.values.min())
             assert float(state.values.max()) <= 1.0 + 1e-12
+
+    def test_support_reaching_the_wall_is_a_numerical_failure(self):
+        # on [-2, 2] the step datum's shock reaches the right wall near
+        # t = 2.26; the run must stop there instead of losing mass through
+        # the wall (43% of it by t = 4)
+        grid = Grid1D(-2.0, 2.0, 512)
+        with pytest.raises(RuntimeError, match="support reached the boundary"):
+            run_local(step_datum(grid), 4.0)
 
 
 class TestExactSolutions:

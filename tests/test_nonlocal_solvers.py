@@ -43,20 +43,20 @@ class TestLFStep:
         m0 = float(np.sum(u.values) * grid.dx)
         dt = 0.4 * grid.dx
         for _ in range(1000):
-            u = lf_step(u, k, dt, cfl=0.9)
+            u = lf_step(u, k, dt)
         assert abs(float(np.sum(u.values) * grid.dx) - m0) <= 1e-12
 
     def test_one_step_keeps_oddness(self):
         grid = Grid1D(-3.0, 3.0, 1200)
         u = odd_datum(grid)
-        u1 = lf_step(u, Kernel(EVEN_BUMP, 0.05), dt=0.4 * grid.dx, cfl=0.9)
+        u1 = lf_step(u, Kernel(EVEN_BUMP, 0.05), dt=0.4 * grid.dx)
         assert np.max(np.abs(u1.values + u1.values[::-1])) <= 1e-12
 
     def test_sign_preserved_for_nonneg_datum(self):
         grid = Grid1D(-2.0, 1.0, 600)
         u = step_datum(grid)
         for _ in range(200):
-            u = lf_step(u, Kernel(EVEN_BUMP, 0.05), dt=0.4 * grid.dx, cfl=0.9)
+            u = lf_step(u, Kernel(EVEN_BUMP, 0.05), dt=0.4 * grid.dx)
         assert float(u.values.min()) >= 0.0
 
     def test_cfl_error_reports_admissible_dt(self):
@@ -73,7 +73,7 @@ class TestLFStep:
             k = Kernel(EVEN_BUMP, 0.1)
             u0 = gaussian_datum(grid, 1.0, 0.3)
             dt = 0.45 * grid.dx / 1.4
-            u1 = lf_step(u0, k, dt, cfl=0.9)
+            u1 = lf_step(u0, k, dt)
             mid = Field(grid, 0.5 * (u0.values + u1.values))
             rhs = float(np.sum(mid.values * convolve(mid, k).values) * grid.dx)
             lhs = (baricenter(u1) - baricenter(u0)) / dt

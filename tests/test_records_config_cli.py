@@ -6,19 +6,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclaw.cli import _build_parser, main
 from nclaw.config import COMMANDS, DEFAULTS, ConfigError, command_function, parse_config
 from nclaw.data import odd_datum, step_datum
 from nclaw.experiments import Check, GateResult, grid_convergence_gate
 from nclaw.grids import Field, Grid1D
+from nclaw.kernels import EVEN_BUMP, Kernel
+from nclaw.local_entropy import run_local
+from nclaw.nonlocal_solvers import run_nonlocal
 from nclaw.records import (
     DiagnosticSeries,
     RunManifest,
     emit_report,
     field_diagnostics,
     manifest_hash,
+    output_times,
 )
+from nclaw.viscous import ViscousRunConfig, run_viscous
 
 
 class TestDiagnosticSeries:
@@ -135,6 +142,42 @@ class TestSummaryLines:
         assert lines[-2] == "    m: main=1 rerun=1.001 delta=0.001 threshold=0.005 ok"
         assert lines[-1].startswith("    w: main=0.5 rerun=0.6 ")
         assert lines[-1].endswith(" NOT CONVERGED")
+
+
+class TestOutputSchedule:
+    @settings(max_examples=30, deadline=None)
+    @given(t_end=st.floats(0.05, 1.0), n_outputs=st.integers(1, 60))
+    def test_every_driver_records_at_the_output_times(self, t_end, n_outputs):
+        # one schedule for all four drivers: t = 0, then output_times. The
+        # wide grid keeps the Lax-Friedrichs smear, one cell per step, off
+        # the walls: 75 cells from the support, at most 72 steps
+        grid = Grid1D(-2.0, 2.0, 64)
+        wide = Grid1D(-16.0, 16.0, 160)
+        kernel = Kernel(EVEN_BUMP, 0.4)
+
+        def viscous(dt):
+            cfg = ViscousRunConfig(grid=wide, nu=0.01, t_end=t_end, kernel=kernel, dt=dt,
+                                   n_outputs=n_outputs)
+            return run_viscous(cfg, step_datum(wide))
+
+        local = run_local(step_datum(grid), t_end, n_outputs=n_outputs)
+        runs = [
+            local,
+            run_nonlocal(step_datum(grid), kernel, t_end, n_outputs=n_outputs),
+            run_nonlocal(step_datum(wide), kernel, t_end, scheme="lax_friedrichs",
+                         n_outputs=n_outputs),
+            viscous(None),
+            viscous(0.03),
+        ]
+        expected = [0.0, *output_times(t_end, n_outputs)]
+        for res in runs:
+            np.testing.assert_allclose(res.diagnostics.times, expected, rtol=0.0, atol=1e-12)
+        # Godunov: one uniform step, a whole number of them per output
+        # interval, at Courant number at most 0.9 for the datum's speed 2
+        info = local.info
+        assert info["n_steps"] % n_outputs == 0
+        assert info["dt_max"] - info["dt_min"] <= 1e-12
+        assert info["dt_max"] * 2.0 / grid.dx <= 0.9 + 1e-12
 
 
 class TestEmitReport:
