@@ -47,7 +47,7 @@ from .nonlocal_solvers import (
     run_nonlocal,
     sample_particles,
 )
-from .viscous import ViscousRunConfig, imex_step, run_viscous
+from .viscous import imex_step, run_viscous
 from .records import DiagnosticSeries, RunManifest, RunResult, emit_report
 from .experiments import (
     counterexample_1,
@@ -90,7 +90,6 @@ __all__ = [
     "particle_step",
     "run_nonlocal",
     "sample_particles",
-    "ViscousRunConfig",
     "imex_step",
     "run_viscous",
     "DiagnosticSeries",

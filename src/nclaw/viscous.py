@@ -9,25 +9,26 @@ an implicit backward-Euler diffusion solve with zero-Dirichlet boundaries
 margin). The Rusanov dissipation is set by the local wave speed, not by
 dx^2/dt as in classic LF, so the scheme's own viscosity does not grow as dt
 shrinks and the distances the experiments measure converge in dt.
+
+``run_viscous`` is called like ``run_nonlocal``, on the datum's grid; SciPy's
+LAPACK, which the diffusion solve uses, is loaded by its first call (``_lapack``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .grids import Field, Grid1D, lp_norm, support_bounds
+from .grids import Field, lp_norm, support_bounds
 from .kernels import Kernel, convolve
 from .local_entropy import CFLError, _check_boundary_clear, _lf_update
 from .records import RunResult, field_diagnostics, march, output_times
 
 __all__ = [
     "NonFiniteState",
-    "ViscousRunConfig",
     "imex_step",
     "diffusion_substep",
     "run_viscous",
@@ -43,9 +44,7 @@ def _lapack() -> tuple:
     """SciPy's ``dpttrf``, ``dpttrs`` and ``LinAlgError``, imported once per process.
 
     Only the viscous solver needs SciPy, so importing nclaw does not load
-    it. Each ``ViscousRunConfig`` loads it, so that a process which builds
-    its runs before forking workers (``experiments._pool``) hands it to them
-    already imported.
+    it: the first diffusion solve in each process does.
     """
     from scipy.linalg import LinAlgError
     from scipy.linalg.lapack import dpttrf, dpttrs
@@ -56,42 +55,20 @@ def _lapack() -> tuple:
 _CFL = 0.9  # Courant number of the advection substep (Rusanov is monotone up to 1)
 
 
-@dataclass
-class ViscousRunConfig:
-    """Configuration for a viscous run; kernel=None selects the local problem.
-
-    Adaptive runs step at Courant number 0.9; a fixed ``dt`` must stay within it.
-    """
-
-    grid: Grid1D
-    nu: float
-    t_end: float
-    kernel: Optional[Kernel] = None
-    dt: Optional[float] = None  # fixed step override (paired experiment runs)
-    n_outputs: int = 40
-
-    def __post_init__(self):
-        if not self.nu > 0.0:
-            raise ValueError(f"nu={self.nu} must be positive")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
-        _lapack()  # now, before the runs are pooled: see _lapack
-
-
-def _advective_velocity(f: Field, cfg: ViscousRunConfig) -> np.ndarray:
-    if cfg.kernel is not None:
-        return convolve(f, cfg.kernel).values
+def _advective_velocity(f: Field, kernel: Optional[Kernel]) -> np.ndarray:
+    if kernel is not None:
+        return convolve(f, kernel).values
     return f.values
 
 
-def _cell_speeds(cfg: ViscousRunConfig, V: np.ndarray) -> np.ndarray:
+def _cell_speeds(kernel: Optional[Kernel], V: np.ndarray) -> np.ndarray:
     """Per-cell wave speeds s_i: the CFL speed is their max, and the Rusanov
     flux takes max(s_i, s_i+1) at each interface.
 
     With a kernel s_i = |V_i|; for the local problem V = u and s_i is the
     Burgers speed 2|u_i|.
     """
-    if cfg.kernel is None:
+    if kernel is None:
         return 2.0 * np.abs(V)
     return np.abs(V)
 
@@ -130,9 +107,8 @@ def diffusion_substep(u: np.ndarray, nu: float, dt: float, dx: float) -> np.ndar
     return out
 
 
-def imex_step(
-    f: Field, cfg: ViscousRunConfig, dt: float, velocity: Optional[np.ndarray] = None
-) -> Field:
+def imex_step(f: Field, kernel: Optional[Kernel], nu: float, dt: float,
+              velocity: Optional[np.ndarray] = None) -> Field:
     """Advection (explicit local LF) then diffusion (implicit), first order in dt.
 
     The advection substep uses the Rusanov flux: its dissipation at an
@@ -143,17 +119,17 @@ def imex_step(
     reuse an already computed advective velocity of ``f``; the wave speeds
     are taken once and serve both the CFL guard and the dissipation. A non-finite
     advected state raises ``NonFiniteState``; the diffusion substep's own
-    finite check detects it.
+    finite check detects it. ``kernel=None`` selects the local problem.
     """
     dx = f.grid.dx
-    V = _advective_velocity(f, cfg) if velocity is None else velocity
-    s = _cell_speeds(cfg, V)
+    V = _advective_velocity(f, kernel) if velocity is None else velocity
+    s = _cell_speeds(kernel, V)
     speed = float(np.max(s))
     if speed > 1e-14 and dt > _CFL * dx / speed:
         raise CFLError(dt, _CFL * dx / speed)
     star = _lf_update(f.values, V, dx, dt, s)
     try:
-        u = diffusion_substep(star, cfg.nu, dt, dx)
+        u = diffusion_substep(star, nu, dt, dx)
     except ValueError as exc:
         if np.isfinite(star).all():
             raise
@@ -163,44 +139,57 @@ def imex_step(
     return Field(f.grid, u, f.time_stamp + dt)
 
 
-def _check_domain(cfg: ViscousRunConfig, initial: Field):
+def _check_domain(initial: Field, kernel: Optional[Kernel], nu: float, t_end: float):
+    """Refuse a nu or t_end that is not positive, and a datum whose support,
+    widened by 4 sqrt(nu t_end) plus the kernel's reach, leaves its grid:
+    the zero-Dirichlet walls would clip it."""
+    if not nu > 0.0:
+        raise ValueError(f"nu={nu} must be positive")
+    if not t_end > 0.0:
+        raise ValueError("t_end must be positive")
     if float(np.max(np.abs(initial.values))) == 0.0:
         return
     lo, hi = support_bounds(initial, rel_tol=1e-8)
-    margin = 4.0 * math.sqrt(cfg.nu * cfg.t_end) + (
-        cfg.kernel.epsilon if cfg.kernel is not None else 0.0
-    )
-    if lo - margin < cfg.grid.x_min or hi + margin > cfg.grid.x_max:
+    margin = 4.0 * math.sqrt(nu * t_end) + (kernel.epsilon if kernel is not None else 0.0)
+    if lo - margin < initial.grid.x_min or hi + margin > initial.grid.x_max:
         raise ValueError(
             "domain too small: needs support plus a margin of "
             f"{margin:.3f} on each side"
         )
 
 
-def run_viscous(cfg: ViscousRunConfig, initial: Field) -> RunResult:
+def run_viscous(
+    initial: Field,
+    kernel: Optional[Kernel],
+    t_end: float,
+    *,
+    nu: float,
+    dt: Optional[float] = None,
+    n_outputs: int = 40,
+) -> RunResult:
     """March the IMEX scheme to t_end, logging norm monotonicity channels.
 
-    Besides the standard diagnostics, the series carries l1_norm and
+    ``kernel=None`` selects the local problem; the run's grid is the datum's
+    grid. Besides the standard diagnostics, the series carries l1_norm and
     sup_norm so the contraction properties of the flow are visible per run.
-    If cfg.dt is set it is used as a fixed step (after a CFL sanity check
-    each step); otherwise the step is 0.9 * dx / max ``_cell_speeds``, and
-    the velocity that sets it is passed on to ``imex_step``. The datum must
-    live on ``cfg.grid``, whose bounds the domain check reads.
+    A set ``dt`` is used as a fixed step (after a CFL sanity check each
+    step); otherwise the step is 0.9 * dx / max ``_cell_speeds``, and the
+    velocity that sets it is passed on to ``imex_step``. States and
+    diagnostics are recorded at n_outputs evenly spaced output times (plus
+    t=0). Before any step ``_check_domain`` checks that nu and t_end are
+    positive and that the datum's support keeps its margin from the walls.
     """
-    if initial.grid != cfg.grid:
-        raise ValueError(f"the datum's grid {initial.grid} is not the run's grid {cfg.grid}")
-    _check_domain(cfg, initial)
+    _check_domain(initial, kernel, nu, t_end)
 
     def advance(u, target):
-        if cfg.dt is not None:
-            return imex_step(u, cfg, min(cfg.dt, target - u.time_stamp))
-        V = _advective_velocity(u, cfg)
-        speed = float(np.max(_cell_speeds(cfg, V)))
+        if dt is not None:
+            return imex_step(u, kernel, nu, min(dt, target - u.time_stamp))
+        V = _advective_velocity(u, kernel)
+        speed = float(np.max(_cell_speeds(kernel, V)))
+        step = target - u.time_stamp
         if speed > 1e-14:
-            dt = min(_CFL * u.grid.dx / speed, target - u.time_stamp)
-        else:
-            dt = target - u.time_stamp
-        return imex_step(u, cfg, dt, velocity=V)
+            step = min(_CFL * u.grid.dx / speed, step)
+        return imex_step(u, kernel, nu, step, velocity=V)
 
     def diagnostics(u):
         vals = field_diagnostics(u)
@@ -212,7 +201,7 @@ def run_viscous(cfg: ViscousRunConfig, initial: Field) -> RunResult:
     # Dirichlet clipping error far below every experiment tolerance
     res = march(
         initial,
-        output_times(cfg.t_end, cfg.n_outputs),
+        output_times(t_end, n_outputs),
         advance,
         diagnostics,
         lambda u: _check_boundary_clear(u, 1e-6),

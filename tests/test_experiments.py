@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import pickle
@@ -98,6 +99,43 @@ def test_ce2_reads_the_entropy_right_mass_at_t_end():
     checks = {c.name: c.value for c in r.checks}
     assert checks["entropy_right_mass_at_T"] == wm[i]
     assert checks["entropy_right_mass_time_integral"] == np.trapezoid(wm[: i + 1], gd.t[: i + 1])
+
+
+def test_ce2_judges_its_entropy_headlines_at_its_own_t_end():
+    # the right mass is t and its time integral t^2/2 up to t = 1/2: the
+    # bands are centred on those closed forms at t_end, not at 1/2
+    r = counterexample_2(n_particles=200, godunov_n=512, t_end=0.4, gate=False)
+    checks = {c.name: c for c in r.checks}
+    at_t, integral = checks["entropy_right_mass_at_T"], checks["entropy_right_mass_time_integral"]
+    assert at_t.passed and integral.passed
+    assert (at_t.lo, at_t.hi) == pytest.approx((0.38, 0.42), abs=1e-15)
+    assert (integral.lo, integral.hi) == pytest.approx((0.076, 0.084), abs=1e-15)
+    assert at_t.value == pytest.approx(0.4, abs=2e-3)
+    assert integral.value == pytest.approx(0.08, rel=5e-3)
+
+
+@pytest.mark.parametrize("t_end", [0.505, 0.6, 0.0, -0.1])
+def test_ce2_rejects_a_t_end_off_its_closed_forms_before_any_run(monkeypatch, t_end):
+    # past 1/2 the right mass is no longer t; off the Godunov output times
+    # the headlines would be read at another time
+    import nclaw.experiments
+
+    monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
+    with pytest.raises(ValueError, match=f"t_end={t_end} must be a multiple of 0.01"):
+        counterexample_2(n_particles=200, godunov_n=512, t_end=t_end, gate=False)
+
+
+def test_visc_rejects_a_datum_too_wide_for_its_margin_before_any_run(monkeypatch, capsys):
+    # the viscous runs' domain check, made once at the largest nu: without
+    # it the particle reference left its grid first and the run exited 4
+    import nclaw.experiments
+
+    monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
+    argv = ["--no-emit", "visc", "--width", "3", "--nu-list", "0.1,0.03", "--no-gate"]
+    assert main(argv) == 1
+    margin = 4.0 * math.sqrt(0.1 * 0.5) + 0.1
+    assert f"domain too small: needs support plus a margin of {margin:.3f}" in (
+        capsys.readouterr().err)
 
 
 def test_ce1_reports_the_resolved_lax_friedrichs_drain_beside_a_passing_check():
@@ -278,34 +316,23 @@ import multiprocessing
 multiprocessing.get_all_start_methods = lambda: ["spawn"]  # every call runs here
 from nclaw import experiments as ex
 
-loaded_at_pool = []
-pool = ex._pool
-
-def recording_pool(jobs, fork=True):
-    loaded_at_pool.append("scipy.linalg.lapack" in sys.modules)
-    return pool(jobs, fork)
-
-ex._pool = recording_pool
 r = ex.counterexample_1(n_particles=300, godunov_n=512)
 assert r.manifest.to_json()["backend"]["scipy"] is None
 ex.counterexample_2(n_particles=200, godunov_n=512)
 ex.counterexample_3(n_particles=200, godunov_n=512)
 assert scipy_modules() == [], scipy_modules()[:5]
 
-del loaded_at_pool[:]
 r = ex.vanishing_viscosity(nu_list=(0.1, 0.03), t_end=0.1)
 assert "scipy.linalg" in sys.modules
 assert r.manifest.backend["scipy"] == sys.modules["scipy"].__version__
-# loaded before the pool is entered, so a forked helper inherits it
-assert loaded_at_pool == [True], loaded_at_pool
 """
 
 
 def test_counterexamples_never_import_scipy():
     # only the viscous solver and the heat-kernel quadrature need SciPy:
     # importing the CLI and running ce1-ce3 leave it unloaded, and the
-    # manifest's backend says so; the viscous experiment loads it before
-    # it pools its runs
+    # manifest's backend says so; the viscous experiment loads it, and its
+    # manifest names it
     env = dict(os.environ, PYTHONPATH=str(Path(nclaw.__file__).resolve().parents[1]))
     subprocess.run([sys.executable, "-c", _SCIPY_FREE_COUNTEREXAMPLES], env=env, check=True)
 

@@ -25,7 +25,7 @@ from nclaw.records import (
     manifest_hash,
     output_times,
 )
-from nclaw.viscous import ViscousRunConfig, run_viscous
+from nclaw.viscous import run_viscous
 
 
 class TestDiagnosticSeries:
@@ -156,9 +156,8 @@ class TestOutputSchedule:
         kernel = Kernel(EVEN_BUMP, 0.4)
 
         def viscous(dt):
-            cfg = ViscousRunConfig(grid=wide, nu=0.01, t_end=t_end, kernel=kernel, dt=dt,
-                                   n_outputs=n_outputs)
-            return run_viscous(cfg, step_datum(wide))
+            return run_viscous(step_datum(wide), kernel, t_end, nu=0.01, dt=dt,
+                               n_outputs=n_outputs)
 
         local = run_local(step_datum(grid), t_end, n_outputs=n_outputs)
         runs = [

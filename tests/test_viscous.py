@@ -12,7 +12,6 @@ from nclaw.kernels import EVEN_BUMP, ONE_SIDED_LEFT, Kernel
 from nclaw.local_entropy import CFLError, ExactSolution, sample_exact
 from nclaw.viscous import (
     NonFiniteState,
-    ViscousRunConfig,
     _backward_euler_factors,
     diffusion_substep,
     imex_step,
@@ -30,25 +29,23 @@ class TestImexStep:
     def test_l1_never_grows(self, rng):
         grid = Grid1D(-3.0, 3.0, 900)
         k = Kernel(EVEN_BUMP, 0.1)
-        cfg = ViscousRunConfig(grid=grid, nu=0.02, t_end=1.0, kernel=k)
         v = rng.normal(size=900)
         v[:80] = 0.0
         v[-80:] = 0.0
         u = Field(grid, v)
         dt = 0.4 * grid.dx / max(1e-9, float(np.max(np.abs(v))))
         for _ in range(30):
-            nxt = imex_step(u, cfg, dt)
+            nxt = imex_step(u, k, 0.02, dt)
             assert lp_norm(nxt, 1) <= lp_norm(u, 1) + 1e-12
             u = nxt
 
     def test_sup_never_grows_local_problem(self):
         grid = Grid1D(-3.0, 3.0, 900)
-        cfg = ViscousRunConfig(grid=grid, nu=0.05, t_end=1.0)
         u = gaussian_datum(grid, 1.0, 0.3)
         sup0 = lp_norm(u, math.inf)
         dt = 0.4 * grid.dx / (2 * sup0)
         for _ in range(50):
-            u = imex_step(u, cfg, dt)
+            u = imex_step(u, None, 0.05, dt)
             assert lp_norm(u, math.inf) <= sup0 + 1e-12
 
     @pytest.mark.parametrize(
@@ -58,12 +55,11 @@ class TestImexStep:
         # the local LF flux is monotone up to CFL 1 only with the full wave
         # speed 2|u| of the flux u^2; half of it lets the sup norm grow
         grid = Grid1D(-3.0, 3.0, 900)
-        cfg = ViscousRunConfig(grid=grid, nu=1e-3, t_end=1.0)
         u = datum(grid)
         sup0 = lp_norm(u, math.inf)
         dt = 0.9 * grid.dx / (2 * sup0)
         for _ in range(100):
-            u = imex_step(u, cfg, dt)
+            u = imex_step(u, None, 1e-3, dt)
             assert lp_norm(u, math.inf) <= sup0 + 1e-12
             assert u.values.min() >= 0.0
 
@@ -72,12 +68,11 @@ class TestImexStep:
         # so the fixed dt = 0.4 dx runs above Courant number 0.4, below 0.9
         grid = Grid1D(-3.0, 3.0, 900)
         k = Kernel(EVEN_BUMP, 0.1)
-        cfg = ViscousRunConfig(grid=grid, nu=1e-12, t_end=1.0, kernel=k)
         u = step_datum(grid)
         m0 = float(np.sum(u.values) * grid.dx)
         dt = 0.4 * grid.dx
         for _ in range(100):
-            u = imex_step(u, cfg, dt)
+            u = imex_step(u, k, 1e-12, dt)
         # with nu ~ 0 the diffusion solve is the identity; drift is advection only
         assert abs(float(np.sum(u.values) * grid.dx) - m0) <= 1e-12
 
@@ -90,28 +85,23 @@ class TestImexStep:
         dt = 0.9 * grid.dx / (1.4 * lp_norm(u0, math.inf))
         finals = []
         for step in (dt, dt / 2):
-            cfg = ViscousRunConfig(
-                grid=grid, nu=0.1, t_end=0.5, kernel=Kernel(ONE_SIDED_LEFT, 0.1),
-                dt=step, n_outputs=1,
-            )
-            finals.append(run_viscous(cfg, u0).final)
+            finals.append(run_viscous(u0, Kernel(ONE_SIDED_LEFT, 0.1), 0.5, nu=0.1, dt=step,
+                                      n_outputs=1).final)
         moved = lp_norm(Field(grid, finals[0].values - finals[1].values), 1)
         assert moved < 0.01 * lp_norm(finals[1], 1)
 
     def test_cfl_enforced(self):
         grid = Grid1D(-3.0, 3.0, 300)
-        cfg = ViscousRunConfig(grid=grid, nu=0.1, t_end=1.0)
         with pytest.raises(CFLError):
-            imex_step(step_datum(grid), cfg, dt=1.0)
+            imex_step(step_datum(grid), None, 0.1, dt=1.0)
 
     def test_non_finite_state_is_numerical_failure(self):
         # a blown-up state is a RuntimeError, unlike a bad argument
         grid = Grid1D(-3.0, 3.0, 300)
-        cfg = ViscousRunConfig(grid=grid, nu=0.1, t_end=1.0)
         u = step_datum(grid)
         u.values[140] = np.nan
         with pytest.raises(NonFiniteState):
-            imex_step(u, cfg, dt=1e-3)
+            imex_step(u, None, 0.1, dt=1e-3)
         assert issubclass(NonFiniteState, RuntimeError)
 
 
@@ -213,14 +203,12 @@ class TestDiffusionSubstep:
 class TestRunViscous:
     def test_zero_datum(self):
         grid = Grid1D(-1.0, 1.0, 200)
-        cfg = ViscousRunConfig(grid=grid, nu=0.05, t_end=0.1, n_outputs=4)
-        res = run_viscous(cfg, Field(grid, np.zeros(200)))
+        res = run_viscous(Field(grid, np.zeros(200)), None, 0.1, nu=0.05, n_outputs=4)
         assert lp_norm(res.final, 1) == 0.0
 
     def test_norm_channels_monotone(self):
         grid = Grid1D(-4.0, 4.5, 1700)
-        cfg = ViscousRunConfig(grid=grid, nu=0.1, t_end=0.5, n_outputs=10)
-        res = run_viscous(cfg, gaussian_datum(grid, 1.0, 0.4))
+        res = run_viscous(gaussian_datum(grid, 1.0, 0.4), None, 0.5, nu=0.1, n_outputs=10)
         d = res.diagnostics
         assert np.all(np.diff(d.array("l1_norm")) <= 1e-12)
         assert np.all(np.diff(d.array("sup_norm")) <= 1e-12)
@@ -231,8 +219,8 @@ class TestRunViscous:
         ub = gaussian_datum(grid, 0.9, 0.5, center=0.2)
         Ks = {}
         for nu in (0.1, 0.03):
-            ra = run_viscous(ViscousRunConfig(grid=grid, nu=nu, t_end=0.5, n_outputs=10), ua)
-            rb = run_viscous(ViscousRunConfig(grid=grid, nu=nu, t_end=0.5, n_outputs=10), ub)
+            ra = run_viscous(ua, None, 0.5, nu=nu, n_outputs=10)
+            rb = run_viscous(ub, None, 0.5, nu=nu, n_outputs=10)
             d0 = lp_norm(Field(grid, ua.values - ub.values), 2)
             Ks[nu] = max(
                 lp_norm(Field(grid, a.values - b.values), 2)
@@ -244,7 +232,7 @@ class TestRunViscous:
     def test_gradient_norm_stays_bounded(self):
         grid = Grid1D(-4.0, 4.5, 1700)
         u0 = gaussian_datum(grid, 1.0, 0.4)
-        res = run_viscous(ViscousRunConfig(grid=grid, nu=0.1, t_end=0.5, n_outputs=10), u0)
+        res = run_viscous(u0, None, 0.5, nu=0.1, n_outputs=10)
 
         def gnorm(f):
             return lp_norm(Field(grid, np.gradient(f.values, grid.dx)), 2)
@@ -258,29 +246,33 @@ class TestRunViscous:
         grid = Grid1D(-3.0, 3.0, 1200)
         dists = []
         for nu in (0.1, 0.05, 0.025):
-            cfg = ViscousRunConfig(grid=grid, nu=nu, t_end=0.5, n_outputs=4)
-            res = run_viscous(cfg, step_datum(grid))
+            res = run_viscous(step_datum(grid), None, 0.5, nu=nu, n_outputs=4)
             ex = sample_exact(ExactSolution("step"), 0.5, grid)
             dists.append(lp_norm(Field(grid, res.final.values - ex.values), 1))
         assert dists[0] > dists[1] > dists[2]
 
     def test_domain_size_guard(self):
         grid = Grid1D(-1.2, 1.2, 200)
-        cfg = ViscousRunConfig(grid=grid, nu=0.5, t_end=1.0)
         with pytest.raises(ValueError, match="domain too small"):
-            run_viscous(cfg, step_datum(grid))
+            run_viscous(step_datum(grid), None, 1.0, nu=0.5)
 
-    @pytest.mark.parametrize("datum_grid", [Grid1D(-1.2, 1.2, 200), Grid1D(-3.0, 3.0, 300)],
-                             ids=["narrower", "coarser"])
-    def test_datum_off_the_run_grid_is_rejected_before_any_step(self, monkeypatch, datum_grid):
-        # the domain check reads cfg.grid while the steps would run on the
-        # datum's grid: a datum elsewhere is a usage error, raised up front
+    @pytest.mark.parametrize("nu, t_end, message", [
+        (0.0, 0.1, "nu=0.0 must be positive"),
+        (-0.05, 0.1, "nu=-0.05 must be positive"),
+        (math.nan, 0.1, "nu=nan must be positive"),
+        (0.05, 0.0, "t_end must be positive"),
+        (0.05, -0.1, "t_end must be positive"),
+    ])
+    def test_a_viscosity_or_horizon_not_positive_is_rejected_before_any_step(
+        self, monkeypatch, nu, t_end, message
+    ):
+        # the domain margin 4 sqrt(nu t_end) needs both positive; NaN is refused too
         import nclaw.viscous as viscous
 
         monkeypatch.setattr(viscous, "march", lambda *a, **kw: pytest.fail("ran"))
-        cfg = ViscousRunConfig(grid=Grid1D(-3.0, 3.0, 600), nu=0.05, t_end=0.1)
-        with pytest.raises(ValueError, match="is not the run's grid"):
-            run_viscous(cfg, step_datum(datum_grid))
+        grid = Grid1D(-3.0, 3.0, 600)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_viscous(gaussian_datum(grid, 1.0, 0.4), Kernel(EVEN_BUMP, 0.2), t_end, nu=nu)
 
     def test_adaptive_step_convolves_once_per_step(self, monkeypatch):
         # the velocity that sets the adaptive dt is the one imex_step uses
@@ -295,10 +287,7 @@ class TestRunViscous:
 
         monkeypatch.setattr(viscous, "convolve", counting)
         grid = Grid1D(-3.0, 3.0, 600)
-        cfg = ViscousRunConfig(
-            grid=grid, nu=0.05, t_end=0.1, kernel=Kernel(EVEN_BUMP, 0.2),
-            n_outputs=4,
-        )
-        res = run_viscous(cfg, gaussian_datum(grid, 1.0, 0.4))
+        res = run_viscous(gaussian_datum(grid, 1.0, 0.4), Kernel(EVEN_BUMP, 0.2), 0.1, nu=0.05,
+                          n_outputs=4)
         assert res.info["n_steps"] > 4
         assert len(calls) == res.info["n_steps"]
