@@ -30,7 +30,7 @@ from .local_entropy import (
 )
 from .nonlocal_solvers import deposit, run_nonlocal
 from .records import RunManifest, output_times
-from .viscous import _check_domain, run_viscous
+from .viscous import _check_domain, _lapack, run_viscous
 
 __all__ = [
     "Check",
@@ -719,6 +719,7 @@ def singular_limit_rate(
     eps_list = tuple(sorted(eps_list, reverse=True))
     params = dict(locals())  # the manifest records every argument
     dx = min(eps_list) / 10.0
+    _lapack()  # before the pool forks, so the helper inherits it
 
     @cache
     def setup(k):
@@ -829,6 +830,10 @@ def vanishing_viscosity(
     # the viscous runs' own domain check, made once before any run: its
     # margin 4 sqrt(nu t_end) + eps is widest at the largest nu
     _check_domain(gaussian_datum(grids(1)[0], mass=1.0, width=width), kernel, nu_list[0], t_end)
+    # which pooled calls this process runs depends on timing, so LAPACK is
+    # loaded here, before the pool forks: this process then holds it whether
+    # or not it runs a viscous call, and its memory is the same every run
+    _lapack()
 
     def runs(k):
         grid = grids(k)[0]

@@ -11,7 +11,8 @@ dx^2/dt as in classic LF, so the scheme's own viscosity does not grow as dt
 shrinks and the distances the experiments measure converge in dt.
 
 ``run_viscous`` is called like ``run_nonlocal``, on the datum's grid; SciPy's
-LAPACK, which the diffusion solve uses, is loaded by its first call (``_lapack``).
+LAPACK, which the diffusion solve uses, is loaded by its first call (``_lapack``),
+or earlier by a scenario that calls ``_lapack`` before its pool forks.
 """
 
 from __future__ import annotations

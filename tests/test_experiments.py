@@ -316,23 +316,34 @@ import multiprocessing
 multiprocessing.get_all_start_methods = lambda: ["spawn"]  # every call runs here
 from nclaw import experiments as ex
 
+loaded_at_pool = []
+pool = ex._pool
+
+def recording_pool(jobs, fork=True):
+    loaded_at_pool.append("scipy.linalg.lapack" in sys.modules)
+    return pool(jobs, fork)
+
+ex._pool = recording_pool
 r = ex.counterexample_1(n_particles=300, godunov_n=512)
 assert r.manifest.to_json()["backend"]["scipy"] is None
 ex.counterexample_2(n_particles=200, godunov_n=512)
 ex.counterexample_3(n_particles=200, godunov_n=512)
 assert scipy_modules() == [], scipy_modules()[:5]
 
+del loaded_at_pool[:]
 r = ex.vanishing_viscosity(nu_list=(0.1, 0.03), t_end=0.1)
 assert "scipy.linalg" in sys.modules
 assert r.manifest.backend["scipy"] == sys.modules["scipy"].__version__
+# loaded before the pool is entered, whichever process runs the viscous calls
+assert loaded_at_pool == [True], loaded_at_pool
 """
 
 
 def test_counterexamples_never_import_scipy():
     # only the viscous solver and the heat-kernel quadrature need SciPy:
     # importing the CLI and running ce1-ce3 leave it unloaded, and the
-    # manifest's backend says so; the viscous experiment loads it, and its
-    # manifest names it
+    # manifest's backend says so; the viscous experiment loads it before its
+    # pool forks, and its manifest names it
     env = dict(os.environ, PYTHONPATH=str(Path(nclaw.__file__).resolve().parents[1]))
     subprocess.run([sys.executable, "-c", _SCIPY_FREE_COUNTEREXAMPLES], env=env, check=True)
 
