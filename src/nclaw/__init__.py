@@ -34,6 +34,7 @@ from .kernels import (
 from .data import gaussian_datum, odd_datum, step_datum
 from .local_entropy import (
     ExactSolution,
+    NumericalFailure,
     exact_eval,
     godunov_step,
     run_local,
@@ -80,6 +81,7 @@ __all__ = [
     "odd_datum",
     "step_datum",
     "ExactSolution",
+    "NumericalFailure",
     "exact_eval",
     "godunov_step",
     "run_local",

@@ -8,8 +8,9 @@ values are typed and checked by the same ``config.parse_value``.
 
 Exit codes: 0 = all checks pass, 2 = some check failed, 3 = verdict
 inconclusive (headline numbers not grid-converged), 1 = usage or
-configuration error, 4 = numerical failure (characteristics crossed, CFL
-violated, support reached the domain boundary, ...).
+configuration error, 4 = numerical failure (``NumericalFailure``:
+characteristics crossed, CFL violated, support reached the domain
+boundary, ...).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .config import (
     parse_config,
     parse_value,
 )
+from .local_entropy import NumericalFailure
 from .records import emit_report
 
 EXIT_PASS = 0
@@ -102,7 +104,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     out_dir = args.out or cfg["lab"]["out_dir"]

@@ -30,7 +30,7 @@ from .local_entropy import (
 )
 from .nonlocal_solvers import deposit, run_nonlocal
 from .records import RunManifest, output_times
-from .viscous import _check_domain, _lapack, run_viscous
+from .viscous import _check_domain, run_viscous
 
 __all__ = [
     "Check",
@@ -198,34 +198,31 @@ def _final_at_rerun(k, solver, *args, **kwargs):
     return _final(solver, *args, **kwargs) if k == 2 else solver(*args, **kwargs)
 
 
-def _scenario(name: str, params: dict, runs, headline, judge, sweep=None) -> ScenarioReport:
+def _scenario(name: str, params: dict, runs, headline, judge) -> ScenarioReport:
     """Run a scenario through the steps every scenario shares.
 
     ``runs(k)`` names the scenario's solver calls (zero-argument callables)
     with its resolution parameter divided by k: the particle count and the
     Godunov cell count for the counterexamples, the cell width for the
     viscous experiments. ``runs(1)`` may add calls that only ``judge``
-    reads, and ``sweep(k, results)`` calls that read the results of
-    ``runs(k)``. The calls run at k = 1, and at k = 2 too when
-    ``params["gate"]`` is set; with the gate on, the independent calls of
-    each round are pooled over two processes (``_pool``), the k = 2 calls
-    first. ``headline(results, k)`` reduces the results of each k to the
-    headline numbers; the grid-convergence gate compares the two on the keys
-    of the margins. ``judge(results, main, rerun)`` gets the k = 1 results
-    and both headlines (``rerun`` is None without the gate) and returns the
-    checks, the gate margins, the side numbers, the provenance and
-    optionally the series and trajectories to record. The manifest records
-    ``params``, the wall time, a ``run_stats`` entry per call and the wall
-    time of the judging.
+    reads. The calls run at k = 1, and at k = 2 too when ``params["gate"]``
+    is set; with the gate on, they are pooled over two processes
+    (``_pool``), the k = 2 calls first. ``headline(results, k)`` reduces
+    the results of each k to the headline numbers; the grid-convergence
+    gate compares the two on the keys of the margins. ``judge(results,
+    main, rerun)`` gets the k = 1 results and both headlines (``rerun`` is
+    None without the gate) and returns the checks, the gate margins, the
+    side numbers, the provenance and optionally the series and trajectories
+    to record. The manifest records ``params``, the wall time, a
+    ``run_stats`` entry per call and the wall time of the judging.
     """
     t0 = time.monotonic()
     ks = (2, 1) if params["gate"] else (1,)
     results, stats = {k: {} for k in ks}, []
-    for calls in (runs,) if sweep is None else (runs, lambda k: sweep(k, results[k])):
-        jobs = [(label, k, call) for k in ks for label, call in calls(k).items()]
-        for (label, k, _), (out, entry) in zip(jobs, _pool(jobs, fork=params["gate"])):
-            results[k][label] = out
-            stats.append(entry)
+    jobs = [(label, k, call) for k in ks for label, call in runs(k).items()]
+    for (label, k, _), (out, entry) in zip(jobs, _pool(jobs, fork=params["gate"])):
+        results[k][label] = out
+        stats.append(entry)
     rerun = headline(results.pop(2), 2) if params["gate"] else None
     main = headline(results[1], 1)
     out, judge_s = _timed(judge, results[1], main, rerun)
@@ -693,6 +690,16 @@ def counterexample_3(
 # positive regime: rate in eps of the viscous nonlocal-to-local distance
 
 
+def _pairwise_orders(eps_list, distances) -> list:
+    """The observed order log(d_i / d_i+1) / log(eps_i / eps_i+1) of each
+    consecutive pair; NaN (null in the record) where it does not exist: a
+    distance that is not positive, or a repeated eps."""
+    return [
+        math.log(d1 / d2) / math.log(e1 / e2) if min(d1, d2) > 0.0 and e1 != e2 else math.nan
+        for e1, e2, d1, d2 in zip(eps_list, eps_list[1:], distances, distances[1:])
+    ]
+
+
 def singular_limit_rate(
     nu: float = 0.1,
     p: float = 2.0,
@@ -708,6 +715,10 @@ def singular_limit_rate(
     bad stability constants and is explicitly not checked. The one-sided
     kernel has nonzero first moment, which makes the distance genuinely
     first order in eps for smooth data (an even kernel would show order ~2).
+    The verdict reads ``fitted_order_in_eps``, the slope of one fit over all
+    eps; the order of each consecutive pair is recorded beside it
+    (``pairwise_orders``, and ``pairwise_orders_extrapolated`` from the
+    Richardson-extrapolated distances with the gate on) and not judged.
     The gate reruns the sweep at half the cell width. Needs p >= 1 and at
     least two distinct eps to fit the order.
     """
@@ -719,7 +730,6 @@ def singular_limit_rate(
     eps_list = tuple(sorted(eps_list, reverse=True))
     params = dict(locals())  # the manifest records every argument
     dx = min(eps_list) / 10.0
-    _lapack()  # before the pool forks, so the helper inherits it
 
     @cache
     def setup(k):
@@ -732,28 +742,26 @@ def singular_limit_rate(
 
     def runs(k):
         u0, dt = setup(k)
-        return {"local": partial(run_viscous, u0, None, t_end, nu=nu, dt=dt, n_outputs=10)}
-
-    def sweep(k, r):
-        u0, dt = setup(k)
-
-        def distances(eps):
-            # reduced where it runs: each output becomes its L^p distance to
-            # the local run's, so only floats cross the pipe
-            run = run_viscous(u0, Kernel(kernel_shape, eps), t_end, nu=nu, dt=dt,
-                              n_outputs=10)
-            return replace(run, states=[lp_norm(Field(a.grid, a.values - b.values), p)
-                                        for a, b in zip(run.states[1:], r["local"].states[1:])])
-
-        return {f"eps={eps}": partial(distances, eps) for eps in eps_list}
+        out = {"local": partial(run_viscous, u0, None, t_end, nu=nu, dt=dt, n_outputs=10)}
+        for eps in eps_list:
+            out[f"eps={eps}"] = partial(run_viscous, u0, Kernel(kernel_shape, eps), t_end,
+                                        nu=nu, dt=dt, n_outputs=10)
+        return out
 
     def headline(r, k):
-        ds = [max(r[f"eps={eps}"].states) for eps in eps_list]
+        local = r["local"].states[1:]
+        ds = [max(lp_norm(Field(a.grid, a.values - b.values), p)
+                  for a, b in zip(r[f"eps={eps}"].states[1:], local))
+              for eps in eps_list]
         slope = float(np.polyfit(np.log(np.array(eps_list)), np.log(np.array(ds)), 1)[0])
         return {"fitted_order_in_eps": slope, "distances": ds, "dt": setup(k)[1]}
 
     def judge(r, main, rerun):
         ds = main["distances"]
+        # Richardson extrapolation of the first-order dx error
+        extrapolated = None if rerun is None else [
+            2.0 * d2 - d1 for d1, d2 in zip(ds, rerun["distances"])
+        ]
         return {
             "checks": [
                 Check("fitted_order_in_eps", main["fitted_order_in_eps"], 0.9, math.inf,
@@ -770,11 +778,11 @@ def singular_limit_rate(
                 "dx": dx,
                 "dt": main["dt"],
                 "advection_flux": "rusanov",
+                "pairwise_orders": _pairwise_orders(eps_list, ds),
                 "distances_refined": None if rerun is None else rerun["distances"],
-                # Richardson extrapolation of the first-order dx error
-                "distances_extrapolated": None if rerun is None else [
-                    2.0 * d2 - d1 for d1, d2 in zip(ds, rerun["distances"])
-                ],
+                "distances_extrapolated": extrapolated,
+                "pairwise_orders_extrapolated":
+                    None if rerun is None else _pairwise_orders(eps_list, extrapolated),
                 "fitted_order_refined": None if rerun is None else rerun["fitted_order_in_eps"],
                 "constant_not_checked":
                     "prefactor exp(C nu^-beta) is a stability constant, not reproduced",
@@ -782,7 +790,7 @@ def singular_limit_rate(
             "provenance": {"distances": "viscous IMEX, shared grid and dt per pair"},
         }
 
-    return _scenario("rate", params, runs, headline, judge, sweep)
+    return _scenario("rate", params, runs, headline, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -830,10 +838,6 @@ def vanishing_viscosity(
     # the viscous runs' own domain check, made once before any run: its
     # margin 4 sqrt(nu t_end) + eps is widest at the largest nu
     _check_domain(gaussian_datum(grids(1)[0], mass=1.0, width=width), kernel, nu_list[0], t_end)
-    # which pooled calls this process runs depends on timing, so LAPACK is
-    # loaded here, before the pool forks: this process then holds it whether
-    # or not it runs a viscous call, and its memory is the same every run
-    _lapack()
 
     def runs(k):
         grid = grids(k)[0]

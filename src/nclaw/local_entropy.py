@@ -3,9 +3,11 @@ the closed-form entropy solutions used as oracles.
 
 The lab fixes b(u) = u, so the local flux u^2 is convex with its sonic
 point at u = 0, and the Godunov flux is the exact Riemann flux. This
-module also holds what all three finite-volume solvers share: ``CFLError``,
-``_check_boundary_clear`` and ``_lf_update``, the one Lax-Friedrichs update
-(classic LF in ``lf_step``, Rusanov in the IMEX advection substep).
+module also holds what all three finite-volume solvers share:
+``NumericalFailure``, the class of every error that says a run failed
+numerically, ``CFLError``, ``_check_boundary_clear`` and ``_lf_update``, the
+one Lax-Friedrichs update (classic LF in ``lf_step``, Rusanov in the IMEX
+advection substep).
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from .grids import Field, Grid1D
 from .records import RunResult, field_diagnostics, march, output_times
 
 __all__ = [
+    "NumericalFailure",
     "CFLError",
+    "SupportReachedBoundary",
     "godunov_step",
     "run_local",
     "ExactSolution",
@@ -30,7 +34,11 @@ __all__ = [
 ]
 
 
-class CFLError(RuntimeError):
+class NumericalFailure(RuntimeError):
+    """A run failed numerically: the ``lab`` exit code 4, not a usage error."""
+
+
+class CFLError(NumericalFailure):
     """Raised when a requested time step exceeds the CFL-admissible one."""
 
     def __init__(self, dt: float, dt_admissible: float):
@@ -45,13 +53,18 @@ class CFLError(RuntimeError):
         return type(self), (self.dt, self.dt_admissible)
 
 
+class SupportReachedBoundary(NumericalFailure):
+    """The solution reached an edge cell of its grid: the walls would clip it."""
+
+
 def _check_boundary_clear(f: Field, rel_tol: float):
-    """Raise if either edge cell holds more than rel_tol of the sup norm."""
+    """Raise ``SupportReachedBoundary`` if either edge cell holds more than
+    rel_tol of the sup norm."""
     scale = float(np.max(np.abs(f.values)))
     if scale > 0.0 and (
         abs(f.values[0]) > rel_tol * scale or abs(f.values[-1]) > rel_tol * scale
     ):
-        raise RuntimeError("domain too small: support reached the boundary")
+        raise SupportReachedBoundary("domain too small: support reached the boundary")
 
 
 def _lf_update(u: np.ndarray, V: np.ndarray, dx: float, dt: float, speed) -> np.ndarray:

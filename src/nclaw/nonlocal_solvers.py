@@ -27,12 +27,13 @@ import numpy as np
 from .grids import Field, Grid1D, entropy_functional
 from .kernels import Kernel, convolve, convolve_particles_slope
 from .kernels import convolve_particles as _convolve_atoms
-from .local_entropy import CFLError, _check_boundary_clear, _lf_update
+from .local_entropy import CFLError, NumericalFailure, _check_boundary_clear, _lf_update
 from .records import RunResult, field_diagnostics, march, output_times
 
 __all__ = [
     "CharacteristicsCrossed",
     "ParticlesLeftGrid",
+    "SignPartitionViolated",
     "ParticleEnsemble",
     "lf_step",
     "particle_step",
@@ -145,12 +146,17 @@ def lf_step(
 # particle step
 
 
-class CharacteristicsCrossed(RuntimeError):
+class CharacteristicsCrossed(NumericalFailure):
     """A particle step broke the strict ordering of the positions."""
 
 
-class ParticlesLeftGrid(RuntimeError):
+class ParticlesLeftGrid(NumericalFailure):
     """The particle support left the grid of the run's datum."""
+
+
+class SignPartitionViolated(NumericalFailure):
+    """Mass of an odd-type datum crossed the origin, which ordered
+    characteristics forbid."""
 
 
 def particle_velocity_and_bound(e: ParticleEnsemble, k: Kernel):
@@ -238,7 +244,7 @@ def particle_step(
     within 1 + 2e-4 on the left half-disk |z dt| <= 0.9 that the
     contraction rule allows, by Gershgorin, for the particle velocity's
     Jacobian. Ordering rests on the checks: ``CharacteristicsCrossed`` (a
-    RuntimeError) is raised if positions stop being strictly increasing at
+    ``NumericalFailure``) is raised if positions stop being strictly increasing at
     Xp, at any SSP-RK3 stage or in the result, and ``run_nonlocal`` halves
     and retries such a step from the start-up scheme. ``dt`` must lie below
     the local contraction bound of ``particle_velocity_and_bound``
@@ -439,7 +445,7 @@ def _run_particles(initial: Field, kernel: Kernel, targets, window) -> RunResult
             np.any(e.positions[e.masses > 0] >= 0.0)
             or np.any(e.positions[e.masses < 0] <= 0.0)
         ):
-            raise RuntimeError("sign partition violated: mass crossed 0")
+            raise SignPartitionViolated("sign partition violated: mass crossed 0")
 
     mass0 = e.masses.copy()
     res = march(

@@ -183,30 +183,54 @@ def manifest_hash(params: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _openblas_core():
-    """The CPU kernel the OpenBLAS bundled with NumPy picked when it was
-    loaded, or None where no such library is loaded or it does not say."""
+def _numpy_openblas(*symbols):
+    """The named functions of the OpenBLAS that NumPy's wheels bundle (in
+    ``numpy.libs``), or None where no such library is loaded or it lacks one.
+
+    The one place that knows the wheel layout. The library is opened with
+    RTLD_NOLOAD, which gives a handle only to a library that is already
+    loaded, so a file that NumPy does not use is never loaded to ask it;
+    where the platform has no RTLD_NOLOAD, nothing is found.
+    """
     import ctypes
     import os
 
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:
-            # RTLD_NOLOAD: a handle only to a library that is already loaded
-            corename = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD).scipy_openblas_get_corename64_
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            return tuple(getattr(lib, name) for name in symbols)
         except (OSError, AttributeError):
             continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
     return None
+
+
+# the ILP64 LAPACK routines of the diffusion solve (``viscous._lapack``), by
+# their names in the OpenBLAS of the NumPy wheels
+_LAPACK_PTTRF_PTTRS = ("scipy_dpttrf_64_", "scipy_dpttrs_64_")
+
+
+def _openblas_core():
+    """The CPU kernel the OpenBLAS bundled with NumPy picked when it was
+    loaded, or None where no such library is loaded or it does not say."""
+    import ctypes
+
+    found = _numpy_openblas("scipy_openblas_get_corename64_")
+    if found is None:
+        return None
+    corename, = found
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def _backend() -> dict:
     """The versions of the numerical libraries this process runs on.
 
-    SciPy's is None where this process has not loaded SciPy: the
-    counterexamples never do, the viscous experiments do. ``blas`` is the
-    name and version of the BLAS NumPy was built with, ``blas_core`` the
-    kernel OpenBLAS chose for this CPU (``_openblas_core``).
+    SciPy's is None where this process has not loaded SciPy, which no
+    scenario does where NumPy's OpenBLAS carries the diffusion solve's
+    LAPACK. ``blas`` is the name and version of the BLAS NumPy was built
+    with, ``blas_core`` the kernel OpenBLAS chose for this CPU
+    (``_openblas_core``), and ``lapack`` the library the diffusion solve
+    calls (``viscous._lapack``): ``numpy-openblas`` or ``scipy``.
     """
     scipy = sys.modules.get("scipy")
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas")
@@ -215,6 +239,7 @@ def _backend() -> dict:
         "scipy": None if scipy is None else scipy.__version__,
         "blas": None if blas is None else f"{blas['name']} {blas['version']}",
         "blas_core": _openblas_core(),
+        "lapack": "scipy" if _numpy_openblas(*_LAPACK_PTTRF_PTTRS) is None else "numpy-openblas",
     }
 
 

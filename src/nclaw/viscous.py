@@ -10,23 +10,34 @@ margin). The Rusanov dissipation is set by the local wave speed, not by
 dx^2/dt as in classic LF, so the scheme's own viscosity does not grow as dt
 shrinks and the distances the experiments measure converge in dt.
 
-``run_viscous`` is called like ``run_nonlocal``, on the datum's grid; SciPy's
-LAPACK, which the diffusion solve uses, is loaded by its first call (``_lapack``),
-or earlier by a scenario that calls ``_lapack`` before its pool forks.
+``run_viscous`` is called like ``run_nonlocal``, on the datum's grid. The
+diffusion solve calls LAPACK's ``dpttrf``/``dpttrs`` in the OpenBLAS that
+NumPy's wheels bundle, through ctypes, and SciPy's where that library is
+not found (``_lapack``); the two give the same bits where both run on the
+same OpenBLAS, and the run's manifest names the one used (``lapack``).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .grids import Field, lp_norm, support_bounds
 from .kernels import Kernel, convolve
-from .local_entropy import CFLError, _check_boundary_clear, _lf_update
-from .records import RunResult, field_diagnostics, march, output_times
+from .local_entropy import CFLError, NumericalFailure, _check_boundary_clear, _lf_update
+from .records import (
+    _LAPACK_PTTRF_PTTRS,
+    RunResult,
+    _numpy_openblas,
+    field_diagnostics,
+    march,
+    output_times,
+)
 
 __all__ = [
     "NonFiniteState",
@@ -36,21 +47,72 @@ __all__ = [
 ]
 
 
-class NonFiniteState(RuntimeError):
+class NonFiniteState(NumericalFailure):
     """The advected IMEX state holds NaN or inf: the run blew up."""
+
+
+def _openblas_lapack(pttrf, pttrs) -> tuple:
+    """``dpttrf(d, e) -> (d, e, info)`` and ``dpttrs(d, e, b) -> (x, info)``,
+    SciPy's contract, around the ILP64 routines ``pttrf`` and ``pttrs``.
+
+    LAPACK reads and writes through raw pointers, so the wrappers pass only
+    float64, C-contiguous arrays of the checked size that they hold: fresh
+    copies for what LAPACK overwrites (``d`` and ``e`` in ``dpttrf``, ``b``
+    in ``dpttrs``). ``dpttrs`` keeps the addresses of the last factors it
+    was given together with the factors themselves, so they stay alive
+    while those addresses are used, and a repeated solve only copies ``b``.
+    """
+    i64, byref = ctypes.c_int64, ctypes.byref
+    pttrf.argtypes, pttrf.restype = [ctypes.c_void_p] * 4, None
+    pttrs.argtypes, pttrs.restype = [ctypes.c_void_p] * 7, None
+    one = byref(i64(1))
+    held = [None]  # (d, e, pointer to n, address of d, address of e) of the last factors
+
+    def dpttrf(d, e):
+        d = np.array(d, dtype=np.float64, order="C")
+        e = np.array(e, dtype=np.float64, order="C")
+        if d.ndim != 1 or e.shape != (d.size - 1,):
+            raise ValueError(f"dpttrf: d {d.shape} and e {e.shape} are no tridiagonal")
+        info = i64()
+        pttrf(byref(i64(d.size)), d.ctypes.data, e.ctypes.data, byref(info))
+        return d, e, info.value
+
+    def dpttrs(d, e, b):
+        h = held[0]
+        if h is None or d is not h[0] or e is not h[1]:
+            n = d.size
+            if not (d.dtype == e.dtype == np.float64 and d.flags.c_contiguous
+                    and e.flags.c_contiguous and d.shape == (n,) and e.shape == (n - 1,)):
+                raise ValueError("dpttrs: d and e must be float64 factors from dpttrf")
+            h = held[0] = (d, e, byref(i64(n)), d.ctypes.data, e.ctypes.data)
+        _, _, n, d_at, e_at = h
+        x = np.array(b, dtype=np.float64, order="C")  # the solve overwrites this copy
+        if x.shape != d.shape:
+            raise ValueError(f"dpttrs: right-hand side {x.shape} for factors {d.shape}")
+        info = i64()
+        # c_char.from_buffer: the address of x at a third of the cost of x.ctypes.data
+        pttrs(n, one, d_at, e_at, ctypes.addressof(ctypes.c_char.from_buffer(x)), n,
+              byref(info))
+        return x, info.value
+
+    return dpttrf, dpttrs
 
 
 @lru_cache(maxsize=None)
 def _lapack() -> tuple:
-    """SciPy's ``dpttrf``, ``dpttrs`` and ``LinAlgError``, imported once per process.
+    """``dpttrf`` and ``dpttrs``, found once per process.
 
-    Only the viscous solver needs SciPy, so importing nclaw does not load
-    it: the first diffusion solve in each process does.
+    They are the LAPACK routines of the OpenBLAS that NumPy's wheels bundle
+    (``records._numpy_openblas``), so the lab never loads SciPy for them.
+    Where that library or its ILP64 routines are missing (Accelerate,
+    conda, other BLAS builds), they are SciPy's, imported here.
     """
-    from scipy.linalg import LinAlgError
+    found = _numpy_openblas(*_LAPACK_PTTRF_PTTRS)
+    if found is not None:
+        return _openblas_lapack(*found)
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    return dpttrf, dpttrs, LinAlgError
+    return dpttrf, dpttrs
 
 
 _CFL = 0.9  # Courant number of the advection substep (Rusanov is monotone up to 1)
@@ -83,7 +145,7 @@ def _backward_euler_factors(n: int, r: float) -> tuple:
     (``solveh_banded``). One entry suffices: a run holds one grid and
     mostly one step size.
     """
-    dpttrf, _, LinAlgError = _lapack()
+    dpttrf, _ = _lapack()
     *factors, info = dpttrf(np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r))
     if info > 0:
         raise LinAlgError("matrix not positive definite")
@@ -101,7 +163,7 @@ def diffusion_substep(u: np.ndarray, nu: float, dt: float, dx: float) -> np.ndar
     r = nu * dt / (dx * dx)
     if not (math.isfinite(r) and np.isfinite(u).all()):
         raise ValueError("diffusion substep: non-finite matrix or right-hand side")
-    _, dpttrs, _ = _lapack()
+    _, dpttrs = _lapack()
     out, info = dpttrs(*_backward_euler_factors(u.size, r), u)
     if info < 0:
         raise ValueError(f"dpttrs: illegal value in argument {-info}")

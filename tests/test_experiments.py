@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import nclaw
+from nclaw import records
 from nclaw.cli import main
 from nclaw.experiments import (
     _pool,
@@ -303,7 +304,7 @@ def test_importing_the_cli_does_not_import_multiprocessing():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-_SCIPY_FREE_COUNTEREXAMPLES = """
+_SCIPY_FREE_LAB = """
 import sys
 
 def scipy_modules():
@@ -316,36 +317,28 @@ import multiprocessing
 multiprocessing.get_all_start_methods = lambda: ["spawn"]  # every call runs here
 from nclaw import experiments as ex
 
-loaded_at_pool = []
-pool = ex._pool
-
-def recording_pool(jobs, fork=True):
-    loaded_at_pool.append("scipy.linalg.lapack" in sys.modules)
-    return pool(jobs, fork)
-
-ex._pool = recording_pool
-r = ex.counterexample_1(n_particles=300, godunov_n=512)
-assert r.manifest.to_json()["backend"]["scipy"] is None
-ex.counterexample_2(n_particles=200, godunov_n=512)
-ex.counterexample_3(n_particles=200, godunov_n=512)
-assert scipy_modules() == [], scipy_modules()[:5]
-
-del loaded_at_pool[:]
-r = ex.vanishing_viscosity(nu_list=(0.1, 0.03), t_end=0.1)
-assert "scipy.linalg" in sys.modules
-assert r.manifest.backend["scipy"] == sys.modules["scipy"].__version__
-# loaded before the pool is entered, whichever process runs the viscous calls
-assert loaded_at_pool == [True], loaded_at_pool
+for fn, kwargs in [
+    (ex.counterexample_1, dict(n_particles=300, godunov_n=512)),
+    (ex.counterexample_2, dict(n_particles=200, godunov_n=512)),
+    (ex.counterexample_3, dict(n_particles=200, godunov_n=512)),
+    (ex.singular_limit_rate, dict(eps_list=(0.4, 0.2), t_end=0.2)),
+    (ex.vanishing_viscosity, dict(nu_list=(0.1, 0.03), t_end=0.1)),
+]:
+    backend = fn(**kwargs).manifest.to_json()["backend"]
+    assert backend["scipy"] is None and backend["lapack"] == "numpy-openblas", backend
+    assert scipy_modules() == [], (fn.__name__, scipy_modules()[:5])
 """
 
 
-def test_counterexamples_never_import_scipy():
-    # only the viscous solver and the heat-kernel quadrature need SciPy:
-    # importing the CLI and running ce1-ce3 leave it unloaded, and the
-    # manifest's backend says so; the viscous experiment loads it before its
-    # pool forks, and its manifest names it
+def test_no_scenario_imports_scipy():
+    # the diffusion solve calls the LAPACK of NumPy's own OpenBLAS and the
+    # Gaussian datum takes math.erf, so importing the CLI and running all
+    # five scenarios, each call in this one process, leave SciPy unloaded,
+    # and every manifest's backend says so
+    if records._numpy_openblas(*records._LAPACK_PTTRF_PTTRS) is None:
+        pytest.skip("NumPy's bundled OpenBLAS is not loaded here: SciPy's LAPACK runs")
     env = dict(os.environ, PYTHONPATH=str(Path(nclaw.__file__).resolve().parents[1]))
-    subprocess.run([sys.executable, "-c", _SCIPY_FREE_COUNTEREXAMPLES], env=env, check=True)
+    subprocess.run([sys.executable, "-c", _SCIPY_FREE_LAB], env=env, check=True)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from nclaw.grids import Field, Grid1D, baricenter, lp_norm, window_mass
 from nclaw.local_entropy import (
     CFLError,
     ExactSolution,
+    SupportReachedBoundary,
     baricenter_lower_bound,
     exact_eval,
     godunov_step,
@@ -66,8 +67,9 @@ class TestGodunovStep:
         # t = 2.26; the run must stop there instead of losing mass through
         # the wall (43% of it by t = 4)
         grid = Grid1D(-2.0, 2.0, 512)
-        with pytest.raises(RuntimeError, match="support reached the boundary"):
+        with pytest.raises(SupportReachedBoundary, match="support reached the boundary"):
             run_local(step_datum(grid), 4.0)
+        assert issubclass(SupportReachedBoundary, RuntimeError)
 
 
 class TestExactSolutions:

@@ -19,6 +19,7 @@ from nclaw.nonlocal_solvers import (
     CharacteristicsCrossed,
     ParticleEnsemble,
     ParticlesLeftGrid,
+    SignPartitionViolated,
     deposit,
     lagrangian_entropy,
     lf_step,
@@ -353,6 +354,18 @@ class TestRunNonlocal:
             run_nonlocal(step_datum(grid), Kernel(EVEN_BUMP, 0.05), 0.3, n_outputs=2)
         assert issubclass(ParticlesLeftGrid, RuntimeError)
         assert not issubclass(ParticlesLeftGrid, ValueError)
+
+    def test_mass_crossing_the_origin_is_a_numerical_failure(self, monkeypatch):
+        # a step that carries the odd datum's positive mass across 0, which
+        # ordered characteristics cannot do, stops the run at its next output
+        def shifting(e, k, dt, stage1=None, history=()):
+            return ParticleEnsemble(e.positions + 0.02, e.masses, e.time_stamp + dt)
+
+        monkeypatch.setattr(nonlocal_solvers, "particle_step", shifting)
+        grid = Grid1D(-2.0, 2.0, 200)
+        with pytest.raises(SignPartitionViolated, match="sign partition violated"):
+            run_nonlocal(odd_datum(grid), Kernel(EVEN_BUMP, 0.2), 0.1, n_outputs=1)
+        assert issubclass(SignPartitionViolated, RuntimeError)
 
     def test_particle_entropy_is_deposited_over_the_datum_grid(self):
         # the deposit grid spans the datum's grid at spacing 0.1 * eps

@@ -15,8 +15,13 @@ from nclaw.data import odd_datum, step_datum
 from nclaw.experiments import Check, GateResult, grid_convergence_gate
 from nclaw.grids import Field, Grid1D
 from nclaw.kernels import EVEN_BUMP, Kernel
-from nclaw.local_entropy import run_local
-from nclaw.nonlocal_solvers import run_nonlocal
+from nclaw.local_entropy import CFLError, NumericalFailure, SupportReachedBoundary, run_local
+from nclaw.nonlocal_solvers import (
+    CharacteristicsCrossed,
+    ParticlesLeftGrid,
+    SignPartitionViolated,
+    run_nonlocal,
+)
 from nclaw.records import (
     DiagnosticSeries,
     RunManifest,
@@ -25,7 +30,7 @@ from nclaw.records import (
     manifest_hash,
     output_times,
 )
-from nclaw.viscous import run_viscous
+from nclaw.viscous import NonFiniteState, run_viscous
 
 
 class TestDiagnosticSeries:
@@ -101,6 +106,7 @@ class TestManifest:
         (tmp_path / "numpy.libs" / "libscipy_openblas64_-0.so").write_bytes(b"")
         monkeypatch.setattr(records.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
         assert records._backend()["blas_core"] is None
+        assert records._backend()["lapack"] == "scipy"  # the diffusion solve's fallback
 
 
 class TestGate:
@@ -316,6 +322,36 @@ class TestCLI:
         monkeypatch.setattr(nclaw.experiments, "counterexample_1", crossing)
         assert main(["--no-emit", "ce1"]) == EXIT_NUMERICAL == 4
         assert "characteristics crossed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("failure", [
+        lambda: CFLError(1.0, 0.5),
+        lambda: CharacteristicsCrossed("characteristics crossed"),
+        lambda: ParticlesLeftGrid("particle support left the grid"),
+        lambda: SignPartitionViolated("sign partition violated"),
+        lambda: SupportReachedBoundary("support reached the boundary"),
+        lambda: NonFiniteState("non-finite advected state"),
+    ], ids=["cfl", "crossed", "left_grid", "partition", "boundary", "non_finite"])
+    def test_every_numerical_failure_is_exit_4_and_nothing_else_is(self, monkeypatch, failure):
+        # a RuntimeError that is not a NumericalFailure is a defect of the
+        # code, not a numerical result: it is raised, not reported as exit 4
+        import nclaw.experiments
+        from nclaw.cli import EXIT_NUMERICAL
+
+        exc = failure()
+        assert isinstance(exc, NumericalFailure) and isinstance(exc, RuntimeError)
+
+        def failing(**kwargs):
+            raise exc
+
+        monkeypatch.setattr(nclaw.experiments, "counterexample_1", failing)
+        assert main(["--no-emit", "ce1"]) == EXIT_NUMERICAL
+
+        def defect(**kwargs):
+            raise RuntimeError("a defect")
+
+        monkeypatch.setattr(nclaw.experiments, "counterexample_1", defect)
+        with pytest.raises(RuntimeError, match="^a defect$"):
+            main(["--no-emit", "ce1"])
 
     def test_viscous_blow_up_has_the_numerical_exit_code(self, monkeypatch, capsys):
         # a NaN advected state must not read as a usage error (exit 1)

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy.linalg.lapack
 from scipy.linalg import solve_banded, solveh_banded
 
 from nclaw.data import gaussian_datum, step_datum
 from nclaw.grids import Field, Grid1D, lp_norm
 from nclaw.kernels import EVEN_BUMP, ONE_SIDED_LEFT, Kernel
-from nclaw.local_entropy import CFLError, ExactSolution, sample_exact
+import nclaw.records as records
+import nclaw.viscous as viscous
+from nclaw.local_entropy import CFLError, ExactSolution, NumericalFailure, sample_exact
 from nclaw.viscous import (
     NonFiniteState,
     _backward_euler_factors,
@@ -102,6 +105,7 @@ class TestImexStep:
         u.values[140] = np.nan
         with pytest.raises(NonFiniteState):
             imex_step(u, None, 0.1, dt=1e-3)
+        assert issubclass(NonFiniteState, NumericalFailure)
         assert issubclass(NonFiniteState, RuntimeError)
 
 
@@ -198,6 +202,104 @@ class TestDiffusionSubstep:
             u = diffusion_substep(u, nu, T / steps, grid.dx)
         exact = gaussian_datum(grid, 1.0, math.sqrt(0.4**2 + 2 * nu * T)).values
         assert np.max(np.abs(u - exact)) <= 5e-3
+
+
+def _openblas_routines():
+    """The ctypes ``dpttrf``/``dpttrs`` around NumPy's OpenBLAS; skips where
+    this install has no such library."""
+    found = records._numpy_openblas(*records._LAPACK_PTTRF_PTTRS)
+    if found is None:
+        pytest.skip("NumPy's bundled OpenBLAS is not loaded here")
+    return viscous._openblas_lapack(*found)
+
+
+@pytest.fixture
+def fresh_lapack():
+    """Clears the per-process LAPACK and factor caches before and after a test."""
+    for cache in (viscous._lapack, _backward_euler_factors):
+        cache.cache_clear()
+    yield
+    for cache in (viscous._lapack, _backward_euler_factors):
+        cache.cache_clear()
+
+
+class TestLapack:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 8000),
+        rs=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, rs=[0.0, 1e6], seed=0)
+    def test_openblas_routines_match_scipys_bit_for_bit(self, n, rs, seed):
+        # solving with the two factorizations in turn, then the first again,
+        # also checks that a switch of factors never solves with stale ones
+        dpttrf, dpttrs = _openblas_routines()
+        rng = np.random.default_rng(seed)
+        factors = []
+        for r in rs:
+            d, e, info = dpttrf(np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r))
+            sd, se, sinfo = scipy.linalg.lapack.dpttrf(np.full(n, 1.0 + 2.0 * r),
+                                                       np.full(n - 1, -r))
+            assert info == sinfo == 0
+            assert d.tobytes() == sd.tobytes() and e.tobytes() == se.tobytes()
+            factors.append((r, d, e))
+        for r, d, e in factors + factors[:1]:
+            b = rng.normal(size=n)
+            x, info = dpttrs(d, e, b)
+            sx, sinfo = scipy.linalg.lapack.dpttrs(d, e, b)
+            assert info == sinfo == 0
+            assert x.tobytes() == sx.tobytes()
+            ab = np.empty((2, n))
+            ab[0, :], ab[1, :] = -r, 1.0 + 2.0 * r
+            ref = solveh_banded(ab, b)
+            assert np.max(np.abs(x - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_openblas_routines_copy_what_lapack_writes(self, rng):
+        # the right-hand side is copied to float64 C order and never written;
+        # dpttrf leaves its arguments as they were
+        dpttrf, dpttrs = _openblas_routines()
+        d0, e0 = np.full(50, 3.0), np.full(49, -1.0)
+        d, e, info = dpttrf(d0, e0)
+        assert info == 0 and np.all(d0 == 3.0) and np.all(e0 == -1.0)
+        b = rng.normal(size=100)
+        b_in = b.copy()
+        x, info = dpttrs(d, e, b[::2])
+        assert info == 0 and np.array_equal(b, b_in)
+        assert x.tobytes() == dpttrs(d, e, b[::2].copy())[0].tobytes()
+        assert np.array_equal(dpttrs(d, e, np.arange(50))[0], dpttrs(d, e, np.arange(50.0))[0])
+
+    def test_openblas_routines_refuse_what_they_cannot_pass(self):
+        dpttrf, dpttrs = _openblas_routines()
+        d, e, _ = dpttrf(np.full(50, 3.0), np.full(49, -1.0))
+        for bad in [lambda: dpttrf(np.full(50, 3.0), np.full(50, -1.0)),
+                    lambda: dpttrs(d, e, np.ones(49)),
+                    lambda: dpttrs(d, e[:-1], np.ones(50)),
+                    lambda: dpttrs(d.astype(np.float32), e, np.ones(50)),
+                    lambda: dpttrs(np.full(100, 3.0)[::2], e, np.ones(50))]:
+            with pytest.raises(ValueError):
+                bad()
+
+    @pytest.mark.parametrize("kernel", [None, Kernel(EVEN_BUMP, 0.2)], ids=["local", "kernel"])
+    @pytest.mark.parametrize("dt", [None, 2e-3], ids=["adaptive", "fixed"])
+    def test_scipy_fallback_gives_the_same_bits(self, monkeypatch, fresh_lapack, kernel, dt):
+        # where the locator finds no OpenBLAS, SciPy's routines run, and the
+        # run's states are the bits of the OpenBLAS path
+        _openblas_routines()
+        assert viscous._lapack()[0] is not scipy.linalg.lapack.dpttrf
+        grid = Grid1D(-3.0, 3.0, 600)
+        u0 = gaussian_datum(grid, 1.0, 0.4)
+        ours = run_viscous(u0, kernel, 0.05, nu=0.1, dt=dt, n_outputs=4)
+        for module in (records, viscous):
+            monkeypatch.setattr(module, "_numpy_openblas", lambda *names: None)
+        viscous._lapack.cache_clear()
+        _backward_euler_factors.cache_clear()
+        assert viscous._lapack() == (scipy.linalg.lapack.dpttrf, scipy.linalg.lapack.dpttrs)
+        assert records._backend()["lapack"] == "scipy"
+        theirs = run_viscous(u0, kernel, 0.05, nu=0.1, dt=dt, n_outputs=4)
+        assert ours.info["n_steps"] == theirs.info["n_steps"] > 4
+        for a, b in zip(ours.states, theirs.states, strict=True):
+            assert a.time_stamp == b.time_stamp and a.values.tobytes() == b.values.tobytes()
 
 
 class TestRunViscous:
