@@ -124,7 +124,7 @@ def output_times(t_end: float, n_outputs: int) -> np.ndarray:
     return np.linspace(0.0, t_end, max(n_outputs, 1) + 1)[1:]
 
 
-def march(state, targets, advance, diagnostics, after_output=None) -> RunResult:
+def march(state, targets, advance, diagnostics, after_output) -> RunResult:
     """The time-marching loop shared by every solver.
 
     Records ``diagnostics(state)`` and a copy of the state at the start and
@@ -151,8 +151,7 @@ def march(state, targets, advance, diagnostics, after_output=None) -> RunResult:
             t = state.time_stamp
             state = advance(state, target)
             dts.append(state.time_stamp - t)
-        if after_output is not None:
-            after_output(state)
+        after_output(state)
         record(state)
     # the median by hand: np.median imports numpy.ma, about 0.9 MB resident
     dt = np.sort(dts)
@@ -204,11 +203,6 @@ def _numpy_openblas(*symbols):
     return None
 
 
-# the ILP64 LAPACK routines of the diffusion solve (``viscous._lapack``), by
-# their names in the OpenBLAS of the NumPy wheels
-_LAPACK_PTTRF_PTTRS = ("scipy_dpttrf_64_", "scipy_dpttrs_64_")
-
-
 def _openblas_core():
     """The CPU kernel the OpenBLAS bundled with NumPy picked when it was
     loaded, or None where no such library is loaded or it does not say."""
@@ -230,8 +224,10 @@ def _backend() -> dict:
     LAPACK. ``blas`` is the name and version of the BLAS NumPy was built
     with, ``blas_core`` the kernel OpenBLAS chose for this CPU
     (``_openblas_core``), and ``lapack`` the library the diffusion solve
-    calls (``viscous._lapack``): ``numpy-openblas`` or ``scipy``.
+    calls, as ``viscous._lapack`` chose it: ``numpy-openblas`` or ``scipy``.
     """
+    from .viscous import _lapack, _scipy_factor  # imported here: viscous imports records
+
     scipy = sys.modules.get("scipy")
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas")
     return {
@@ -239,7 +235,7 @@ def _backend() -> dict:
         "scipy": None if scipy is None else scipy.__version__,
         "blas": None if blas is None else f"{blas['name']} {blas['version']}",
         "blas_core": _openblas_core(),
-        "lapack": "scipy" if _numpy_openblas(*_LAPACK_PTTRF_PTTRS) is None else "numpy-openblas",
+        "lapack": "scipy" if _lapack() is _scipy_factor else "numpy-openblas",
     }
 
 

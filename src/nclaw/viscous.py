@@ -11,10 +11,11 @@ dx^2/dt as in classic LF, so the scheme's own viscosity does not grow as dt
 shrinks and the distances the experiments measure converge in dt.
 
 ``run_viscous`` is called like ``run_nonlocal``, on the datum's grid. The
-diffusion solve calls LAPACK's ``dpttrf``/``dpttrs`` in the OpenBLAS that
-NumPy's wheels bundle, through ctypes, and SciPy's where that library is
-not found (``_lapack``); the two give the same bits where both run on the
-same OpenBLAS, and the run's manifest names the one used (``lapack``).
+diffusion solve factors and solves with LAPACK's ``dpttrf``/``dpttrs`` in
+the OpenBLAS that NumPy's wheels bundle, through ctypes, and with SciPy's
+routines where that library is not found (``_lapack``); the two give the
+same bits where both run on the same OpenBLAS, and the run's manifest
+names the one used (``lapack``).
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ from numpy.linalg import LinAlgError
 from .grids import Field, lp_norm, support_bounds
 from .kernels import Kernel, convolve
 from .local_entropy import CFLError, NumericalFailure, _check_boundary_clear, _lf_update
-from .records import (
-    _LAPACK_PTTRF_PTTRS,
-    RunResult,
-    _numpy_openblas,
-    field_diagnostics,
-    march,
-    output_times,
-)
+from .records import RunResult, _numpy_openblas, field_diagnostics, march, output_times
 
 __all__ = [
     "NonFiniteState",
@@ -51,68 +45,59 @@ class NonFiniteState(NumericalFailure):
     """The advected IMEX state holds NaN or inf: the run blew up."""
 
 
-def _openblas_lapack(pttrf, pttrs) -> tuple:
-    """``dpttrf(d, e) -> (d, e, info)`` and ``dpttrs(d, e, b) -> (x, info)``,
-    SciPy's contract, around the ILP64 routines ``pttrf`` and ``pttrs``.
+def _scipy_factor(d, e):
+    """``factor`` (``_lapack``) on SciPy's ``dpttrf`` and ``dpttrs``,
+    imported at the first call."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
 
-    LAPACK reads and writes through raw pointers, so the wrappers pass only
-    float64, C-contiguous arrays of the checked size that they hold: fresh
-    copies for what LAPACK overwrites (``d`` and ``e`` in ``dpttrf``, ``b``
-    in ``dpttrs``). ``dpttrs`` keeps the addresses of the last factors it
-    was given together with the factors themselves, so they stay alive
-    while those addresses are used, and a repeated solve only copies ``b``.
-    """
-    i64, byref = ctypes.c_int64, ctypes.byref
-    pttrf.argtypes, pttrf.restype = [ctypes.c_void_p] * 4, None
-    pttrs.argtypes, pttrs.restype = [ctypes.c_void_p] * 7, None
-    one = byref(i64(1))
-    held = [None]  # (d, e, pointer to n, address of d, address of e) of the last factors
-
-    def dpttrf(d, e):
-        d = np.array(d, dtype=np.float64, order="C")
-        e = np.array(e, dtype=np.float64, order="C")
-        if d.ndim != 1 or e.shape != (d.size - 1,):
-            raise ValueError(f"dpttrf: d {d.shape} and e {e.shape} are no tridiagonal")
-        info = i64()
-        pttrf(byref(i64(d.size)), d.ctypes.data, e.ctypes.data, byref(info))
-        return d, e, info.value
-
-    def dpttrs(d, e, b):
-        h = held[0]
-        if h is None or d is not h[0] or e is not h[1]:
-            n = d.size
-            if not (d.dtype == e.dtype == np.float64 and d.flags.c_contiguous
-                    and e.flags.c_contiguous and d.shape == (n,) and e.shape == (n - 1,)):
-                raise ValueError("dpttrs: d and e must be float64 factors from dpttrf")
-            h = held[0] = (d, e, byref(i64(n)), d.ctypes.data, e.ctypes.data)
-        _, _, n, d_at, e_at = h
-        x = np.array(b, dtype=np.float64, order="C")  # the solve overwrites this copy
-        if x.shape != d.shape:
-            raise ValueError(f"dpttrs: right-hand side {x.shape} for factors {d.shape}")
-        info = i64()
-        # c_char.from_buffer: the address of x at a third of the cost of x.ctypes.data
-        pttrs(n, one, d_at, e_at, ctypes.addressof(ctypes.c_char.from_buffer(x)), n,
-              byref(info))
-        return x, info.value
-
-    return dpttrf, dpttrs
+    d, e, info = dpttrf(d, e)
+    return info, lambda b: dpttrs(d, e, b)
 
 
 @lru_cache(maxsize=None)
-def _lapack() -> tuple:
-    """``dpttrf`` and ``dpttrs``, found once per process.
+def _lapack():
+    """``factor(d, e) -> (info, solve)`` of the diffusion solve, chosen once
+    per process: ``solve(b) -> (x, info)`` solves with the factors.
 
-    They are the LAPACK routines of the OpenBLAS that NumPy's wheels bundle
-    (``records._numpy_openblas``), so the lab never loads SciPy for them.
-    Where that library or its ILP64 routines are missing (Accelerate,
-    conda, other BLAS builds), they are SciPy's, imported here.
+    It calls ``dpttrf``/``dpttrs`` in the OpenBLAS that NumPy's wheels
+    bundle (``records._numpy_openblas``), so the lab never loads SciPy for
+    them. LAPACK reads and writes through raw pointers, so only float64,
+    C-order arrays of the checked size are passed: ``factor`` factors
+    copies of ``d`` and ``e`` in place, and ``solve`` solves on a copy of
+    ``b``. Where that library or its ILP64 routines are missing
+    (Accelerate, conda, other BLAS builds), ``factor`` is ``_scipy_factor``.
     """
-    found = _numpy_openblas(*_LAPACK_PTTRF_PTTRS)
-    if found is not None:
-        return _openblas_lapack(*found)
-    from scipy.linalg.lapack import dpttrf, dpttrs
+    found = _numpy_openblas("scipy_dpttrf_64_", "scipy_dpttrs_64_")
+    if found is None:
+        return _scipy_factor
+    pttrf, pttrs = found
+    i64, byref, void_p = ctypes.c_int64, ctypes.byref, ctypes.c_void_p
+    pttrf.argtypes, pttrf.restype = [void_p] * 4, None
+    pttrs.argtypes, pttrs.restype = [void_p] * 7, None
+    one = byref(i64(1))
 
-    return dpttrf, dpttrs
+    def factor(d, e):
+        d = np.array(d, dtype=np.float64, order="C")
+        e = np.array(e, dtype=np.float64, order="C")
+        if d.ndim != 1 or e.shape != (d.size - 1,):
+            raise ValueError(f"pttrf: d {d.shape} and e {e.shape} are no tridiagonal")
+        # a data_as pointer keeps its array alive: the solve holds both factors
+        n, d_at, e_at = byref(i64(d.size)), d.ctypes.data_as(void_p), e.ctypes.data_as(void_p)
+        info = i64()
+        pttrf(n, d_at, e_at, byref(info))
+
+        def solve(b):
+            x = np.array(b, dtype=np.float64, order="C")  # the solve overwrites this copy
+            if x.shape != d.shape:
+                raise ValueError(f"pttrs: right-hand side {x.shape} for factors {d.shape}")
+            # c_char.from_buffer: the address of x at a third of the cost of x.ctypes.data
+            pttrs(n, one, d_at, e_at, ctypes.addressof(ctypes.c_char.from_buffer(x)), n,
+                  byref(info))
+            return x, info.value
+
+        return info.value, solve
+
+    return factor
 
 
 _CFL = 0.9  # Courant number of the advection substep (Rusanov is monotone up to 1)
@@ -137,19 +122,19 @@ def _cell_speeds(kernel: Optional[Kernel], V: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _backward_euler_factors(n: int, r: float) -> tuple:
-    """LAPACK LDL^T factors (dpttrf) of I - r*D2 on n cells, zero-Dirichlet.
+def _backward_euler_factors(n: int, r: float):
+    """The solve with the LAPACK LDL^T factors (``pttrf``) of I - r*D2 on n
+    cells, zero-Dirichlet: ``solve(b) -> (x, info)`` (``_lapack``).
 
     The matrix is symmetric positive definite for r >= 0, so the factors
     need no pivoting and the solve performs the operations of ``ptsv``
-    (``solveh_banded``). One entry suffices: a run holds one grid and
-    mostly one step size.
+    (``solveh_banded``). This is the one cache of the factors, and one
+    entry suffices: a run holds one grid and mostly one step size.
     """
-    dpttrf, _ = _lapack()
-    *factors, info = dpttrf(np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r))
+    info, solve = _lapack()(np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r))
     if info > 0:
         raise LinAlgError("matrix not positive definite")
-    return tuple(factors)
+    return solve
 
 
 def diffusion_substep(u: np.ndarray, nu: float, dt: float, dx: float) -> np.ndarray:
@@ -163,10 +148,9 @@ def diffusion_substep(u: np.ndarray, nu: float, dt: float, dx: float) -> np.ndar
     r = nu * dt / (dx * dx)
     if not (math.isfinite(r) and np.isfinite(u).all()):
         raise ValueError("diffusion substep: non-finite matrix or right-hand side")
-    _, dpttrs = _lapack()
-    out, info = dpttrs(*_backward_euler_factors(u.size, r), u)
+    out, info = _backward_euler_factors(u.size, r)(u)
     if info < 0:
-        raise ValueError(f"dpttrs: illegal value in argument {-info}")
+        raise ValueError(f"pttrs: illegal value in argument {-info}")
     return out
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import nclaw
-from nclaw import records
+from nclaw import viscous
 from nclaw.cli import main
 from nclaw.experiments import (
     _pool,
@@ -335,7 +335,7 @@ def test_no_scenario_imports_scipy():
     # Gaussian datum takes math.erf, so importing the CLI and running all
     # five scenarios, each call in this one process, leave SciPy unloaded,
     # and every manifest's backend says so
-    if records._numpy_openblas(*records._LAPACK_PTTRF_PTTRS) is None:
+    if viscous._lapack() is viscous._scipy_factor:
         pytest.skip("NumPy's bundled OpenBLAS is not loaded here: SciPy's LAPACK runs")
     env = dict(os.environ, PYTHONPATH=str(Path(nclaw.__file__).resolve().parents[1]))
     subprocess.run([sys.executable, "-c", _SCIPY_FREE_LAB], env=env, check=True)

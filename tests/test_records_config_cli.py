@@ -98,7 +98,8 @@ class TestManifest:
             assert isinstance(backend["blas_core"], str) and backend["blas_core"]
         assert m.hash == RunManifest("ce1", {"eps": 0.05}, backend={}).hash
 
-    def test_blas_core_is_null_without_a_loaded_openblas(self, monkeypatch, tmp_path):
+    def test_blas_core_is_null_without_a_loaded_openblas(self, fresh_lapack, monkeypatch,
+                                                         tmp_path):
         # a library file that was never loaded is not opened to ask it
         import nclaw.records as records
 

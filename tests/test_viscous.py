@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -204,23 +205,13 @@ class TestDiffusionSubstep:
         assert np.max(np.abs(u - exact)) <= 5e-3
 
 
-def _openblas_routines():
-    """The ctypes ``dpttrf``/``dpttrs`` around NumPy's OpenBLAS; skips where
+def _openblas_factor():
+    """The diffusion solve's ``factor`` around NumPy's OpenBLAS; skips where
     this install has no such library."""
-    found = records._numpy_openblas(*records._LAPACK_PTTRF_PTTRS)
-    if found is None:
+    factor = viscous._lapack()
+    if factor is viscous._scipy_factor:
         pytest.skip("NumPy's bundled OpenBLAS is not loaded here")
-    return viscous._openblas_lapack(*found)
-
-
-@pytest.fixture
-def fresh_lapack():
-    """Clears the per-process LAPACK and factor caches before and after a test."""
-    for cache in (viscous._lapack, _backward_euler_factors):
-        cache.cache_clear()
-    yield
-    for cache in (viscous._lapack, _backward_euler_factors):
-        cache.cache_clear()
+    return factor
 
 
 class TestLapack:
@@ -233,21 +224,20 @@ class TestLapack:
     @example(n=2, rs=[0.0, 1e6], seed=0)
     def test_openblas_routines_match_scipys_bit_for_bit(self, n, rs, seed):
         # solving with the two factorizations in turn, then the first again,
-        # also checks that a switch of factors never solves with stale ones
-        dpttrf, dpttrs = _openblas_routines()
+        # also checks that a solve never reads another one's factors
+        factor = _openblas_factor()
         rng = np.random.default_rng(seed)
-        factors = []
+        systems = []
         for r in rs:
-            d, e, info = dpttrf(np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r))
+            info, solve = factor(np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r))
             sd, se, sinfo = scipy.linalg.lapack.dpttrf(np.full(n, 1.0 + 2.0 * r),
                                                        np.full(n - 1, -r))
             assert info == sinfo == 0
-            assert d.tobytes() == sd.tobytes() and e.tobytes() == se.tobytes()
-            factors.append((r, d, e))
-        for r, d, e in factors + factors[:1]:
+            systems.append((r, solve, sd, se))
+        for r, solve, sd, se in systems + systems[:1]:
             b = rng.normal(size=n)
-            x, info = dpttrs(d, e, b)
-            sx, sinfo = scipy.linalg.lapack.dpttrs(d, e, b)
+            x, info = solve(b)
+            sx, sinfo = scipy.linalg.lapack.dpttrs(sd, se, b)
             assert info == sinfo == 0
             assert x.tobytes() == sx.tobytes()
             ab = np.empty((2, n))
@@ -255,28 +245,43 @@ class TestLapack:
             ref = solveh_banded(ab, b)
             assert np.max(np.abs(x - ref)) <= 1e-15 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n", [100, 5000])
+    def test_a_solve_holds_its_factors(self, n, rng):
+        # LAPACK reads the factors through the addresses the solve took; were
+        # an array freed while its solve lives, a later factorization of the
+        # same size would reuse its memory and the solve would read those bits
+        factor = _openblas_factor()
+        d, e = np.full(n, 1.0 + 2.0 * 0.3), np.full(n - 1, -0.3)
+        sd, se, _ = scipy.linalg.lapack.dpttrf(d, e)
+        _, solve = factor(d, e)
+        del d, e
+        # kept: the other factors stay in memory while A's solve runs
+        other_info, _other_solve = factor(np.full(n, 1.0 + 2.0 * 40.0), np.full(n - 1, -40.0))
+        gc.collect()
+        b = rng.normal(size=n)
+        x, info = solve(b)
+        assert other_info == info == 0
+        assert x.tobytes() == scipy.linalg.lapack.dpttrs(sd, se, b)[0].tobytes()
+
     def test_openblas_routines_copy_what_lapack_writes(self, rng):
         # the right-hand side is copied to float64 C order and never written;
-        # dpttrf leaves its arguments as they were
-        dpttrf, dpttrs = _openblas_routines()
+        # factor leaves its arguments as they were
+        factor = _openblas_factor()
         d0, e0 = np.full(50, 3.0), np.full(49, -1.0)
-        d, e, info = dpttrf(d0, e0)
+        info, solve = factor(d0, e0)
         assert info == 0 and np.all(d0 == 3.0) and np.all(e0 == -1.0)
         b = rng.normal(size=100)
         b_in = b.copy()
-        x, info = dpttrs(d, e, b[::2])
+        x, info = solve(b[::2])
         assert info == 0 and np.array_equal(b, b_in)
-        assert x.tobytes() == dpttrs(d, e, b[::2].copy())[0].tobytes()
-        assert np.array_equal(dpttrs(d, e, np.arange(50))[0], dpttrs(d, e, np.arange(50.0))[0])
+        assert x.tobytes() == solve(b[::2].copy())[0].tobytes()
+        assert np.array_equal(solve(np.arange(50))[0], solve(np.arange(50.0))[0])
 
     def test_openblas_routines_refuse_what_they_cannot_pass(self):
-        dpttrf, dpttrs = _openblas_routines()
-        d, e, _ = dpttrf(np.full(50, 3.0), np.full(49, -1.0))
-        for bad in [lambda: dpttrf(np.full(50, 3.0), np.full(50, -1.0)),
-                    lambda: dpttrs(d, e, np.ones(49)),
-                    lambda: dpttrs(d, e[:-1], np.ones(50)),
-                    lambda: dpttrs(d.astype(np.float32), e, np.ones(50)),
-                    lambda: dpttrs(np.full(100, 3.0)[::2], e, np.ones(50))]:
+        factor = _openblas_factor()
+        _, solve = factor(np.full(50, 3.0), np.full(49, -1.0))
+        for bad in [lambda: factor(np.full(50, 3.0), np.full(50, -1.0)),
+                    lambda: solve(np.ones(49))]:
             with pytest.raises(ValueError):
                 bad()
 
@@ -285,16 +290,14 @@ class TestLapack:
     def test_scipy_fallback_gives_the_same_bits(self, monkeypatch, fresh_lapack, kernel, dt):
         # where the locator finds no OpenBLAS, SciPy's routines run, and the
         # run's states are the bits of the OpenBLAS path
-        _openblas_routines()
-        assert viscous._lapack()[0] is not scipy.linalg.lapack.dpttrf
+        _openblas_factor()
         grid = Grid1D(-3.0, 3.0, 600)
         u0 = gaussian_datum(grid, 1.0, 0.4)
         ours = run_viscous(u0, kernel, 0.05, nu=0.1, dt=dt, n_outputs=4)
-        for module in (records, viscous):
-            monkeypatch.setattr(module, "_numpy_openblas", lambda *names: None)
+        monkeypatch.setattr(viscous, "_numpy_openblas", lambda *names: None)
         viscous._lapack.cache_clear()
         _backward_euler_factors.cache_clear()
-        assert viscous._lapack() == (scipy.linalg.lapack.dpttrf, scipy.linalg.lapack.dpttrs)
+        assert viscous._lapack() is viscous._scipy_factor
         assert records._backend()["lapack"] == "scipy"
         theirs = run_viscous(u0, kernel, 0.05, nu=0.1, dt=dt, n_outputs=4)
         assert ours.info["n_steps"] == theirs.info["n_steps"] > 4
