@@ -24,6 +24,7 @@ from .grids import Field, Grid1D, entropy_functional, lp_norm, snap_window, wind
 from .kernels import EVEN_BUMP, ONE_SIDED_LEFT, Kernel
 from .local_entropy import (
     ExactSolution,
+    NumericalFailure,
     baricenter_lower_bound,
     run_local,
     sample_exact,
@@ -159,13 +160,17 @@ def _window_moment(f: Field, a: float, b: float) -> float:
     return float(np.sum(c * f.values[i_lo:i_hi]) * f.grid.dx)
 
 
-def _support_datum_grid(x_min, x_max, support_len, n_particles):
-    """Grid whose cells give one particle per support cell at the asked count."""
+def _support_datum_grid(x_min, x_max, support_len, n_particles, eps):
+    """Grid whose cells give one particle per support cell at the asked count,
+    refused where the particles sit eps or more apart: none would see another."""
     if n_particles < 1:
         raise ValueError(f"n_particles gives {n_particles} particles at this resolution; "
                          "need at least 1")
-    n = int(round((x_max - x_min) / (support_len / n_particles)))
-    return Grid1D(x_min, x_max, n)
+    grid = Grid1D(x_min, x_max, int(round((x_max - x_min) / (support_len / n_particles))))
+    if grid.dx >= eps:
+        raise ValueError(f"particles {grid.dx:.4g} apart at this resolution, not closer "
+                         f"than eps={eps}: none would see another")
+    return grid
 
 
 def _godunov_grid(x_min, x_max, godunov_n, k):
@@ -276,19 +281,25 @@ def _pool(jobs, fork=True):
     waits on a full pipe while this process computes. Its exceptions are
     re-raised here with their class, chained to a ChildProcessError that
     holds its traceback; a helper that dies without an answer raises
-    ChildProcessError naming its exit code. Leaving, also by an exception,
-    terminates and reaps a helper that still runs. Otherwise the calls run
-    here, in order. A stats entry holds the label, k, the process that made
-    the call (``parent`` or ``helper``), its wall seconds, and the keys of
-    ``_RUN_STAT_KEYS`` from the result's ``info`` (None where it has none):
-    the step count and dt range of every run, and a particle run's step rules.
+    ChildProcessError naming its exit code. A ``NumericalFailure`` raised in
+    either process names the call's label and k (its ``run``). Leaving, also
+    by an exception, terminates and reaps a helper that still runs.
+    Otherwise the calls run here, in order. A stats entry holds the label,
+    k, the process that made the call (``parent`` or ``helper``), its wall
+    seconds, and the keys of ``_RUN_STAT_KEYS`` from the result's ``info``
+    (None where it has none): the step count and dt range of every run, and
+    a particle run's step rules.
     """
     import multiprocessing  # here, not at the top: importing nclaw stays lean
     import traceback
 
     def run(i, process):
         label, k, call = jobs[i]
-        out, seconds = _timed(call)
+        try:
+            out, seconds = _timed(call)
+        except NumericalFailure as exc:
+            exc.run = f"run {label!r} at k={k}"
+            raise
         info = getattr(out, "info", {})
         return out, {"label": label, "k": k, "process": process, "wall_s": seconds,
                      **{key: info.get(key) for key in _RUN_STAT_KEYS}}
@@ -379,7 +390,7 @@ def counterexample_1(
         # multiples of 4 keep the datum edges and the origin on cell edges
         # of the sampling grid, so the sampled window mass starts at exactly 1
         n = 4 * max(1, round(n_particles // k / 4))
-        datum_grid = _support_datum_grid(-4.5, 4.5, 2.0, n)
+        datum_grid = _support_datum_grid(-4.5, 4.5, 2.0, n, eps)
         gd_grid = _godunov_grid(-4.5, 4.5, godunov_n, k)
         out = {
             "nonlocal": lambda: _final_at_rerun(k, run_nonlocal, odd_datum(datum_grid),
@@ -469,7 +480,7 @@ def counterexample_2(
     lf_grid = Grid1D(-3.5, 2.5, max(int(round(6.0 / (eps / 2.0))), 8))
 
     def runs(k):
-        datum_grid = _support_datum_grid(-1.5, 0.5, 1.0, n_particles // k)
+        datum_grid = _support_datum_grid(-1.5, 0.5, 1.0, n_particles // k, eps)
         gd_grid = _godunov_grid(-2.0, 2.0, godunov_n, k)
         out = {
             "nonlocal": lambda: _final_at_rerun(k, run_nonlocal, step_datum(datum_grid),
@@ -611,7 +622,7 @@ def counterexample_3(
     lf_grid = Grid1D(-3.5, 3.5, max(int(round(7.0 / eps)), 8))
 
     def runs(k):
-        datum_grid = _support_datum_grid(-2.0, 1.5, 1.0, n_particles // k)
+        datum_grid = _support_datum_grid(-2.0, 1.5, 1.0, n_particles // k, eps)
         gd_grid = _godunov_grid(-2.0, 2.0, godunov_n, k)
         out = {
             "nonlocal": lambda: _final_at_rerun(k, run_nonlocal, step_datum(datum_grid),
@@ -726,6 +737,9 @@ def singular_limit_rate(
         # wave speed with a 1.4 headroom
         return u0, _CFL * grid.dx / (1.4 * float(np.max(_cell_speeds(None, u0.values))))
 
+    # the runs' own check, made once before any run: the largest eps reaches farthest
+    _check_domain(setup(1)[0], Kernel(kernel_shape, eps_list[0]), nu, t_end)
+
     def runs(k):
         u0, dt = setup(k)
         out = {"local": partial(run_viscous, u0, None, t_end, nu=nu, dt=dt, n_outputs=10)}
@@ -834,7 +848,7 @@ def vanishing_viscosity(
                                       n_outputs=5)
         if k == 1:
             out["corner"] = lambda: _final(
-                run_nonlocal, step_datum(_support_datum_grid(-1.5, 0.5, 1.0, 800)),
+                run_nonlocal, step_datum(_support_datum_grid(-1.5, 0.5, 1.0, 800, eps)),
                 Kernel(ONE_SIDED_LEFT, eps), 0.5, n_outputs=2,
             )
             out["corner_godunov"] = lambda: _final(run_local, step_datum(gd_grid), 0.5,

@@ -35,7 +35,16 @@ __all__ = [
 
 
 class NumericalFailure(RuntimeError):
-    """A run failed numerically: the ``lab`` exit code 4, not a usage error."""
+    """A run failed numerically: the ``lab`` exit code 4, not a usage error.
+
+    ``run`` names the pooled call that failed, as ``experiments._pool`` sets
+    it, and leads the message.
+    """
+
+    run = ""
+
+    def __str__(self):
+        return f"{self.run}: {super().__str__()}" if self.run else super().__str__()
 
 
 class CFLError(NumericalFailure):
@@ -49,8 +58,9 @@ class CFLError(NumericalFailure):
         self.dt_admissible = dt_admissible
 
     def __reduce__(self):
-        # rebuild from both arguments, so the error survives a pipe to a parent process
-        return type(self), (self.dt, self.dt_admissible)
+        # rebuild from both arguments and restore the attributes (``run`` too),
+        # so the error survives a pipe to a parent process
+        return type(self), (self.dt, self.dt_admissible), self.__dict__
 
 
 class SupportReachedBoundary(NumericalFailure):

@@ -239,13 +239,24 @@ def _backend() -> dict:
     }
 
 
+def _source_digest(package=Path(__file__).parent) -> str:
+    """sha256 over the package's source files (``*.py``) in name order, each
+    file's name and bytes: it names the code that made a record, which the
+    version number does not."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(package).glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 @dataclass
 class RunManifest:
     """Full provenance record for a scenario run.
 
-    ``backend`` (``_backend``, taken when the manifest is made) is left out
-    of the hash, like the wall times: it says how the numbers were
-    computed, not which run they belong to.
+    ``backend`` (``_backend``) and ``source_digest`` (``_source_digest``),
+    both taken when the manifest is made, are left out of the hash, like
+    the wall times: they say how the numbers were computed, not which run
+    they belong to.
     """
 
     scenario: str
@@ -257,6 +268,7 @@ class RunManifest:
     judge_wall_s: float = 0.0
     outputs: list = dc_field(default_factory=list)
     backend: dict = dc_field(default_factory=_backend)
+    source_digest: str = dc_field(default_factory=_source_digest)
 
     @property
     def hash(self) -> str:
@@ -275,6 +287,7 @@ class RunManifest:
                 "judge_wall_s": self.judge_wall_s,
                 "outputs": [str(p) for p in self.outputs],
                 "backend": self.backend,
+                "source_digest": self.source_digest,
             }
         )
 

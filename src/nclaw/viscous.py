@@ -13,14 +13,15 @@ shrinks and the distances the experiments measure converge in dt.
 ``run_viscous`` is called like ``run_nonlocal``, on the datum's grid. The
 diffusion solve factors and solves with LAPACK's ``dpttrf``/``dpttrs`` in
 the OpenBLAS that NumPy's wheels bundle, through ctypes, and with SciPy's
-routines where that library is not found (``_lapack``); the two give the
-same bits where both run on the same OpenBLAS, and the run's manifest
-names the one used (``lapack``).
+(the ``lapack`` extra) where that library is not found (``_lapack``); the
+two give the same bits on the same OpenBLAS, and the run's manifest names
+the one used (``lapack``).
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.util
 import math
 from functools import lru_cache
 from typing import Optional
@@ -47,7 +48,7 @@ class NonFiniteState(NumericalFailure):
 
 def _scipy_factor(d, e):
     """``factor`` (``_lapack``) on SciPy's ``dpttrf`` and ``dpttrs``,
-    imported at the first call."""
+    imported at the first call; ``_check_domain`` refuses a run without them."""
     from scipy.linalg.lapack import dpttrf, dpttrs
 
     d, e, info = dpttrf(d, e)
@@ -187,9 +188,11 @@ def imex_step(f: Field, kernel: Optional[Kernel], nu: float, dt: float,
 
 
 def _check_domain(initial: Field, kernel: Optional[Kernel], nu: float, t_end: float):
-    """Refuse a nu or t_end that is not positive, and a datum whose support,
-    widened by 4 sqrt(nu t_end) plus the kernel's reach, leaves its grid:
-    the zero-Dirichlet walls would clip it."""
+    """Refuse a nu or t_end that is not positive, a datum whose support,
+    widened by 4 sqrt(nu t_end) plus the kernel's reach, leaves its grid
+    (the zero-Dirichlet walls would clip it), and a missing ``_scipy_factor``."""
+    if _lapack() is _scipy_factor and importlib.util.find_spec("scipy") is None:
+        raise ValueError("no LAPACK for the diffusion solve: install the extra nclaw[lapack]")
     if not nu > 0.0:
         raise ValueError(f"nu={nu} must be positive")
     if not t_end > 0.0:

@@ -391,6 +391,31 @@ def test_pool_result_larger_than_the_pipe_does_not_stall_the_helper():
         assert waited is (True if s["process"] == "parent" else None)
 
 
+@needs_fork
+@pytest.mark.parametrize("where", ["parent", "helper"])
+def test_a_numerical_failure_names_its_run(where):
+    # the two calls meet at a barrier, so they run in different processes;
+    # the one in ``where`` fails, with its index in its dt, and the message
+    # leads with its label and k, also when it crosses the helper's pipe
+    both = multiprocessing.Barrier(2, timeout=20)
+    pid = os.getpid()
+
+    def meet_then_fail(i):
+        both.wait()
+        if (os.getpid() == pid) == (where == "parent"):
+            raise CFLError(float(i), 0.5)
+        return i
+
+    jobs = [("first", 2, lambda: meet_then_fail(1)), ("second", 1, lambda: meet_then_fail(2))]
+    with _deadline(30), pytest.raises(CFLError) as info:
+        _pool(jobs)
+    exc = info.value
+    label, k = {1.0: ("first", 2), 2.0: ("second", 1)}[exc.dt]
+    assert str(exc) == (f"run {label!r} at k={k}: CFL violation: dt={exc.dt:.3e} exceeds "
+                        "admissible dt=5.000e-01")
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("hide_fork", [False, True], ids=["one_call", "fork_hidden"])
 def test_pool_runs_inline_with_one_call_or_without_fork(monkeypatch, hide_fork):
     forks = []

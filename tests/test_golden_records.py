@@ -27,11 +27,16 @@ backend says so.
 import hashlib
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from nclaw import experiments as ex
-from nclaw import records
+from nclaw import records, viscous
+from nclaw.cli import main
 from nclaw.records import emit_report
 
 PINNED_BACKEND = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0",
@@ -119,12 +124,54 @@ def _check(tmp_path, fn_name, kwargs, run_dir_name, verdict, n_csv, report_sha, 
     assert report.verdict == verdict
     run_dir = emit_report(report, tmp_path)["run_dir"]
     assert run_dir.name == run_dir_name
+    _check_bytes(run_dir, n_csv, report_sha, csv_sha)
+
+
+def _check_bytes(run_dir, n_csv, report_sha, csv_sha):
+    """The pinned sha256 of a run directory's report.json and of its CSVs."""
     note = _backend_note(_backend())
     assert _sha256(run_dir / "report.json") == report_sha, note
     csvs = sorted(str(p.relative_to(run_dir)) for p in run_dir.rglob("*.csv"))
     assert len(csvs) == n_csv
     lines = "".join(f"{name} {_sha256(run_dir / name)}\n" for name in csvs)
     assert hashlib.sha256(lines.encode()).hexdigest() == csv_sha, note
+
+
+_WITHOUT_SCIPY = """
+import ast
+import sys
+
+sys.modules["scipy"] = None  # every import of SciPy fails from here on
+from nclaw import cli, experiments as ex
+from nclaw.kernels import HeatKernelSpec, heat_kernel_grad_lq_norm, heat_kernel_l1_norm
+from nclaw.records import emit_report
+
+out = sys.argv[1]
+for fn_name, kwargs in ast.literal_eval(sys.argv[2]):
+    emit_report(getattr(ex, fn_name)(**kwargs), out)
+for d in (1, 2, 3):
+    spec = HeatKernelSpec(nu=0.7, dim=d)
+    assert abs(heat_kernel_l1_norm(spec, 0.5) - 1.0) <= 1e-8
+    assert heat_kernel_grad_lq_norm(spec, 0.5, 1.5) > 0.0
+assert cli.main(["--out", out, "oracle"]) == 0
+"""
+
+
+def test_records_hold_without_scipy(tmp_path):
+    # NumPy is the only runtime dependency: in a process where SciPy cannot
+    # be imported, every golden preset writes its pinned bytes, and the
+    # heat-kernel norms and the oracle run
+    if viscous._lapack() is viscous._scipy_factor:
+        pytest.skip("NumPy's bundled OpenBLAS is not loaded here: SciPy's LAPACK runs")
+    env = dict(os.environ, PYTHONPATH=str(Path(records.__file__).resolve().parents[1]))
+    presets = repr([g[1:3] for g in GOLDEN])
+    subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "bare"), presets],
+                   env=env, cwd=tmp_path, check=True)
+    for _, _, _, run_dir_name, _, n_csv, report_sha, csv_sha in GOLDEN:
+        _check_bytes(tmp_path / "bare" / run_dir_name, n_csv, report_sha, csv_sha)
+    assert main(["--out", str(tmp_path / "here"), "oracle"]) == 0
+    (oracle,) = (tmp_path / "here").iterdir()
+    assert (tmp_path / "bare" / oracle.name).read_bytes() == oracle.read_bytes()
 
 
 def test_a_hash_on_another_backend_names_both_backends():

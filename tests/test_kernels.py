@@ -552,6 +552,22 @@ class TestHeatKernel:
             slope = np.polyfit(np.log(ts), np.log(ns), 1)[0]
             assert slope == pytest.approx(alpha, rel=0.02)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1e-3, 0.01, 0.5, 2.0])
+    def test_norms_match_the_closed_form(self, d, t):
+        # ||grad G||_q^q = |S^(d-1)| (2s)^(-q) (4 pi s)^(-dq/2) Gamma((d+q)/2)
+        # / (2 (q/4s)^((d+q)/2)), s = nu t: the radial integral of
+        # r^(d-1+q) exp(-q r^2/4s), an oracle independent of any quadrature
+        spec = HeatKernelSpec(nu=0.7, dim=d)
+        s = spec.nu * t
+        sphere = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+        assert heat_kernel_l1_norm(spec, t) == pytest.approx(1.0, rel=1e-7)
+        for q in (2.0, 1.5, 4.0 / 3.0):
+            closed = (sphere * (2 * s) ** -q * (4 * math.pi * s) ** (-d * q / 2)
+                      * math.gamma((d + q) / 2) / (2 * (q / (4 * s)) ** ((d + q) / 2)))
+            assert heat_kernel_grad_lq_norm(spec, t, q) == pytest.approx(closed ** (1 / q),
+                                                                         rel=1e-7)
+
     def test_rejects_bad_time(self):
         spec = HeatKernelSpec(nu=1.0, dim=1)
         with pytest.raises(ValueError):

@@ -2,6 +2,10 @@ import argparse
 import inspect
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +101,37 @@ class TestManifest:
         if blas["name"] == "scipy-openblas":  # the OpenBLAS of the NumPy wheels
             assert isinstance(backend["blas_core"], str) and backend["blas_core"]
         assert m.hash == RunManifest("ce1", {"eps": 0.05}, backend={}).hash
+
+    def test_source_digest_names_the_code_outside_the_hash(self, tmp_path):
+        # two copies of the package, the second with one byte of a docstring
+        # changed, run the same preset: the digests differ, and the run
+        # directory and every CSV and report.json byte are the same
+        import nclaw.records as records
+
+        runs = {}
+        for name in ("copy", "edited"):
+            package = tmp_path / name / "nclaw"
+            shutil.copytree(Path(records.__file__).parent, package,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            if name == "edited":
+                text = (package / "kernels.py").read_bytes()
+                assert text.startswith(b'"""Convolution')
+                (package / "kernels.py").write_bytes(b'"""c' + text[4:])
+            out = tmp_path / name / "runs"
+            subprocess.run([sys.executable, "-m", "nclaw.cli", "--out", str(out), "ce1",
+                            "--n-particles", "300", "--godunov-n", "512", "--no-gate"],
+                           env=dict(os.environ, PYTHONPATH=str(package.parent)),
+                           cwd=tmp_path, check=True, capture_output=True)
+            (runs[name],) = out.iterdir()
+        digest = {name: json.loads((run / "manifest.json").read_text())["source_digest"]
+                  for name, run in runs.items()}
+        assert digest["copy"] == records._source_digest() != digest["edited"]
+        assert digest["edited"] == records._source_digest(tmp_path / "edited" / "nclaw")
+        assert runs["copy"].name == runs["edited"].name
+        recorded = {name: {p.relative_to(run): p.read_bytes() for p in run.rglob("*")
+                           if p.suffix == ".csv" or p.name == "report.json"}
+                    for name, run in runs.items()}
+        assert len(recorded["copy"]) == 57 and recorded["copy"] == recorded["edited"]
 
     def test_blas_core_is_null_without_a_loaded_openblas(self, fresh_lapack, monkeypatch,
                                                          tmp_path):
@@ -420,6 +455,26 @@ class TestCLI:
         assert main(["--no-emit", *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {name}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, spacing, eps", [
+        (["ce1", "--eps", "0.001", "--n-particles", "40", "--no-gate"], "0.05", "0.001"),
+        (["ce2", "--eps", "0.001", "--n-particles", "40", "--no-gate"], "0.025", "0.001"),
+        (["ce3", "--eps", "0.001", "--n-particles", "40", "--no-gate"], "0.025", "0.001"),
+        (["ce2", "--eps", "0.05", "--n-particles", "30"], "0.06667", "0.05"),
+    ], ids=["ce1", "ce2", "ce3", "ce2-rerun"])
+    def test_particles_that_cannot_see_each_other_are_rejected_before_any_run(
+        self, monkeypatch, capsys, argv, spacing, eps
+    ):
+        # at spacing >= eps no particle is inside another's kernel, so each
+        # moves alone; with the gate on the rerun's halved count is refused
+        # too (ce2-rerun: 30 particles are 0.0333 apart, its 15 are 0.0667)
+        import nclaw.experiments
+
+        monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
+        assert main(["--no-emit", *argv, "--godunov-n", "64"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: particles {spacing} apart at this resolution, not closer than "
+            f"eps={eps}: none would see another\n")
 
     def test_rate_at_p_1_records_an_open_beta_exponent(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "rate", "--p", "1", "--eps-list", "0.4,0.2",

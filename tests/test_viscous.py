@@ -1,5 +1,6 @@
 import gc
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -303,6 +304,27 @@ class TestLapack:
         assert ours.info["n_steps"] == theirs.info["n_steps"] > 4
         for a, b in zip(ours.states, theirs.states, strict=True):
             assert a.time_stamp == b.time_stamp and a.values.tobytes() == b.values.tobytes()
+
+    def test_a_missing_fallback_is_refused_before_any_solve(self, monkeypatch, fresh_lapack,
+                                                            capsys):
+        # where NumPy bundles no OpenBLAS and SciPy is not installed, rate,
+        # visc and run_viscous refuse with a usage error that names the
+        # extra, before any solver call
+        import nclaw.experiments
+        from nclaw.cli import main
+
+        monkeypatch.setattr(viscous, "_numpy_openblas", lambda *names: None)
+        monkeypatch.setitem(sys.modules, "scipy", None)  # SciPy reads as not installed
+        monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
+        monkeypatch.setattr(viscous, "march", lambda *a, **kw: pytest.fail("ran"))
+        for command in ("rate", "visc"):
+            assert main(["--no-emit", command]) == 1
+            assert capsys.readouterr().err == (
+                "error: no LAPACK for the diffusion solve: install the extra nclaw[lapack]\n")
+        u0 = gaussian_datum(Grid1D(-3.0, 3.0, 600), 1.0, 0.4)
+        with pytest.raises(ValueError, match=r"install the extra nclaw\[lapack\]"):
+            run_viscous(u0, None, 0.05, nu=0.1)
+        assert viscous._lapack() is viscous._scipy_factor
 
 
 class TestRunViscous:
