@@ -7,8 +7,6 @@ the manifest hash. CSVs use the shortest round-trip decimal representation.
 
 from __future__ import annotations
 
-import csv
-import hashlib
 import json
 import math
 import sys
@@ -78,12 +76,13 @@ class DiagnosticSeries:
         return [c for c in BASE_COLUMNS if c in self.channels] + extra
 
     def to_csv(self, path) -> None:
+        """Write the header and one row per time, as ``grids.field_to_csv``
+        writes a field: shortest round-trip reprs, lines ending in CRLF."""
         cols = self._ordered_columns()
+        rows = [",".join(map(repr, [t] + [self.channels[c][i] for c in cols]))
+                for i, t in enumerate(self.times)]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t"] + cols)
-            for i, t in enumerate(self.times):
-                w.writerow([repr(t)] + [repr(self.channels[c][i]) for c in cols])
+            fh.write("\r\n".join([",".join(["t"] + cols)] + rows) + "\r\n")
 
 
 def field_diagnostics(f: Field, window=None) -> dict:
@@ -176,10 +175,24 @@ def _canonical(obj):
     return obj
 
 
+def _sha256(data: bytes = b""):
+    """A sha256 hash of ``data``, from CPython's own module where there is one
+    (``_sha2`` from 3.12, ``_sha256`` before), as ``random`` takes its
+    sha512: ``hashlib`` loads OpenSSL, a few MB resident."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data)
+
+
 def manifest_hash(params: dict) -> str:
     """Stable hash of the reproducibility-relevant part of a manifest."""
     payload = json.dumps(_canonical(params), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return _sha256(payload.encode()).hexdigest()[:16]
 
 
 def _numpy_openblas(*symbols):
@@ -243,7 +256,7 @@ def _source_digest(package=Path(__file__).parent) -> str:
     """sha256 over the package's source files (``*.py``) in name order, each
     file's name and bytes: it names the code that made a record, which the
     version number does not."""
-    digest = hashlib.sha256()
+    digest = _sha256()
     for path in sorted(Path(package).glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()

@@ -2,10 +2,15 @@
 
 SciPy is declared only as extras: ``lapack``, the diffusion solve's LAPACK
 where NumPy bundles no OpenBLAS, and ``test``, where it serves as an oracle.
+The records are hashed without loading OpenSSL.
 """
 
 import ast
+import hashlib
+import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,3 +60,28 @@ def test_module_level_imports_are_stdlib_numpy_or_relative():
             for top in tops:
                 assert top in sys.stdlib_module_names or top == "numpy", (
                     f"{path.name}:{node.lineno} imports {top}")
+
+
+_HASH_IN_A_FRESH_PROCESS = """
+import json
+import sys
+
+import nclaw.cli
+from nclaw.records import _source_digest, manifest_hash
+
+digests = [manifest_hash({"b": [0.5, 1], "a": "x"}), _source_digest()]
+print(json.dumps({"openssl": "_hashlib" in sys.modules, "digests": digests}))
+"""
+
+
+def test_records_are_hashed_without_loading_openssl():
+    # CPython's own sha256 gives hashlib's digests without its OpenSSL
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = json.loads(subprocess.run([sys.executable, "-c", _HASH_IN_A_FRESH_PROCESS], env=env,
+                                    capture_output=True, text=True, check=True).stdout)
+    assert out["openssl"] is False
+    source = hashlib.sha256()
+    for path in sorted(PACKAGE.glob("*.py")):
+        source.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert out["digests"] == [hashlib.sha256(b'{"a":"x","b":[0.5,1]}').hexdigest()[:16],
+                              source.hexdigest()]

@@ -139,6 +139,32 @@ def test_visc_rejects_a_datum_too_wide_for_its_margin_before_any_run(monkeypatch
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("gate", [[], ["--no-gate"]], ids=["gate", "no-gate"])
+def test_visc_rejects_an_eps_below_its_cell_width_before_any_run(monkeypatch, capsys, gate):
+    # the kernel check of the viscous runs' convolution, made once before
+    # the pool: inside it, the first viscous run refused after a particle run
+    import nclaw.experiments
+
+    monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
+    assert main(["--no-emit", "visc", "--eps", "0.002", *gate]) == 1
+    assert "error: kernel under-resolved: eps=0.002 < dx=0.0025 of the viscous runs" in (
+        capsys.readouterr().err)
+
+
+def test_every_check_carries_its_rerun_and_the_gate_compares_those_with_a_margin():
+    # ce2's support bounds, baricenter and moment gap have a rerun too; the
+    # moment gap reads the k = 2 Godunov states at t >= 0.6
+    r = counterexample_2(n_particles=200, godunov_n=512)
+    assert all(c.rerun is not None and c.delta == abs(c.value - c.rerun) for c in r.checks)
+    assert [cmp["name"] for cmp in r.gate.comparisons] == [
+        c.name for c in r.checks if c.margin is not None] == [
+        "nonlocal_right_mass", "entropy_right_mass_at_T", "entropy_right_mass_time_integral"]
+    (gap,) = [c for c in r.checks if c.name == "godunov_moment_violation_gap"]
+    assert gap.rerun > 0.0 and gap.rerun != gap.value
+    assert all(c.null_reason == "no margin: the gate does not compare it"
+               for c in r.checks if c.margin is None)
+
+
 def test_ce1_reports_the_resolved_lax_friedrichs_drain_beside_a_passing_check():
     # resolved in eps (dx = 0.04 eps), the dissipative scheme still drains
     # the half-line mass that the particle flow keeps: a side number, not a check

@@ -47,27 +47,27 @@ PINNED_BACKEND = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0",
 GOLDEN = [
     ("ce1", "counterexample_1", dict(n_particles=300, godunov_n=512),
      "ce1-4fc80cad95a1a297", "PASS", 56,
-     "277778ad4b21b7b8bdbdc8b0787cb7461e5e58df6a22b8dbd5b508dd7bd17d44",
+     "1d73aa0e241a904c514a3214d44eb0da5aa0057b688900e1c7ea97e8e20e5406",
      "ffda6c9b09361bb5465bf7dfac4b99a9e92edc9ecdcb36b2f6d525948ec38d86"),
     ("ce1_no_gate", "counterexample_1", dict(n_particles=300, godunov_n=512, gate=False),
      "ce1-130da4e6f506f372", "PASS", 56,
-     "fad5939fc5398ff194bac2e975ff13da621a044e7c2cc653ad05c14e53c7193b",
+     "d4049d592eac5a972b3a76053e5826e60b301710ba80d200929664c67e70f29c",
      "ffda6c9b09361bb5465bf7dfac4b99a9e92edc9ecdcb36b2f6d525948ec38d86"),
     ("ce2", "counterexample_2", dict(n_particles=200, godunov_n=512),
      "ce2-42c3262a7a4a7ca9", "PASS", 105,
-     "32e545286108397cc2dd794f8d4dfe22b65479cec0bf02d255b6b208c736f872",
+     "66920220c8e1e990611279856a12d16d0b7118e1b4f443dd6594c6c2c45be37e",
      "8b9d2ae86d5e43f38f7dc4740b5a3da6b02d208b5227309375f9ec4f9cbd2a27"),
     ("ce3", "counterexample_3", dict(n_particles=200, godunov_n=512),
      "ce3-1d3ca951566f4874", "INCONCLUSIVE", 81,
-     "9d4b5b430a29d510096ee64e7be981a24276bdb3a3d55bd7d67ac96c35a8a53d",
+     "25127d77a20ae378caaa013e9d3f5394617e81c78fd17a1a8b5999af66a80957",
      "517f0a4901e246f3a4e16cba578a577ceb2370275fd88ccb0e964af3d6183413"),
     ("rate", "singular_limit_rate", dict(eps_list=(0.4, 0.2), t_end=0.2),
      "rate-5d5d7e979357829b", "FAIL", 0,
-     "655b04c9a00c6c564e95cc0a2851bf15080838a8a7f32219d5ef0385bab23d05",
+     "ab01c6adc2921ae99908791349835acd4fc2c8040010665cef84bd0b748e455f",
      hashlib.sha256(b"").hexdigest()),
     ("visc", "vanishing_viscosity", dict(nu_list=(0.1, 0.03), t_end=0.1),
      "visc-15a01de0cf99a9dd", "FAIL", 0,
-     "20f5afde07dcbf7a3fa62e9507685043eff3c040ab5fd2af5399948c69190703",
+     "bce7c6ece0649db58502028ca276b54cba1fd1c68b0423e6704f504d736e6e09",
      hashlib.sha256(b"").hexdigest()),
 ]
 

@@ -54,6 +54,29 @@ class TestDiagnosticSeries:
             "t,mass,window_mass,entropy,baricenter,support_lo,support_hi,extra_channel"
         )
 
+    @pytest.mark.parametrize("n_rows", [0, 1, 40])
+    def test_csv_bytes_match_the_csv_module(self, tmp_path, n_rows):
+        # the diagnostics were written row by row with csv.writer; the bytes must not move
+        import csv
+        import io
+
+        rng = np.random.default_rng(n_rows)
+        d = DiagnosticSeries()
+        for i in range(n_rows):
+            values = rng.normal(size=7) * 10.0 ** rng.integers(-300, 300, size=7)
+            if i == 0:
+                values[:4] = [math.nan, -math.inf, -0.0, 5e-324]
+            d.append(0.01 * i, dict(zip(["mass", "entropy", "support_lo", "support_hi",
+                                         "baricenter", "zeta", "alpha"], values)))
+        ref = io.StringIO(newline="")
+        w = csv.writer(ref)
+        cols = d._ordered_columns()
+        w.writerow(["t"] + cols)
+        for i, t in enumerate(d.times):
+            w.writerow([repr(t)] + [repr(d.channels[c][i]) for c in cols])
+        d.to_csv(tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_bytes() == ref.getvalue().encode()
+
     def test_times_strictly_increasing(self):
         d = DiagnosticSeries()
         d.append(0.0, {"mass": 1.0})
@@ -145,17 +168,50 @@ class TestManifest:
         assert records._backend()["lapack"] == "scipy"  # the diffusion solve's fallback
 
 
+def _paired(name, main, rerun, margin):
+    """A check of ``name`` with its margin, paired with its rerun as a scenario pairs it."""
+    check = Check(name, main, -1.0, 2.0, margin=margin)
+    check.pair({name: rerun})
+    return check
+
+
 class TestGate:
     def test_converged_and_inconclusive(self):
-        g = grid_convergence_gate({"m": 1.000}, {"m": 1.001}, {"m": 0.02})
+        g = grid_convergence_gate([_paired("m", 1.000, 1.001, 0.02)])
         assert g.status == "CONVERGED"
-        g = grid_convergence_gate({"m": 1.00}, {"m": 1.04}, {"m": 0.05})
+        g = grid_convergence_gate([_paired("m", 1.00, 1.04, 0.05)])
         assert g.status == "INCONCLUSIVE"
 
     def test_richardson_style_example(self):
         # halving self-difference under refinement counts as converged
-        g = grid_convergence_gate({"err": 0.010}, {"err": 0.0102}, {"err": 0.02})
+        g = grid_convergence_gate([_paired("err", 0.010, 0.0102, 0.02)])
         assert g.status == "CONVERGED"
+
+    def test_a_check_without_a_margin_records_its_rerun_but_is_not_compared(self):
+        # a delta that any margin would fail leaves the gate converged
+        judged_only = _paired("support", 0.0, 1.0, None)
+        g = grid_convergence_gate([_paired("m", 1.000, 1.001, 0.02), judged_only])
+        assert g.status == "CONVERGED"
+        assert [cmp["name"] for cmp in g.comparisons] == ["m"]
+        record = judged_only.to_json()
+        assert (record["margin"], record["rerun"], record["delta"]) == (None, 1.0, 1.0)
+        assert record["null_reason"] == "no margin: the gate does not compare it"
+
+    def test_a_check_with_a_margin_and_no_rerun_is_inconclusive(self):
+        # the rerun makes no run of the number: nothing shows it converged
+        check = Check("corner", 1.0, 0.0, 2.0, margin=0.02)
+        check.pair({"other": 1.0})
+        assert (check.rerun, check.delta) == (None, None)
+        assert check.null_reason == "no rerun: no run of the gate rerun gives it"
+        assert grid_convergence_gate([check]).status == "INCONCLUSIVE"
+
+    def test_without_the_gate_every_rerun_is_null_and_says_so(self):
+        check = Check("m", 1.0, 0.0, 2.0)
+        check.pair(None)
+        record = check.to_json()
+        assert (record["margin"], record["rerun"], record["delta"]) == (None, None, None)
+        assert record["null_reason"] == ("no margin: the gate does not compare it; "
+                                         "no rerun: gate off")
 
 
 def _tiny_report():
@@ -176,14 +232,25 @@ def _tiny_report():
 class TestSummaryLines:
     def test_one_line_per_gate_comparison(self):
         report = _tiny_report()
-        report.gate = grid_convergence_gate(
-            {"m": 1.0, "w": 0.5}, {"m": 1.001, "w": 0.6}, {"m": 0.02, "w": 0.02}
-        )
+        report.checks = [_paired("m", 1.0, 1.001, 0.02), _paired("w", 0.5, 0.6, 0.02)]
+        report.gate = grid_convergence_gate(report.checks)
         lines = report.summary_lines()
         assert lines[-3] == "  [gate] INCONCLUSIVE"
         assert lines[-2] == "    m: main=1 rerun=1.001 delta=0.001 threshold=0.005 ok"
         assert lines[-1].startswith("    w: main=0.5 rerun=0.6 ")
         assert lines[-1].endswith(" NOT CONVERGED")
+
+    def test_every_check_line_shows_its_rerun_with_the_gate_on(self):
+        report = _tiny_report()
+        report.checks = [_paired("m", 1.0, 1.001, 0.02), Check("corner", 1.5, 0.1, math.inf)]
+        report.checks[1].pair({"m": 1.001})
+        report.gate = grid_convergence_gate(report.checks)
+        assert report.summary_lines()[1:3] == [
+            "  [PASS] m = 1 in [-1, 2] rerun=1.001",
+            "  [PASS] corner = 1.5 in [0.1, inf] rerun=null",
+        ]
+        report.gate = None
+        assert report.summary_lines()[1] == "  [PASS] m = 1 in [-1, 2]"
 
 
 class TestOutputSchedule:
