@@ -54,7 +54,6 @@ from .experiments import (
     counterexample_1,
     counterexample_2,
     counterexample_3,
-    grid_convergence_gate,
     singular_limit_rate,
     vanishing_viscosity,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "counterexample_1",
     "counterexample_2",
     "counterexample_3",
-    "grid_convergence_gate",
     "singular_limit_rate",
     "vanishing_viscosity",
     "LabConfig",

@@ -18,7 +18,6 @@ from functools import cache, partial
 
 import numpy as np
 
-from . import __version__
 from .data import gaussian_datum, odd_datum, step_datum
 from .grids import Field, Grid1D, entropy_functional, lp_norm, snap_window, window_mass
 from .kernels import EVEN_BUMP, ONE_SIDED_LEFT, Kernel
@@ -28,8 +27,8 @@ from .nonlocal_solvers import deposit, run_nonlocal
 from .records import RunManifest, output_times
 from .viscous import _CFL, _cell_speeds, _check_domain, run_viscous
 
-__all__ = ["Check", "GateResult", "ScenarioReport", "grid_convergence_gate", "counterexample_1",
-           "counterexample_2", "counterexample_3", "singular_limit_rate", "vanishing_viscosity"]
+__all__ = ["Check", "ScenarioReport", "counterexample_1", "counterexample_2", "counterexample_3",
+           "singular_limit_rate", "vanishing_viscosity"]
 
 
 # the gate's resolution divisors: the rerun's, then the main run's
@@ -43,7 +42,7 @@ class Check:
     ``value`` is the main run's headline of the same name. ``margin`` is
     the decision margin the gate holds it to (None: the gate does not
     compare it). ``rerun``, the gate rerun's headline of that name, and
-    ``null_reason`` are set by ``pair``.
+    ``null_reason`` are set by ``pair``; ``converged`` compares the two.
     """
 
     name: str
@@ -64,6 +63,20 @@ class Check:
     def delta(self) -> float | None:
         return None if self.rerun is None else abs(self.value - self.rerun)
 
+    @property
+    def threshold(self) -> float | None:
+        """A quarter of the margin, which ``delta`` must stay under (None without a margin)."""
+        return None if self.margin is None else 0.25 * self.margin
+
+    @property
+    def converged(self) -> bool | None:
+        """None without a margin, False without a rerun, else ``delta < threshold``:
+        the rerun halves the resolution parameter (``_scenario``), and a value
+        stable under one grid doubling moves by less than a quarter of its margin."""
+        if self.margin is None:
+            return None
+        return self.delta is not None and self.delta < self.threshold
+
     def pair(self, rerun: dict | None) -> None:
         """Take ``rerun`` from the gate rerun's headline (None without the
         gate), and say in ``null_reason`` why the margin or the rerun is None."""
@@ -75,48 +88,17 @@ class Check:
         self.null_reason = "; ".join(why)
 
     def to_json(self) -> dict:
-        return {**asdict(self), "passed": self.passed, "delta": self.delta}
-
-
-@dataclass
-class GateResult:
-    """Refinement stability of the headline numbers (main run vs gate rerun)."""
-
-    status: str  # "CONVERGED" | "INCONCLUSIVE"
-    comparisons: list = dc_field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {"status": self.status, "comparisons": self.comparisons}
-
-
-def grid_convergence_gate(checks) -> GateResult:
-    """Compare each check that has a margin between the main run and the
-    gate rerun.
-
-    The rerun divides the scenario's resolution parameter by two (a particle
-    or cell count, or a cell width; see ``_scenario``), so the two runs are
-    one grid doubling apart. Each such check's value must change by less
-    than 25% of its margin between them, and a check with a margin but no
-    rerun cannot show that; otherwise the scenario is INCONCLUSIVE and both
-    values are reported. A check without a margin is not compared.
-    """
-    comparisons = []
-    for c in checks:
-        if c.margin is None:
-            continue
-        threshold = 0.25 * c.margin
-        comparisons.append({"name": c.name, "main": c.value, "rerun": c.rerun, "delta": c.delta,
-                            "threshold": threshold,
-                            "converged": c.delta is not None and c.delta < threshold})
-    converged = all(cmp["converged"] for cmp in comparisons)
-    return GateResult("CONVERGED" if converged else "INCONCLUSIVE", comparisons)
+        return {**asdict(self), "passed": self.passed, "delta": self.delta,
+                "threshold": self.threshold, "converged": self.converged}
 
 
 @dataclass
 class ScenarioReport:
+    """A scenario's checks, numbers and records; ``gate`` is the gate's status, None if off."""
+
     scenario: str
     checks: list
-    gate: GateResult | None
+    gate: str | None
     numbers: dict
     manifest: RunManifest
     series: dict = dc_field(default_factory=dict)
@@ -126,27 +108,27 @@ class ScenarioReport:
     def verdict(self) -> str:
         if any(not c.passed for c in self.checks):
             return "FAIL"
-        if self.gate is not None and self.gate.status != "CONVERGED":
+        if self.gate not in (None, "CONVERGED"):
             return "INCONCLUSIVE"
         return "PASS"
 
     def summary_lines(self) -> list:
+        def num(value, spec):
+            return "null" if value is None else format(value, spec)
+
         lines = [f"[{self.scenario}] verdict: {self.verdict}"]
         for c in self.checks:
             tag = "PASS" if c.passed else "FAIL"
             prov = f" ({c.provenance})" if c.provenance else ""
-            rerun = "" if self.gate is None else (
-                " rerun=null" if c.rerun is None else f" rerun={c.rerun:.6g}")
-            lines.append(f"  [{tag}] {c.name} = {c.value:.6g} in [{c.lo:.6g}, {c.hi:.6g}]"
-                         f"{prov}{rerun}")
+            line = f"  [{tag}] {c.name} = {c.value:.6g} in [{c.lo:.6g}, {c.hi:.6g}]{prov}"
+            if self.gate is not None:
+                line += f" rerun={num(c.rerun, '.6g')}"
+                if c.margin is not None:
+                    line += (f" delta={num(c.delta, '.3g')} threshold={c.threshold:.3g} "
+                             + ("ok" if c.converged else "NOT CONVERGED"))
+            lines.append(line)
         if self.gate is not None:
-            lines.append(f"  [gate] {self.gate.status}")
-            for cmp in self.gate.comparisons:
-                lines.append(
-                    f"    {cmp['name']}: main={cmp['main']:.6g} rerun={cmp['rerun']:.6g} "
-                    f"delta={cmp['delta']:.3g} threshold={cmp['threshold']:.3g} "
-                    f"{'ok' if cmp['converged'] else 'NOT CONVERGED'}"
-                )
+            lines.append(f"  [gate] {self.gate}")
         return lines
 
     def to_json(self) -> dict:
@@ -154,7 +136,7 @@ class ScenarioReport:
             "scenario": self.scenario,
             "verdict": self.verdict,
             "checks": [c.to_json() for c in self.checks],
-            "gate": None if self.gate is None else self.gate.to_json(),
+            "gate": self.gate,
             "numbers": self.numbers,
             "manifest_hash": self.manifest.hash,
         }
@@ -238,10 +220,10 @@ def _scenario(name: str, params: dict, runs, headline, judge) -> ScenarioReport:
     headlines (``rerun`` is None without the gate) and returns the checks,
     each built from ``main`` alone with its margin, the side numbers, the
     provenance and optionally the series and trajectories to record. Each
-    check then takes its rerun from the rerun headline (``Check.pair``), and
-    the grid-convergence gate compares the checks that have a margin. The
-    manifest records ``params``, the wall time, a ``run_stats`` entry per
-    call and the wall time of the judging.
+    check then takes its rerun (``Check.pair``). The gate's status is
+    CONVERGED if every check with a margin converged, else INCONCLUSIVE.
+    The manifest records ``params``, the wall time, a ``run_stats`` entry
+    per call and the wall time of the judging.
     """
     t0 = time.monotonic()
     ks = GATE_LEVELS if params["gate"] else (1,)
@@ -254,9 +236,10 @@ def _scenario(name: str, params: dict, runs, headline, judge) -> ScenarioReport:
     out, judge_s = _timed(lambda: judge(results[1], headline(results[1], 1), rerun))
     for c in out["checks"]:
         c.pair(rerun)
-    manifest = RunManifest(name, params, provenance=out.pop("provenance"), code_version=__version__,
+    manifest = RunManifest(name, params, provenance=out.pop("provenance"),
                            wall_time_s=time.monotonic() - t0, run_stats=stats, judge_wall_s=judge_s)
-    gate = None if rerun is None else grid_convergence_gate(out["checks"])
+    gated = [c.converged for c in out["checks"] if c.margin is not None]
+    gate = None if rerun is None else ("CONVERGED" if all(gated) else "INCONCLUSIVE")
     return ScenarioReport(name, gate=gate, manifest=manifest, **out)
 
 
@@ -434,7 +417,6 @@ def counterexample_1(
                 "fv_dx_over_eps": diag_grid.dx / eps,
                 "lf_coarse_window_mass": lf.diagnostics.last("window_mass"),
                 "lf_coarse_dx": lf_grid.dx,
-                "godunov_window_mass_slope_band": [-1.05, -0.95],
             },
             "provenance": {
                 "nonlocal_window_mass": "particles",
@@ -824,6 +806,7 @@ def vanishing_viscosity(
     # diagram-corner consistency: the inviscid nonlocal solution with a
     # one-sided kernel stays far from the local entropy solution
     corner_grid = Grid1D(-1.5, 0.5, 1200)
+    corner_datum = step_datum(Grid1D(-1.5, 0.5, 1600))  # 800 particles on the unit support
     gd_grid = Grid1D(-2.0, 2.0, 2048)
 
     def grids(k):
@@ -839,7 +822,6 @@ def vanishing_viscosity(
     if eps < grid.dx:
         raise ValueError(f"kernel under-resolved: eps={eps} < dx={grid.dx} of the viscous runs")
     _check_domain(gaussian_datum(grid, mass=1.0, width=width), kernel, nu_list[0], t_end)
-    corner_datum = step_datum(_support_datum_grid(-1.5, 0.5, 1.0, 800, eps))
 
     def runs(k):
         u0 = gaussian_datum(grids(k)[0], mass=1.0, width=width)

@@ -275,7 +275,6 @@ class RunManifest:
     scenario: str
     params: dict
     provenance: dict = dc_field(default_factory=dict)
-    code_version: str = ""
     wall_time_s: float = 0.0
     run_stats: list = dc_field(default_factory=list)
     judge_wall_s: float = 0.0
@@ -288,26 +287,26 @@ class RunManifest:
         return manifest_hash({"scenario": self.scenario, "params": self.params})
 
     def to_json(self) -> dict:
-        return _canonical(
-            {
-                "scenario": self.scenario,
-                "manifest_hash": self.hash,
-                "params": self.params,
-                "provenance": self.provenance,
-                "code_version": self.code_version,
-                "wall_time_s": self.wall_time_s,
-                "run_stats": self.run_stats,
-                "judge_wall_s": self.judge_wall_s,
-                "outputs": [str(p) for p in self.outputs],
-                "backend": self.backend,
-                "source_digest": self.source_digest,
-            }
-        )
+        return {
+            "scenario": self.scenario,
+            "manifest_hash": self.hash,
+            "params": self.params,
+            "provenance": self.provenance,
+            "wall_time_s": self.wall_time_s,
+            "run_stats": self.run_stats,
+            "judge_wall_s": self.judge_wall_s,
+            "outputs": [str(p) for p in self.outputs],
+            "backend": self.backend,
+            "source_digest": self.source_digest,
+        }
 
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+
+def _write_json(record: dict, path) -> None:
+    """Write a JSON record as every record is written: strict JSON (``_canonical``
+    gives null for a NaN or inf), indented by 2, keys sorted, one final newline."""
+    with open(path, "w") as fh:
+        json.dump(_canonical(record), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def emit_report(report, out_dir) -> dict:
@@ -342,14 +341,12 @@ def emit_report(report, out_dir) -> dict:
         paths[f"fields_{label}"] = d
 
     report_path = run_dir / "report.json"
-    with open(report_path, "w") as fh:
-        json.dump(_canonical(report.to_json()), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    _write_json(report.to_json(), report_path)
     written.append(report_path)
     paths["report"] = report_path
 
     report.manifest.outputs = [str(p) for p in written]
     manifest_path = run_dir / "manifest.json"
-    report.manifest.write(manifest_path)
+    _write_json(report.manifest.to_json(), manifest_path)
     paths["manifest"] = manifest_path
     return paths

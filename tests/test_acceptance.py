@@ -65,7 +65,7 @@ def test_criterion_1_halfline_mass(ce1):
         "criterion 1 (half-line mass)",
         ok,
         f"nonlocal={nl.value:.4f} entropy={gd.value:.4f} "
-        f"wall={ce1.manifest.wall_time_s:.1f}s gate={ce1.gate.status}",
+        f"wall={ce1.manifest.wall_time_s:.1f}s gate={ce1.gate}",
     )
     assert 0.98 <= nl.value <= 1.02
     assert 0.73 <= gd.value <= 0.77
@@ -94,7 +94,7 @@ def test_criterion_2_confinement(ce2):
         ok,
         f"right_mass={right:.3g} support=[{lo:.4f},{hi:.4f}] "
         f"entropy_right={emass:.4f} time_integral={integral:.5f} "
-        f"wall={ce2.manifest.wall_time_s:.1f}s gate={ce2.gate.status}",
+        f"wall={ce2.manifest.wall_time_s:.1f}s gate={ce2.gate}",
     )
     assert right <= 0.01
     assert lo >= -1.0 - 0.01 and hi <= 0.01
@@ -119,7 +119,7 @@ def test_criterion_3_entropy_conservation(ce3):
         ok,
         f"nonlocal={nl:.4f} (deposit={ce3.numbers['nonlocal_entropy_deposit']:.4f}) "
         f"entropy_solution={gd:.4f} wall={ce3.manifest.wall_time_s:.1f}s "
-        f"gate={ce3.gate.status}",
+        f"gate={ce3.gate}",
     )
     assert abs(nl) <= 0.05
     assert abs(gd - (-0.25)) <= 0.02
@@ -134,7 +134,7 @@ def test_criterion_4_rate_in_eps(rate):
         "criterion 4 (order in eps at fixed nu)",
         ok,
         f"fitted order={slope:.3f} distances={[round(d, 5) for d in rate.numbers['distances']]} "
-        f"wall={rate.manifest.wall_time_s:.1f}s gate={rate.gate.status}",
+        f"wall={rate.manifest.wall_time_s:.1f}s gate={rate.gate}",
     )
     assert slope >= 0.9
     assert rate.verdict == "PASS"
@@ -159,7 +159,7 @@ def test_criterion_5_vanishing_viscosity(visc):
         "criterion 5 (vanishing viscosity)",
         ok,
         f"distances={[round(d, 5) for d in dists]} final/first={final_over_first:.3f} "
-        f"gate={visc.gate.status}",
+        f"gate={visc.gate}",
     )
     assert steps_ok
     assert final_over_first <= 0.3

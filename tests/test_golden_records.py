@@ -47,27 +47,27 @@ PINNED_BACKEND = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0",
 GOLDEN = [
     ("ce1", "counterexample_1", dict(n_particles=300, godunov_n=512),
      "ce1-4fc80cad95a1a297", "PASS", 56,
-     "1d73aa0e241a904c514a3214d44eb0da5aa0057b688900e1c7ea97e8e20e5406",
+     "8d8698cf7b98b97394fa0d9b267d4642564a398b6b796e36640c6208c510b4ef",
      "ffda6c9b09361bb5465bf7dfac4b99a9e92edc9ecdcb36b2f6d525948ec38d86"),
     ("ce1_no_gate", "counterexample_1", dict(n_particles=300, godunov_n=512, gate=False),
      "ce1-130da4e6f506f372", "PASS", 56,
-     "d4049d592eac5a972b3a76053e5826e60b301710ba80d200929664c67e70f29c",
+     "6e2fe0b6caa57283a41258ec0741116dab976a9b349667ce12efc7efef16d7d8",
      "ffda6c9b09361bb5465bf7dfac4b99a9e92edc9ecdcb36b2f6d525948ec38d86"),
     ("ce2", "counterexample_2", dict(n_particles=200, godunov_n=512),
      "ce2-42c3262a7a4a7ca9", "PASS", 105,
-     "66920220c8e1e990611279856a12d16d0b7118e1b4f443dd6594c6c2c45be37e",
+     "a104fe567aca072325c0bf1e5551331c69b285aed212b772c9fa29e7c7b77bed",
      "8b9d2ae86d5e43f38f7dc4740b5a3da6b02d208b5227309375f9ec4f9cbd2a27"),
     ("ce3", "counterexample_3", dict(n_particles=200, godunov_n=512),
      "ce3-1d3ca951566f4874", "INCONCLUSIVE", 81,
-     "25127d77a20ae378caaa013e9d3f5394617e81c78fd17a1a8b5999af66a80957",
+     "ba7b6330b9f99e82e0d760eeb51959ad608d6e9e60922a2d2ae274f2bc48895e",
      "517f0a4901e246f3a4e16cba578a577ceb2370275fd88ccb0e964af3d6183413"),
     ("rate", "singular_limit_rate", dict(eps_list=(0.4, 0.2), t_end=0.2),
      "rate-5d5d7e979357829b", "FAIL", 0,
-     "ab01c6adc2921ae99908791349835acd4fc2c8040010665cef84bd0b748e455f",
+     "25d3819206a6e1254e07537958753404ba37690506ba9bf382d67f4f3dcd4b9b",
      hashlib.sha256(b"").hexdigest()),
     ("visc", "vanishing_viscosity", dict(nu_list=(0.1, 0.03), t_end=0.1),
      "visc-15a01de0cf99a9dd", "FAIL", 0,
-     "bce7c6ece0649db58502028ca276b54cba1fd1c68b0423e6704f504d736e6e09",
+     "d4c09a2247bc1c0eb1880b1772df449027e383226822ab08de805b34b1055feb",
      hashlib.sha256(b"").hexdigest()),
 ]
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from nclaw.cli import _build_parser, main
 from nclaw.config import COMMANDS, DEFAULTS, ConfigError, command_function, parse_config
 from nclaw.data import odd_datum, step_datum
-from nclaw.experiments import Check, GateResult, grid_convergence_gate
+from nclaw.experiments import Check, _scenario
 from nclaw.grids import Field, Grid1D
 from nclaw.kernels import EVEN_BUMP, Kernel
 from nclaw.local_entropy import CFLError, NumericalFailure, SupportReachedBoundary, run_local
@@ -168,48 +168,52 @@ class TestManifest:
         assert records._backend()["lapack"] == "scipy"  # the diffusion solve's fallback
 
 
-def _paired(name, main, rerun, margin):
-    """A check of ``name`` with its margin, paired with its rerun as a scenario pairs it."""
-    check = Check(name, main, -1.0, 2.0, margin=margin)
-    check.pair({name: rerun})
-    return check
+def _gated(checks, rerun):
+    """The report the scenario runner makes of ``checks`` with the gate on,
+    ``rerun`` being the gate rerun's headline: no solver runs."""
+    return _scenario("unit", {"gate": True}, lambda k: {}, lambda r, k: rerun if k == 2 else {},
+                     lambda r, main, rerun: {"checks": checks, "numbers": {}, "provenance": {}})
 
 
 class TestGate:
     def test_converged_and_inconclusive(self):
-        g = grid_convergence_gate([_paired("m", 1.000, 1.001, 0.02)])
-        assert g.status == "CONVERGED"
-        g = grid_convergence_gate([_paired("m", 1.00, 1.04, 0.05)])
-        assert g.status == "INCONCLUSIVE"
+        assert _gated([Check("m", 1.000, -1.0, 2.0, margin=0.02)], {"m": 1.001}).gate == (
+            "CONVERGED")
+        assert _gated([Check("m", 1.00, -1.0, 2.0, margin=0.05)], {"m": 1.04}).gate == (
+            "INCONCLUSIVE")
 
     def test_richardson_style_example(self):
         # halving self-difference under refinement counts as converged
-        g = grid_convergence_gate([_paired("err", 0.010, 0.0102, 0.02)])
-        assert g.status == "CONVERGED"
+        assert _gated([Check("err", 0.010, -1.0, 2.0, margin=0.02)], {"err": 0.0102}).gate == (
+            "CONVERGED")
 
     def test_a_check_without_a_margin_records_its_rerun_but_is_not_compared(self):
         # a delta that any margin would fail leaves the gate converged
-        judged_only = _paired("support", 0.0, 1.0, None)
-        g = grid_convergence_gate([_paired("m", 1.000, 1.001, 0.02), judged_only])
-        assert g.status == "CONVERGED"
-        assert [cmp["name"] for cmp in g.comparisons] == ["m"]
-        record = judged_only.to_json()
+        checks = [Check("m", 1.000, -1.0, 2.0, margin=0.02), Check("support", 0.0, -1.0, 2.0)]
+        r = _gated(checks, {"m": 1.001, "support": 1.0})
+        assert r.gate == "CONVERGED"
+        assert [c.name for c in r.checks if c.converged is not None] == ["m"]
+        record = r.checks[1].to_json()
         assert (record["margin"], record["rerun"], record["delta"]) == (None, 1.0, 1.0)
+        assert (record["threshold"], record["converged"]) == (None, None)
         assert record["null_reason"] == "no margin: the gate does not compare it"
+        record = r.checks[0].to_json()
+        assert (record["threshold"], record["converged"]) == (0.25 * 0.02, True)
 
     def test_a_check_with_a_margin_and_no_rerun_is_inconclusive(self):
         # the rerun makes no run of the number: nothing shows it converged
-        check = Check("corner", 1.0, 0.0, 2.0, margin=0.02)
-        check.pair({"other": 1.0})
-        assert (check.rerun, check.delta) == (None, None)
+        r = _gated([Check("corner", 1.0, 0.0, 2.0, margin=0.02)], {"other": 1.0})
+        (check,) = r.checks
+        assert (check.rerun, check.delta, check.converged) == (None, None, False)
         assert check.null_reason == "no rerun: no run of the gate rerun gives it"
-        assert grid_convergence_gate([check]).status == "INCONCLUSIVE"
+        assert (r.gate, r.verdict) == ("INCONCLUSIVE", "INCONCLUSIVE")
 
     def test_without_the_gate_every_rerun_is_null_and_says_so(self):
         check = Check("m", 1.0, 0.0, 2.0)
         check.pair(None)
         record = check.to_json()
         assert (record["margin"], record["rerun"], record["delta"]) == (None, None, None)
+        assert (record["threshold"], record["converged"]) == (None, None)
         assert record["null_reason"] == ("no margin: the gate does not compare it; "
                                          "no rerun: gate off")
 
@@ -224,33 +228,41 @@ def _tiny_report():
     checks = [Check("c", 1.0, 0.9, 1.1, provenance="unit")]
     manifest = RunManifest("unit", {"x": 1})
     return ScenarioReport(
-        "unit", checks, GateResult("CONVERGED", []), {"n": 1}, manifest,
+        "unit", checks, "CONVERGED", {"n": 1}, manifest,
         series={"main": d}, trajectories={"main": [f]},
     )
 
 
 class TestSummaryLines:
-    def test_one_line_per_gate_comparison(self):
-        report = _tiny_report()
-        report.checks = [_paired("m", 1.0, 1.001, 0.02), _paired("w", 0.5, 0.6, 0.02)]
-        report.gate = grid_convergence_gate(report.checks)
-        lines = report.summary_lines()
-        assert lines[-3] == "  [gate] INCONCLUSIVE"
-        assert lines[-2] == "    m: main=1 rerun=1.001 delta=0.001 threshold=0.005 ok"
-        assert lines[-1].startswith("    w: main=0.5 rerun=0.6 ")
-        assert lines[-1].endswith(" NOT CONVERGED")
+    def test_each_gated_check_line_ends_in_its_comparison_and_the_gate_line_follows(self):
+        lines = _gated([Check("m", 1.0, -1.0, 2.0, margin=0.02),
+                        Check("w", 0.5, -1.0, 2.0, margin=0.02)],
+                       {"m": 1.001, "w": 0.6}).summary_lines()
+        assert lines[1] == (
+            "  [PASS] m = 1 in [-1, 2] rerun=1.001 delta=0.001 threshold=0.005 ok")
+        assert lines[2].startswith("  [PASS] w = 0.5 in [-1, 2] rerun=0.6 delta=0.1 ")
+        assert lines[2].endswith(" NOT CONVERGED")
+        assert lines[3:] == ["  [gate] INCONCLUSIVE"]
 
     def test_every_check_line_shows_its_rerun_with_the_gate_on(self):
-        report = _tiny_report()
-        report.checks = [_paired("m", 1.0, 1.001, 0.02), Check("corner", 1.5, 0.1, math.inf)]
-        report.checks[1].pair({"m": 1.001})
-        report.gate = grid_convergence_gate(report.checks)
+        report = _gated([Check("m", 1.0, -1.0, 2.0, margin=0.02),
+                         Check("corner", 1.5, 0.1, math.inf)], {"m": 1.001})
         assert report.summary_lines()[1:3] == [
-            "  [PASS] m = 1 in [-1, 2] rerun=1.001",
+            "  [PASS] m = 1 in [-1, 2] rerun=1.001 delta=0.001 threshold=0.005 ok",
             "  [PASS] corner = 1.5 in [0.1, inf] rerun=null",
         ]
         report.gate = None
-        assert report.summary_lines()[1] == "  [PASS] m = 1 in [-1, 2]"
+        assert report.summary_lines()[1:] == ["  [PASS] m = 1 in [-1, 2]",
+                                              "  [PASS] corner = 1.5 in [0.1, inf]"]
+
+    def test_a_gated_check_without_a_rerun_prints_null_and_is_not_converged(self):
+        # its delta is None: the line must say so, not fail to format it
+        report = _gated([Check("corner", 1.0, 0.0, 2.0, margin=0.02)], {"other": 1.0})
+        assert report.verdict == "INCONCLUSIVE"
+        assert report.summary_lines()[1:] == [
+            "  [PASS] corner = 1 in [0, 2] rerun=null delta=null threshold=0.005 NOT CONVERGED",
+            "  [gate] INCONCLUSIVE",
+        ]
 
 
 class TestOutputSchedule:
