@@ -37,23 +37,25 @@ GATE_LEVELS = (2, 1)
 
 @dataclass
 class Check:
-    """One named acceptance check: value must land in [lo, hi].
+    """One named acceptance check: the headline number of its name must
+    land in [lo, hi].
 
-    ``value`` is the main run's headline of the same name. ``margin`` is
-    the decision margin the gate holds it to (None: the gate does not
-    compare it). ``rerun``, the gate rerun's headline of that name, and
-    ``null_reason`` are set by ``pair``; ``converged`` compares the two.
+    A scenario's ``judge`` declares the band, the provenance (the manifest's
+    entry for the number), a note and ``margin``, the decision margin the
+    gate holds the number to (None: the gate does not compare it). ``read``
+    then sets the rest from the headlines, once per check.
     """
 
     name: str
-    value: float
     lo: float
     hi: float
     provenance: str = ""
     note: str = ""
     margin: float | None = None
-    rerun: float | None = None
-    null_reason: str = ""
+    value: float = dc_field(default=math.nan, init=False)
+    rerun: float | None = dc_field(default=None, init=False)
+    null_reason: str = dc_field(default="", init=False)
+    converged: bool | None = dc_field(default=None, init=False)
 
     @property
     def passed(self) -> bool:
@@ -68,28 +70,27 @@ class Check:
         """A quarter of the margin, which ``delta`` must stay under (None without a margin)."""
         return None if self.margin is None else 0.25 * self.margin
 
-    @property
-    def converged(self) -> bool | None:
-        """None without a margin, False without a rerun, else ``delta < threshold``:
-        the rerun halves the resolution parameter (``_scenario``), and a value
-        stable under one grid doubling moves by less than a quarter of its margin."""
-        if self.margin is None:
-            return None
-        return self.delta is not None and self.delta < self.threshold
-
-    def pair(self, rerun: dict | None) -> None:
-        """Take ``rerun`` from the gate rerun's headline (None without the
-        gate), and say in ``null_reason`` why the margin or the rerun is None."""
+    def read(self, main: dict, rerun: dict | None) -> None:
+        """Take ``value`` from the main run's headline and ``rerun`` from the
+        gate rerun's (None without the gate), and say in ``null_reason`` why
+        the margin or the rerun is None. ``converged`` is None without a
+        margin or without the gate, where nothing is compared; else False
+        without a rerun, else ``delta < threshold``: the rerun halves the
+        resolution parameter (``_scenario``), and a value stable under one
+        grid doubling moves by less than a quarter of its margin."""
+        self.value = main[self.name]
         self.rerun = None if rerun is None else rerun.get(self.name)
         why = [] if self.margin is not None else ["no margin: the gate does not compare it"]
         if self.rerun is None:
             why.append("no rerun: " + ("gate off" if rerun is None
                                        else "no run of the gate rerun gives it"))
         self.null_reason = "; ".join(why)
+        self.converged = (None if self.margin is None or rerun is None
+                          else self.delta is not None and self.delta < self.threshold)
 
     def to_json(self) -> dict:
         return {**asdict(self), "passed": self.passed, "delta": self.delta,
-                "threshold": self.threshold, "converged": self.converged}
+                "threshold": self.threshold}
 
 
 @dataclass
@@ -215,15 +216,19 @@ def _scenario(name: str, params: dict, runs, headline, judge) -> ScenarioReport:
     reads. The calls run at k = 1, and at every k of ``GATE_LEVELS`` when
     ``params["gate"]`` is set; with the gate on, they are pooled over two
     processes (``_pool``), the gate rerun's calls first. ``headline(results,
-    k)`` reduces the results of each k to the numbers the checks read.
+    k)`` reduces the results of each k to its headline numbers.
     ``judge(results, main, rerun)`` gets the k = 1 results and both
-    headlines (``rerun`` is None without the gate) and returns the checks,
-    each built from ``main`` alone with its margin, the side numbers, the
-    provenance and optionally the series and trajectories to record. Each
-    check then takes its rerun (``Check.pair``). The gate's status is
-    CONVERGED if every check with a margin converged, else INCONCLUSIVE.
-    The manifest records ``params``, the wall time, a ``run_stats`` entry
-    per call and the wall time of the judging.
+    headlines (``rerun`` is None without the gate) and returns the checks
+    (band, margin, provenance and note), the side numbers it computes,
+    their provenance and optionally the series and trajectories to record.
+
+    This is the one place a judged number is recorded: each check reads
+    its value and rerun by its name (``Check.read``), its provenance is the
+    manifest's entry for that name, and each headline number that no check
+    names goes into ``numbers``. The gate's status is CONVERGED if every
+    check with a margin converged, else INCONCLUSIVE. The manifest records
+    ``params``, the wall time, a ``run_stats`` entry per call and the wall
+    time of the judging.
     """
     t0 = time.monotonic()
     ks = GATE_LEVELS if params["gate"] else (1,)
@@ -233,10 +238,15 @@ def _scenario(name: str, params: dict, runs, headline, judge) -> ScenarioReport:
         results[k][label] = out
         stats.append(entry)
     rerun = headline(results.pop(ks[0]), ks[0]) if params["gate"] else None
-    out, judge_s = _timed(lambda: judge(results[1], headline(results[1], 1), rerun))
+    t_judge = time.monotonic()
+    main = headline(results[1], 1)
+    out = judge(results[1], main, rerun)
     for c in out["checks"]:
-        c.pair(rerun)
-    manifest = RunManifest(name, params, provenance=out.pop("provenance"),
+        c.read(main, rerun)
+    judge_s = time.monotonic() - t_judge
+    checked = {c.name: c.provenance for c in out["checks"]}
+    out["numbers"] = {**{k: v for k, v in main.items() if k not in checked}, **out["numbers"]}
+    manifest = RunManifest(name, params, provenance={**out.pop("provenance"), **checked},
                            wall_time_s=time.monotonic() - t0, run_stats=stats, judge_wall_s=judge_s)
     gated = [c.converged for c in out["checks"] if c.margin is not None]
     gate = None if rerun is None else ("CONVERGED" if all(gated) else "INCONCLUSIVE")
@@ -403,10 +413,9 @@ def counterexample_1(
         oracle_wm = window_mass(sample_exact(oracle, t_end, oracle_grid), *window)
         return {
             "checks": [
-                Check("nonlocal_window_mass", main["nonlocal_window_mass"], 0.98, 1.02,
-                      provenance="particles", margin=0.02),
-                Check("entropy_window_mass", main["entropy_window_mass"], 0.73, 0.77,
-                      provenance="godunov", margin=0.02),
+                Check("nonlocal_window_mass", 0.98, 1.02, provenance="particles", margin=0.02),
+                Check("entropy_window_mass", 1.0 - t_end - 0.02, 1.0 - t_end + 0.02,
+                      provenance=f"godunov N={godunov_n}", margin=0.02),
             ],
             "numbers": {
                 "oracle_window_mass": oracle_wm,
@@ -419,8 +428,6 @@ def counterexample_1(
                 "lf_coarse_dx": lf_grid.dx,
             },
             "provenance": {
-                "nonlocal_window_mass": "particles",
-                "entropy_window_mass": f"godunov N={godunov_n}",
                 "fv_window_mass": f"lax_friedrichs N={diag_grid.n_cells}",
                 "lf_coarse_window_mass": f"lax_friedrichs N={lf_grid.n_cells}",
             },
@@ -523,23 +530,19 @@ def counterexample_2(
 
     def judge(r, main, rerun):
         win_mass0, win_mom0 = main["window_mass0"], main["window_moment0"]
+        gd = f"godunov N={godunov_n}"
         return {
             "checks": [
-                Check("nonlocal_right_mass", main["nonlocal_right_mass"], -1e-12, 0.01,
-                      provenance="particles", margin=0.01),
-                Check("nonlocal_support_lo", main["nonlocal_support_lo"], -1.01, 0.0,
-                      provenance="particles"),
-                Check("nonlocal_support_hi", main["nonlocal_support_hi"], -1.0, 0.01,
-                      provenance="particles"),
-                Check("nonlocal_baricenter", main["nonlocal_baricenter"], -1.0, 0.01,
-                      provenance="particles"),
-                Check("entropy_right_mass_at_T", main["entropy_right_mass_at_T"], t_end - 0.02,
-                      t_end + 0.02, provenance="godunov", margin=0.02),
-                Check("entropy_right_mass_time_integral", main["entropy_right_mass_time_integral"],
-                      right_mass_integral * 0.95, right_mass_integral * 1.05,
-                      provenance="godunov", margin=right_mass_integral * 0.05),
-                Check("godunov_moment_violation_gap", main["godunov_moment_violation_gap"], 0.0,
-                      math.inf, provenance="godunov",
+                Check("nonlocal_right_mass", -1e-12, 0.01, provenance="particles", margin=0.01),
+                Check("nonlocal_support_lo", -1.01, 0.0, provenance="particles"),
+                Check("nonlocal_support_hi", -1.0, 0.01, provenance="particles"),
+                Check("nonlocal_baricenter", -1.0, 0.01, provenance="particles"),
+                Check("entropy_right_mass_at_T", t_end - 0.02, t_end + 0.02,
+                      provenance=gd, margin=0.02),
+                Check("entropy_right_mass_time_integral", right_mass_integral * 0.95,
+                      right_mass_integral * 1.05, provenance=gd,
+                      margin=right_mass_integral * 0.05),
+                Check("godunov_moment_violation_gap", 0.0, math.inf, provenance=gd,
                       note="plain-form first-moment bound minus windowed moment, min over "
                       "t>=0.6; positive = bound violated (support escaped the window)"),
             ],
@@ -554,19 +557,11 @@ def counterexample_2(
                     "plain": (b * win_mass0 - win_mom0) / win_mass0**2,
                     "jensen": (b * win_mass0 - win_mom0) * (b - a) / win_mass0**2,
                 },
-                **{key: main[key] for key in ("moment_violation_times", "moment_gaps_plain",
-                                              "moment_gaps_jensen", "window_mass0",
-                                              "window_moment0")},
                 "lf_coarse_right_mass": float(
                     np.sum(r["lf_coarse"].final.values[lf_grid.centers > 0.0]) * lf_grid.dx),
                 "lf_coarse_dx": lf_grid.dx,
             },
-            "provenance": {
-                "nonlocal_*": "particles",
-                "entropy_*": f"godunov N={godunov_n}",
-                "lf_coarse_right_mass": f"lax_friedrichs N={lf_grid.n_cells}",
-                "moment_bound_form": "plain for the check; jensen variant reported",
-            },
+            "provenance": {"lf_coarse_right_mass": f"lax_friedrichs N={lf_grid.n_cells}"},
             **_counterexample_records(r, diag_grid),
         }
 
@@ -631,10 +626,10 @@ def counterexample_3(
         oracle_ent = entropy_functional(sample_exact(oracle, t_end, oracle_grid))
         return {
             "checks": [
-                Check("nonlocal_entropy_at_T", main["nonlocal_entropy_at_T"], -0.05, 0.05,
+                Check("nonlocal_entropy_at_T", -0.05, 0.05,
                       provenance="particles (lagrangian gap density)", margin=0.05),
-                Check("entropy_solution_entropy_at_T", main["entropy_solution_entropy_at_T"],
-                      -0.27, -0.23, provenance="godunov", margin=0.02),
+                Check("entropy_solution_entropy_at_T", -t_end / 2.0 - 0.02, -t_end / 2.0 + 0.02,
+                      provenance=f"godunov N={godunov_n}", margin=0.02),
             ],
             "numbers": {
                 "oracle_entropy": oracle_ent,
@@ -652,10 +647,8 @@ def counterexample_3(
                 ),
             },
             "provenance": {
-                "nonlocal_entropy_at_T": "particles, lagrangian gap density",
                 "nonlocal_entropy_deposit":
                     f"particles, deposit dx={nl.info['entropy_grid_dx']:.4g}",
-                "entropy_solution_entropy_at_T": f"godunov N={godunov_n}",
                 "fv_entropy_at_T": f"lax_friedrichs N={fv_grid.n_cells}",
                 "lf_coarse_entropy": f"lax_friedrichs N={lf_grid.n_cells}",
             },
@@ -745,18 +738,15 @@ def singular_limit_rate(
         ]
         return {
             "checks": [
-                Check("fitted_order_in_eps", main["fitted_order_in_eps"], 0.9, math.inf,
-                      provenance="imex pair", margin=0.15),
+                Check("fitted_order_in_eps", 0.9, math.inf, provenance="imex pair", margin=0.15),
             ],
             "numbers": {
                 "nu": nu,
                 "p": p,
                 "beta_exponent": math.inf if p == 1.0 else (p + 1.0) / (p - 1.0),
                 "eps_list": list(eps_list),
-                "distances": ds,
                 "halving_ratios": [ds[i] / ds[i + 1] for i in range(len(ds) - 1)],
                 "dx": dx,
-                "dt": main["dt"],
                 "advection_flux": "rusanov",
                 "pairwise_orders": _pairwise_orders(eps_list, ds),
                 "distances_refined": None if rerun is None else rerun["distances"],
@@ -839,14 +829,14 @@ def vanishing_viscosity(
     def headline(r, k):
         _, cmp_grid, factor = grids(k)
         ref_dep = deposit(r["particles"].final, cmp_grid)
-        out = {"distances": [], "weak_mass": [], "weak_moment": []}
+        out = {"distances": [], "weak_window_mass_diffs": [], "weak_moment_diffs": []}
         for nu in nu_list:
             vc = Field(cmp_grid, r[f"nu={nu}"].final.values.reshape(-1, factor).mean(axis=1))
             out["distances"].append(lp_norm(Field(cmp_grid, vc.values - ref_dep.values), 1))
-            out["weak_mass"].append(
+            out["weak_window_mass_diffs"].append(
                 abs(window_mass(vc, -4.75, 0.0) - window_mass(ref_dep, -4.75, 0.0))
             )
-            out["weak_moment"].append(
+            out["weak_moment_diffs"].append(
                 abs(_window_moment(vc, -4.75, 4.75) - _window_moment(ref_dep, -4.75, 4.75))
             )
         dists = out["distances"]
@@ -867,34 +857,19 @@ def vanishing_viscosity(
     def judge(r, main, rerun):
         return {
             "checks": [
-                *(Check(f"distance_nu_{nu}", d, 0.0, math.inf, provenance="imex vs particles",
+                *(Check(f"distance_nu_{nu}", 0.0, math.inf, provenance="imex vs particles",
                         margin=max(0.15 * d, 0.01))
                   for nu, d in zip(nu_list, main["distances"])),
-                Check("final_over_first", main["final_over_first"], 0.0, 0.3,
-                      provenance="imex vs particles"),
-                Check("max_step_ratio", main["max_step_ratio"], 0.0, 1.05,
-                      provenance="imex vs particles",
+                Check("final_over_first", 0.0, 0.3, provenance="imex vs particles"),
+                Check("max_step_ratio", 0.0, 1.05, provenance="imex vs particles",
                       note="every step must shrink by >=10% or sit in a 5% noise band"),
-                Check("steps_decreasing_fraction", main["steps_decreasing_fraction"], 1.0, 1.0,
-                      provenance="imex vs particles"),
-                Check("corner_inviscid_vs_entropy_distance",
-                      main["corner_inviscid_vs_entropy_distance"], 0.1, math.inf,
-                      provenance="particles vs godunov",
+                Check("steps_decreasing_fraction", 1.0, 1.0, provenance="imex vs particles"),
+                Check("corner_inviscid_vs_entropy_distance", 0.1, math.inf,
+                      provenance=f"particles vs godunov N={gd_grid.n_cells}",
                       note="the inviscid eps->0 edge does not close: distance stays macroscopic"),
             ],
-            "numbers": {
-                "eps": eps,
-                "nu_list": list(nu_list),
-                "distances": main["distances"],
-                "ratios": main["ratios"],
-                "weak_window_mass_diffs": main["weak_mass"],
-                "weak_moment_diffs": main["weak_moment"],
-                "comparison_dx": eps / 10.0,
-            },
-            "provenance": {
-                "distances": "imex (cfl 0.9) vs particle deposit on eps/10 grid",
-                "corner_inviscid_vs_entropy_distance": "particles vs godunov N=2048",
-            },
+            "numbers": {"eps": eps, "nu_list": list(nu_list), "comparison_dx": eps / 10.0},
+            "provenance": {"distances": "imex (cfl 0.9) vs particle deposit on eps/10 grid"},
         }
 
     return _scenario("visc", params, runs, headline, judge)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -287,18 +287,7 @@ class RunManifest:
         return manifest_hash({"scenario": self.scenario, "params": self.params})
 
     def to_json(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "manifest_hash": self.hash,
-            "params": self.params,
-            "provenance": self.provenance,
-            "wall_time_s": self.wall_time_s,
-            "run_stats": self.run_stats,
-            "judge_wall_s": self.judge_wall_s,
-            "outputs": [str(p) for p in self.outputs],
-            "backend": self.backend,
-            "source_digest": self.source_digest,
-        }
+        return {**asdict(self), "manifest_hash": self.hash}
 
 
 def _write_json(record: dict, path) -> None:

@@ -115,6 +115,20 @@ def test_ce2_judges_its_entropy_headlines_at_its_own_t_end():
     assert integral.value == pytest.approx(0.08, rel=5e-3)
 
 
+@pytest.mark.parametrize("scenario, n_particles, t_end, name, exact", [
+    (counterexample_1, 300, 0.2, "entropy_window_mass", 0.8),
+    (counterexample_3, 200, 0.3, "entropy_solution_entropy_at_T", -0.15),
+], ids=["ce1", "ce3"])
+def test_the_entropy_side_band_is_centred_on_the_exact_value_at_t_end(scenario, n_particles,
+                                                                       t_end, name, exact):
+    # the entropy solution's half-line mass is 1 - t (ce1) and its entropy
+    # -t/2 (ce3): a band fixed at the preset's t_end failed any other t_end
+    r = scenario(n_particles=n_particles, godunov_n=512, t_end=t_end, gate=False)
+    (check,) = [c for c in r.checks if c.name == name]
+    assert (check.lo, check.hi) == pytest.approx((exact - 0.02, exact + 0.02), abs=1e-15)
+    assert check.passed and r.verdict == "PASS"
+
+
 @pytest.mark.parametrize("t_end", [0.505, 0.6, 0.0, -0.1])
 def test_ce2_rejects_a_t_end_off_its_closed_forms_before_any_run(monkeypatch, t_end):
     # past 1/2 the right mass is no longer t; off the Godunov output times

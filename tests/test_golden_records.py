@@ -47,19 +47,19 @@ PINNED_BACKEND = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0",
 GOLDEN = [
     ("ce1", "counterexample_1", dict(n_particles=300, godunov_n=512),
      "ce1-4fc80cad95a1a297", "PASS", 56,
-     "8d8698cf7b98b97394fa0d9b267d4642564a398b6b796e36640c6208c510b4ef",
+     "c48fcbeb0d92b54c5da2deaecc64ee1669a13d177d00302c4a0eaea96c0c090a",
      "ffda6c9b09361bb5465bf7dfac4b99a9e92edc9ecdcb36b2f6d525948ec38d86"),
     ("ce1_no_gate", "counterexample_1", dict(n_particles=300, godunov_n=512, gate=False),
      "ce1-130da4e6f506f372", "PASS", 56,
-     "6e2fe0b6caa57283a41258ec0741116dab976a9b349667ce12efc7efef16d7d8",
+     "aeac4c22a4c7cc4b6d8f7f562b604e645717fac0549765338964f641d49630c6",
      "ffda6c9b09361bb5465bf7dfac4b99a9e92edc9ecdcb36b2f6d525948ec38d86"),
     ("ce2", "counterexample_2", dict(n_particles=200, godunov_n=512),
      "ce2-42c3262a7a4a7ca9", "PASS", 105,
-     "a104fe567aca072325c0bf1e5551331c69b285aed212b772c9fa29e7c7b77bed",
+     "727506f017f345e9da1b2cedf008a2bc14c3e76fdb78824e982738eb603e5455",
      "8b9d2ae86d5e43f38f7dc4740b5a3da6b02d208b5227309375f9ec4f9cbd2a27"),
     ("ce3", "counterexample_3", dict(n_particles=200, godunov_n=512),
      "ce3-1d3ca951566f4874", "INCONCLUSIVE", 81,
-     "ba7b6330b9f99e82e0d760eeb51959ad608d6e9e60922a2d2ae274f2bc48895e",
+     "102193cfc574716e05c8ed28da32a6e6a1473f499dd3ea700377f0c4c94d5eb4",
      "517f0a4901e246f3a4e16cba578a577ceb2370275fd88ccb0e964af3d6183413"),
     ("rate", "singular_limit_rate", dict(eps_list=(0.4, 0.2), t_end=0.2),
      "rate-5d5d7e979357829b", "FAIL", 0,
@@ -67,7 +67,7 @@ GOLDEN = [
      hashlib.sha256(b"").hexdigest()),
     ("visc", "vanishing_viscosity", dict(nu_list=(0.1, 0.03), t_end=0.1),
      "visc-15a01de0cf99a9dd", "FAIL", 0,
-     "d4c09a2247bc1c0eb1880b1772df449027e383226822ab08de805b34b1055feb",
+     "4dbe051fad23aeed8a04a621d00b5e695bde8e65abb870ab3ba19190bb8bc28c",
      hashlib.sha256(b"").hexdigest()),
 ]
 
@@ -172,6 +172,31 @@ def test_records_hold_without_scipy(tmp_path):
     assert main(["--out", str(tmp_path / "here"), "oracle"]) == 0
     (oracle,) = (tmp_path / "here").iterdir()
     assert (tmp_path / "bare" / oracle.name).read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("fn_name, kwargs", [g[1:3] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
+def test_each_headline_number_has_one_place_in_the_record(monkeypatch, fn_name, kwargs):
+    # a check's number is recorded on the check, with its provenance the
+    # manifest's entry for its name; every other headline number in numbers
+    main = {}
+    scenario = ex._scenario
+
+    def spy(name, params, runs, headline, judge):
+        def recorded(r, k):
+            out = headline(r, k)
+            if k == 1:
+                main.update(out)
+            return out
+
+        return scenario(name, params, runs, recorded, judge)
+
+    monkeypatch.setattr(ex, "_scenario", spy)
+    report = getattr(ex, fn_name)(**kwargs)
+    names = {c.name for c in report.checks}
+    assert main and names <= set(main) and names <= set(report.manifest.provenance)
+    assert all(report.manifest.provenance[c.name] == c.provenance for c in report.checks)
+    assert not names & set(report.numbers)
+    assert all((key in names) != (key in report.numbers) for key in main)
 
 
 def test_a_hash_on_another_backend_names_both_backends():

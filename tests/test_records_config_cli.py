@@ -168,29 +168,30 @@ class TestManifest:
         assert records._backend()["lapack"] == "scipy"  # the diffusion solve's fallback
 
 
-def _gated(checks, rerun):
+def _gated(checks, main, rerun):
     """The report the scenario runner makes of ``checks`` with the gate on,
-    ``rerun`` being the gate rerun's headline: no solver runs."""
-    return _scenario("unit", {"gate": True}, lambda k: {}, lambda r, k: rerun if k == 2 else {},
+    ``main`` and ``rerun`` being the main run's and the gate rerun's
+    headlines: no solver runs."""
+    return _scenario("unit", {"gate": True}, lambda k: {}, lambda r, k: rerun if k == 2 else main,
                      lambda r, main, rerun: {"checks": checks, "numbers": {}, "provenance": {}})
 
 
 class TestGate:
     def test_converged_and_inconclusive(self):
-        assert _gated([Check("m", 1.000, -1.0, 2.0, margin=0.02)], {"m": 1.001}).gate == (
+        assert _gated([Check("m", -1.0, 2.0, margin=0.02)], {"m": 1.000}, {"m": 1.001}).gate == (
             "CONVERGED")
-        assert _gated([Check("m", 1.00, -1.0, 2.0, margin=0.05)], {"m": 1.04}).gate == (
+        assert _gated([Check("m", -1.0, 2.0, margin=0.05)], {"m": 1.00}, {"m": 1.04}).gate == (
             "INCONCLUSIVE")
 
     def test_richardson_style_example(self):
         # halving self-difference under refinement counts as converged
-        assert _gated([Check("err", 0.010, -1.0, 2.0, margin=0.02)], {"err": 0.0102}).gate == (
-            "CONVERGED")
+        assert _gated([Check("err", -1.0, 2.0, margin=0.02)], {"err": 0.010},
+                      {"err": 0.0102}).gate == "CONVERGED"
 
     def test_a_check_without_a_margin_records_its_rerun_but_is_not_compared(self):
         # a delta that any margin would fail leaves the gate converged
-        checks = [Check("m", 1.000, -1.0, 2.0, margin=0.02), Check("support", 0.0, -1.0, 2.0)]
-        r = _gated(checks, {"m": 1.001, "support": 1.0})
+        checks = [Check("m", -1.0, 2.0, margin=0.02), Check("support", -1.0, 2.0)]
+        r = _gated(checks, {"m": 1.000, "support": 0.0}, {"m": 1.001, "support": 1.0})
         assert r.gate == "CONVERGED"
         assert [c.name for c in r.checks if c.converged is not None] == ["m"]
         record = r.checks[1].to_json()
@@ -202,20 +203,27 @@ class TestGate:
 
     def test_a_check_with_a_margin_and_no_rerun_is_inconclusive(self):
         # the rerun makes no run of the number: nothing shows it converged
-        r = _gated([Check("corner", 1.0, 0.0, 2.0, margin=0.02)], {"other": 1.0})
+        r = _gated([Check("corner", 0.0, 2.0, margin=0.02)], {"corner": 1.0}, {"other": 1.0})
         (check,) = r.checks
         assert (check.rerun, check.delta, check.converged) == (None, None, False)
         assert check.null_reason == "no rerun: no run of the gate rerun gives it"
         assert (r.gate, r.verdict) == ("INCONCLUSIVE", "INCONCLUSIVE")
 
     def test_without_the_gate_every_rerun_is_null_and_says_so(self):
-        check = Check("m", 1.0, 0.0, 2.0)
-        check.pair(None)
+        check = Check("m", 0.0, 2.0)
+        check.read({"m": 1.0}, None)
         record = check.to_json()
         assert (record["margin"], record["rerun"], record["delta"]) == (None, None, None)
         assert (record["threshold"], record["converged"]) == (None, None)
         assert record["null_reason"] == ("no margin: the gate does not compare it; "
                                          "no rerun: gate off")
+        # a check with a margin is not compared either: converged is null,
+        # as the gate's status is, not false
+        check = Check("m", 0.0, 2.0, margin=0.02)
+        check.read({"m": 1.0}, None)
+        record = check.to_json()
+        assert (record["rerun"], record["delta"], record["converged"]) == (None, None, None)
+        assert (record["threshold"], record["null_reason"]) == (0.25 * 0.02, "no rerun: gate off")
 
 
 def _tiny_report():
@@ -225,7 +233,8 @@ def _tiny_report():
     grid = Grid1D(0.0, 1.0, 4)
     f = Field(grid, np.ones(4))
     d.append(0.0, field_diagnostics(f))
-    checks = [Check("c", 1.0, 0.9, 1.1, provenance="unit")]
+    checks = [Check("c", 0.9, 1.1, provenance="unit")]
+    checks[0].read({"c": 1.0}, {"c": 1.0})
     manifest = RunManifest("unit", {"x": 1})
     return ScenarioReport(
         "unit", checks, "CONVERGED", {"n": 1}, manifest,
@@ -235,9 +244,8 @@ def _tiny_report():
 
 class TestSummaryLines:
     def test_each_gated_check_line_ends_in_its_comparison_and_the_gate_line_follows(self):
-        lines = _gated([Check("m", 1.0, -1.0, 2.0, margin=0.02),
-                        Check("w", 0.5, -1.0, 2.0, margin=0.02)],
-                       {"m": 1.001, "w": 0.6}).summary_lines()
+        lines = _gated([Check("m", -1.0, 2.0, margin=0.02), Check("w", -1.0, 2.0, margin=0.02)],
+                       {"m": 1.0, "w": 0.5}, {"m": 1.001, "w": 0.6}).summary_lines()
         assert lines[1] == (
             "  [PASS] m = 1 in [-1, 2] rerun=1.001 delta=0.001 threshold=0.005 ok")
         assert lines[2].startswith("  [PASS] w = 0.5 in [-1, 2] rerun=0.6 delta=0.1 ")
@@ -245,8 +253,8 @@ class TestSummaryLines:
         assert lines[3:] == ["  [gate] INCONCLUSIVE"]
 
     def test_every_check_line_shows_its_rerun_with_the_gate_on(self):
-        report = _gated([Check("m", 1.0, -1.0, 2.0, margin=0.02),
-                         Check("corner", 1.5, 0.1, math.inf)], {"m": 1.001})
+        report = _gated([Check("m", -1.0, 2.0, margin=0.02), Check("corner", 0.1, math.inf)],
+                        {"m": 1.0, "corner": 1.5}, {"m": 1.001})
         assert report.summary_lines()[1:3] == [
             "  [PASS] m = 1 in [-1, 2] rerun=1.001 delta=0.001 threshold=0.005 ok",
             "  [PASS] corner = 1.5 in [0.1, inf] rerun=null",
@@ -257,7 +265,8 @@ class TestSummaryLines:
 
     def test_a_gated_check_without_a_rerun_prints_null_and_is_not_converged(self):
         # its delta is None: the line must say so, not fail to format it
-        report = _gated([Check("corner", 1.0, 0.0, 2.0, margin=0.02)], {"other": 1.0})
+        report = _gated([Check("corner", 0.0, 2.0, margin=0.02)], {"corner": 1.0},
+                        {"other": 1.0})
         assert report.verdict == "INCONCLUSIVE"
         assert report.summary_lines()[1:] == [
             "  [PASS] corner = 1 in [0, 2] rerun=null delta=null threshold=0.005 NOT CONVERGED",
