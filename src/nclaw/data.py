@@ -59,8 +59,11 @@ def gaussian_datum(
     Cell averages are exact (erf differences, ``math.erf`` of each edge,
     which from Python 3.11 on is the C library's erf: the last bit of a
     value may differ between C libraries). The tails are truncated by the
-    grid; pick the domain so they are negligible.
+    grid; pick the domain so they are negligible. A width that is not
+    positive and finite is refused: a negative one gives mass -mass.
     """
+    if not (width > 0.0 and math.isfinite(width)):
+        raise ValueError(f"width={width} must be positive and finite")
     e = (grid.edges - center) / (width * math.sqrt(2.0))
     cdf = 0.5 * (1.0 + np.fromiter(map(math.erf, e), float, e.size))
     return Field(grid, mass * np.diff(cdf) / grid.dx)

@@ -18,6 +18,7 @@ from functools import cache, partial
 
 import numpy as np
 
+from . import kernels
 from .data import gaussian_datum, odd_datum, step_datum
 from .grids import Field, Grid1D, entropy_functional, lp_norm, snap_window, window_mass
 from .kernels import EVEN_BUMP, ONE_SIDED_LEFT, Kernel
@@ -263,6 +264,123 @@ def _timed(fn, *args):
 # the keys of a run's ``info`` that its ``run_stats`` entry copies
 _RUN_STAT_KEYS = ("n_steps", "n_rejected", "dt_min", "dt_median", "dt_max", "steps_by_rule",
                  "n_startup")
+# the keys of ``_Partner.tally`` in a ``run_stats`` entry, None outside a forked pool
+_SHARE_KEYS = ("passes", "shared_passes", "partner_share")
+
+# how long a process waiting on the pool's pipe polls before it blocks in
+# recv: a message to a blocked reader took 0.4-1 ms to arrive, to a polling
+# one 45-83 us, and a particle pass sends one every few ms
+_POLL_S = 0.003
+
+
+class _Partner:
+    """The other process of a forked pool, as ``kernels._atom_sums`` sees it.
+
+    ``idle`` holds one flag per process (this one's at ``me``), set once the
+    process runs out of calls; ``claims`` is the shared (pass, front, back)
+    of the pass being shared, guarded by ``lock``. While the other process
+    is idle, ``sums`` sends it each pass of two tiles or more; this process
+    then claims tiles from the front and the other one, in ``serve``, from
+    the back, one at a time, until they meet. The other process answers
+    with its sums only where it claimed a tile, so a pass it reaches too
+    late costs nothing and a stalled partner holds up at most the tiles it
+    claimed. ``lost()`` is the exception raised where the other process is
+    gone; a helper's error that arrives instead is re-raised (see
+    ``_pool``). ``tally`` counts the passes of each call.
+    """
+
+    def __init__(self, conn, idle, claims, lock, me: int, lost):
+        self.conn, self.idle, self.claims, self.lock = conn, idle, claims, lock
+        self.me, self.lost = me, lost
+        self.passes = self.shared = 0
+        self.share = 0.0
+
+    def tally(self) -> dict:
+        """The passes since the last tally, how many of them the other
+        process took tiles of and the mean fraction of their cells it took
+        (None if it took none); the counts start afresh."""
+        out = dict(zip(_SHARE_KEYS, (self.passes, self.shared,
+                                     self.share / self.shared if self.shared else None)))
+        self.passes = self.shared = 0
+        self.share = 0.0
+        return out
+
+    def sums(self, Yp, mp, j0, yq, tiles, slope):
+        """``kernels._tile_sums`` over all ``tiles``, the other process
+        summing those it claims from the back while it is idle."""
+        self.passes += 1
+        if len(tiles) < 2 or not self.idle[1 - self.me]:
+            return kernels._tile_sums(Yp, mp, j0, yq, tiles, slope)
+        with self.lock:
+            n = self.claims[0] + 1
+            self.claims[:] = [n, 0, len(tiles)]
+        self.send(("share", (n, Yp, mp, j0, yq, tiles, slope)))
+        acc, dacc = kernels._tile_sums(Yp, mp, j0, yq, tiles, slope, self._claim(n, front=True))
+        with self.lock:
+            split = self.claims[2]
+        if split < len(tiles):
+            row = tiles[split][0]
+            theirs, dtheirs = self._recv()[1]
+            acc[row:] = theirs
+            if slope:
+                dacc[row:] = dtheirs
+            cells = [(b - a) * w for a, b, w in tiles]
+            self.shared += 1
+            self.share += sum(cells[split:]) / sum(cells)
+        return acc, dacc
+
+    def serve(self):
+        """Sum the tiles of the passes the other process sends, claimed from
+        the back, until it sends anything else; return that message."""
+        while (msg := self._recv())[0] == "share":
+            n, Yp, mp, j0, yq, tiles, slope = msg[1]
+            taken = []
+            acc, dacc = kernels._tile_sums(Yp, mp, j0, yq, tiles, slope,
+                                           self._claim(n, front=False, taken=taken))
+            if taken:
+                row = tiles[taken[-1]][0]
+                self.send(("share", (acc[row:], dacc[row:] if slope else None)))
+        return msg
+
+    def _claim(self, n, front: bool, taken=None):
+        """Claim the tiles of pass ``n``, one at a time from the front or the
+        back, until the two ends meet or another pass is shared; yield the
+        index of each and append it to ``taken``."""
+        while True:
+            with self.lock:
+                pass_n, lo, hi = self.claims
+                if pass_n != n or lo >= hi:
+                    return
+                if front:
+                    i, self.claims[1] = lo, lo + 1
+                else:
+                    i = self.claims[2] = hi - 1
+            if taken is not None:
+                taken.append(i)
+            yield i
+
+    def send(self, msg) -> None:
+        try:
+            self.conn.send(msg)
+        except OSError:
+            if self.conn.poll():  # a helper that failed sent its error first
+                self._recv()
+            raise self.lost() from None
+
+    def _recv(self):
+        """The next message, polled for up to ``_POLL_S`` and then awaited."""
+        deadline = time.perf_counter() + _POLL_S
+        try:
+            while not self.conn.poll() and time.perf_counter() < deadline:
+                pass
+            msg = self.conn.recv()
+        except (EOFError, OSError):
+            raise self.lost() from None
+        if msg[0] == "err":
+            exc, trace = msg[1]
+            # the traceback does not pickle: chain its text, for the reader of a crash
+            raise exc from ChildProcessError(f"raised in the pool helper process:\n{trace}")
+        return msg
 
 
 def _pool(jobs, fork=True):
@@ -271,19 +389,29 @@ def _pool(jobs, fork=True):
 
     With ``fork`` set, two calls or more and a platform that can fork, a
     forked helper process works beside this one, each taking the next call
-    from a shared counter. The helper inherits the calls, so only its
-    results cross the pipe, in one answer once the calls run out: it never
-    waits on a full pipe while this process computes. Its exceptions are
-    re-raised here with their class, chained to a ChildProcessError that
-    holds its traceback; a helper that dies without an answer raises
-    ChildProcessError naming its exit code. A ``NumericalFailure`` raised in
-    either process names the call's label and k (its ``run``). Leaving, also
-    by an exception, terminates and reaps a helper that still runs.
-    Otherwise the calls run here, in order. A stats entry holds the label,
-    k, the process that made the call (``parent`` or ``helper``), its wall
-    seconds, and the keys of ``_RUN_STAT_KEYS`` from the result's ``info``
-    (None where it has none): the step count and dt range of every run, and
-    a particle run's step rules.
+    from a shared counter. A process that finds the calls run out marks
+    itself idle under the counter's lock. The first to do so does not wait:
+    it serves the other, which still runs a call, over a persistent duplex
+    pipe, summing tiles of that call's particle passes (``_Partner``,
+    ``kernels._atom_sums``) with the same bits. The second releases it: the
+    parent sends ``done``, or the helper its answer. The helper inherits the
+    calls, so only its results cross the pipe, in that one answer once both
+    processes have run out: it never waits on a full pipe while this process
+    computes. Its exceptions are re-raised here with their class, chained to
+    a ChildProcessError that holds its traceback; a helper that dies without
+    an answer raises ChildProcessError naming its exit code, also where this
+    process was serving it or waiting for its sums. A ``NumericalFailure``
+    raised in either process names the call's label and k (its ``run``).
+    Leaving, also by an exception, terminates and reaps a helper that still
+    runs. Otherwise the calls run here, in order.
+
+    A stats entry holds the label, k, the process that made the call
+    (``parent`` or ``helper``), its wall seconds, the keys of
+    ``_RUN_STAT_KEYS`` from the result's ``info`` (None where it has none):
+    the step count and dt range of every run, and a particle run's step
+    rules; and those of ``_SHARE_KEYS``: in a forked pool, the call's
+    particle passes, how many the other process shared and the mean share
+    of the cells it took (``_Partner.tally``), else None.
     """
     import multiprocessing  # here, not at the top: importing nclaw stays lean
     import traceback
@@ -296,55 +424,67 @@ def _pool(jobs, fork=True):
             exc.run = f"run {label!r} at k={k}"
             raise
         info = getattr(out, "info", {})
+        partner = kernels._partner
         return out, {"label": label, "k": k, "process": process, "wall_s": seconds,
-                     **{key: info.get(key) for key in _RUN_STAT_KEYS}}
+                     **{key: info.get(key) for key in _RUN_STAT_KEYS},
+                     **(dict.fromkeys(_SHARE_KEYS) if partner is None else partner.tally())}
 
     if not fork or len(jobs) < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [run(i, "parent") for i in range(len(jobs))]
 
     ctx = multiprocessing.get_context("fork")
     counter = ctx.Value("i", 0)
+    idle = ctx.RawArray("b", 2)  # per process, set under the counter's lock
+    claims, lock = ctx.RawArray("q", 3), ctx.Lock()
 
-    def claim():
-        with counter.get_lock():
-            i = counter.value
-            counter.value += 1
-        return i if i < len(jobs) else None
+    def work(me, process):
+        """Run calls until they run out, then mark this process idle; return
+        the results and whether the other process was idle first."""
+        results = []
+        while True:
+            with counter.get_lock():
+                i = counter.value
+                counter.value += 1
+                if i >= len(jobs):
+                    idle[me] = 1
+                    return results, bool(idle[1 - me])
+            results.append((i, run(i, process)))
 
     def helper():
-        recv.close()  # a parent that is gone then reads as a broken pipe, not a full one
+        here.close()  # a parent that is gone then reads as a broken pipe, not a full one
+        kernels._partner = partner = _Partner(
+            there, idle, claims, lock, 1, lambda: EOFError("the pool's parent process is gone"))
         try:
-            msg = ("ok", [(i, run(i, "helper")) for i in iter(claim, None)], None)
+            results, last = work(1, "helper")
+            if not last:
+                partner.serve()  # until the parent runs out too and sends done
+            msg = ("ok", results)
         except Exception as exc:
-            msg = ("err", exc, traceback.format_exc())
-        send.send(msg)
+            msg = ("err", (exc, traceback.format_exc()))
+        there.send(msg)
 
-    def answer():
-        try:
-            status, value, trace = recv.recv()
-        except EOFError:
-            child.join()
-            raise ChildProcessError(
-                f"pool helper process died without an answer (exit code {child.exitcode})"
-            ) from None
-        if status == "err":
-            # the traceback does not pickle: chain its text, for the reader of a crash
-            raise value from ChildProcessError(f"raised in the pool helper process:\n{trace}")
-        return value
+    def lost():
+        child.join()
+        return ChildProcessError(
+            f"pool helper process died without an answer (exit code {child.exitcode})")
 
     done = [None] * len(jobs)
-    recv, send = ctx.Pipe(duplex=False)
+    here, there = ctx.Pipe()
     child = ctx.Process(target=helper, daemon=True)
     child.start()
-    send.close()  # the helper now holds the only write end: its death reads as EOF
+    there.close()  # the helper now holds the only other end: its death reads as EOF
+    kernels._partner = partner = _Partner(here, idle, claims, lock, 0, lost)
     try:
-        for i in iter(claim, None):
-            done[i] = run(i, "parent")
-        for i, value in answer():
+        results, last = work(0, "parent")
+        if last:
+            partner.send(("done", None))
+        _, answer = partner.serve()  # until the helper's answer
+        for i, value in results + answer:
             done[i] = value
         child.join()
     finally:
-        recv.close()
+        kernels._partner = None
+        here.close()
         if child.is_alive():
             child.terminate()
         child.join()
@@ -692,13 +832,15 @@ def singular_limit_rate(
     (``pairwise_orders``, and ``pairwise_orders_extrapolated`` from the
     Richardson-extrapolated distances with the gate on) and not judged.
     The gate reruns the sweep at half the cell width. Needs p >= 1 and at
-    least two distinct eps to fit the order.
+    least two distinct eps, each positive and finite, to fit the order.
     """
     if not p >= 1.0:
         raise ValueError(f"p={p} must be >= 1: the L^p distance needs a norm")
     if len(set(eps_list)) < 2:
         raise ValueError(f"eps_list={list(eps_list)} needs at least two distinct eps "
                          "to fit an order")
+    if not all(eps > 0.0 and math.isfinite(eps) for eps in eps_list):
+        raise ValueError(f"eps_list={list(eps_list)} must hold positive finite eps only")
     eps_list = tuple(sorted(eps_list, reverse=True))
     params = dict(locals())  # the manifest records every argument
     dx = min(eps_list) / 10.0
@@ -784,7 +926,7 @@ def vanishing_viscosity(
     4.5e-3 off in L1 from one with 14,898 particles, about 60% of the
     nu = 0.003 distance, so the smallest-nu line carries deposit noise.
     The gate reruns the sweep at half the cell width. Needs at least two
-    distinct nu to compare.
+    distinct nu, each positive, to compare.
     """
     if len(set(nu_list)) < 2:
         raise ValueError(f"nu_list={list(nu_list)} needs at least two distinct nu "
@@ -805,13 +947,15 @@ def vanishing_viscosity(
         n_cmp = n // factor
         return Grid1D(-4.75, 4.75, n_cmp * factor), Grid1D(-4.75, 4.75, n_cmp), factor
 
-    # the viscous runs' own checks, made once before any run: the kernel is
-    # resolved on their coarsest cells, and the domain margin
-    # 4 sqrt(nu t_end) + eps is widest at the largest nu
+    # the viscous runs' own checks, made before any run: the kernel is
+    # resolved on their coarsest cells, and each nu is positive with room
+    # for the domain margin 4 sqrt(nu t_end) + eps
     grid = grids(1)[0]
     if eps < grid.dx:
         raise ValueError(f"kernel under-resolved: eps={eps} < dx={grid.dx} of the viscous runs")
-    _check_domain(gaussian_datum(grid, mass=1.0, width=width), kernel, nu_list[0], t_end)
+    u0 = gaussian_datum(grid, mass=1.0, width=width)
+    for nu in nu_list:
+        _check_domain(u0, kernel, nu, t_end)
 
     def runs(k):
         u0 = gaussian_datum(grids(k)[0], mass=1.0, width=width)

@@ -215,57 +215,33 @@ def _tile_ends(count: np.ndarray) -> list[int]:
     return ends
 
 
-def _atom_sums(X, m, k: Kernel, xq, slope: bool):
-    """Banded sums over the atoms inside the kernel support of each query point.
+def _tile_sums(Yp, mp, j0, yq, tiles, slope: bool, order=None):
+    """The unnormalized sums of ``_atom_sums`` over the tiles of a pass.
 
-    Returns sum_j m_j eta_eps(xq - X_j) and, if ``slope``, also
-    sum_j |m_j| |eta_eps'(xq - X_j)|, with one exp per pair and the
-    normalization applied once at the end.
+    ``tiles`` is the pass's full tiling, consecutive tiles (a, b, w): rows
+    a..b-1 read the atoms j0_i + r, r < w, of the padded scaled positions
+    ``Yp`` and masses ``mp``. ``order`` gives the indices of the tiles to
+    sum, in turn (all of them by default); it may be an iterator that
+    claims them one at a time. Returns the sums of every row and their
+    slope sums if ``slope`` (else None); rows of the tiles not summed stay 0.
 
-    Positions are scaled once per call, Y = X c/eps and yq = xq c/eps + c - 1
-    (c = 1 for the even bump, 2 for the one-sided one), so the bump
-    argument of a pair is the one subtraction s = yq - Y_j. Consecutive
-    query points are evaluated together as one query-major tile (see
-    ``_tile_ends``): a (rows, w) array whose row i holds the atoms j0_i + r,
-    r < w (j0_i = first atom in reach of point i, w = largest reach count in
-    the tile), gathered by fancy indexing from a sliding-window view of the
-    padded atoms. Each row is summed by one contiguous dot product, NumPy's
-    own einsum loop and no BLAS, so the bytes do not depend on the BLAS
-    kernel. Every tile writes into the same four 64-byte aligned buffers:
-    NumPy's AVX-512 loops run up to twice as slow when their stores straddle
-    cache lines.
-
-    Atoms with 1 - s^2 <= 1/700 weigh an exact +-0: their mass is masked
-    and 1 - s^2 is clamped at 1/700, so exp never sees an argument below
-    -700, where it leaves its fast path. That covers the atoms past a
-    point's reach, the zero-mass padding behind the last atom and the atoms
-    at the support edge, the one-sided self term included. An atom in reach
-    dropped this way has a true term below exp(-700) |m_j| ~ 1e-304 |m_j|.
+    Each tile is a (b - a, w) array at the start of four 64-byte aligned
+    buffers, so a row sees the same bytes at the same alignment whichever
+    tiles are summed with it and in which order: a pass whose tiles are
+    shared between two processes gives the bits of one process summing
+    them all.
     """
-    lo, hi = k.support
-    # eta_eps(x - X_j) != 0  <=>  X_j in (x - hi, x - lo)
-    j0 = np.searchsorted(X, xq - hi, side="left")
-    count = np.searchsorted(X, xq - lo, side="right") - j0
-    width = int(np.max(count)) if xq.size else 0
-    acc = np.zeros_like(xq)
-    dacc = np.zeros_like(xq) if slope else None
-    if width == 0:
-        return acc, dacc
-    c = 2.0 if k.shape == ONE_SIDED_LEFT else 1.0
-    Y = X * (c / k.epsilon)
-    yq = xq * (c / k.epsilon) + (c - 1.0)
-    # the padding sits at s <= -4, two support widths right of every point
-    far = max(float(Y[-1]), float(yq.max())) + 4.0
-    Yw = sliding_window_view(np.concatenate([Y, np.full(width, far)]), width)
-    mw = sliding_window_view(np.concatenate([m, np.zeros(width)]), width)
+    w_max = max(w for _, _, w in tiles)
+    acc = np.zeros(tiles[-1][1])
+    dacc = np.zeros_like(acc) if slope else None
+    Yw = sliding_window_view(Yp, w_max)
+    mw = sliding_window_view(mp, w_max)
     # cells of the largest tile, in whole 64-byte lines
-    cap = -(-max(_TILE_CELLS, width) // 8) * 8
+    cap = -(-max(_TILE_CELLS, w_max) // 8) * 8
     buf = np.empty(4 * (cap + 8))
     o = (-buf.ctypes.data % 64) // 8
     S, T, M, G = (buf[o + i * (cap + 8):][:cap] for i in range(4))
-    a = 0
-    for b in _tile_ends(count):
-        w = int(count[a:b].max())
+    for a, b, w in (tiles if order is None else (tiles[i] for i in order)):
         cells = (b - a) * w
         s = np.subtract(yq[a:b, None], Yw[j0[a:b], :w], out=S[:cells].reshape(b - a, w))
         t = np.multiply(s, s, out=T[:cells].reshape(b - a, w))
@@ -282,7 +258,66 @@ def _atom_sums(X, m, k: Kernel, xq, slope: bool):
             s *= g
             np.abs(mj, out=mj)
             np.einsum("ij,ij->i", s, mj, out=dacc[a:b], optimize=False)
-        a = b
+    return acc, dacc
+
+
+# the pool's other process, which sums tiles of a pass while it has no call
+# of its own (``experiments._Partner``); None outside a forked pool. It is
+# set for the life of ``experiments._pool`` in each of its two processes,
+# not passed, because every particle solver's calls reach the passes
+_partner = None
+
+
+def _atom_sums(X, m, k: Kernel, xq, slope: bool):
+    """Banded sums over the atoms inside the kernel support of each query point.
+
+    Returns sum_j m_j eta_eps(xq - X_j) and, if ``slope``, also
+    sum_j |m_j| |eta_eps'(xq - X_j)|, with one exp per pair and the
+    normalization applied once at the end.
+
+    Positions are scaled once per call, Y = X c/eps and yq = xq c/eps + c - 1
+    (c = 1 for the even bump, 2 for the one-sided one), so the bump
+    argument of a pair is the one subtraction s = yq - Y_j. Consecutive
+    query points are evaluated together as one query-major tile (see
+    ``_tile_ends``): a (rows, w) array whose row i holds the atoms j0_i + r,
+    r < w (j0_i = first atom in reach of point i, w = largest reach count in
+    the tile), gathered by fancy indexing from a sliding-window view of the
+    padded atoms (``_tile_sums``). Each row is summed by one contiguous dot
+    product, NumPy's own einsum loop and no BLAS, so the bytes do not depend
+    on the BLAS kernel. Every tile writes into the same four 64-byte aligned
+    buffers: NumPy's AVX-512 loops run up to twice as slow when their stores
+    straddle cache lines.
+
+    In a forked pool the pass goes to ``_partner.sums``: while the other
+    process is idle and the pass has two tiles or more, this process sums
+    tiles from the front and the other one from the back, each claiming the
+    next, until they meet at a split index. Each row is still summed whole
+    in its own tile, so the split changes no bit.
+
+    Atoms with 1 - s^2 <= 1/700 weigh an exact +-0: their mass is masked
+    and 1 - s^2 is clamped at 1/700, so exp never sees an argument below
+    -700, where it leaves its fast path. That covers the atoms past a
+    point's reach, the zero-mass padding behind the last atom and the atoms
+    at the support edge, the one-sided self term included. An atom in reach
+    dropped this way has a true term below exp(-700) |m_j| ~ 1e-304 |m_j|.
+    """
+    lo, hi = k.support
+    # eta_eps(x - X_j) != 0  <=>  X_j in (x - hi, x - lo)
+    j0 = np.searchsorted(X, xq - hi, side="left")
+    count = np.searchsorted(X, xq - lo, side="right") - j0
+    width = int(np.max(count)) if xq.size else 0
+    if width == 0:
+        return np.zeros_like(xq), np.zeros_like(xq) if slope else None
+    c = 2.0 if k.shape == ONE_SIDED_LEFT else 1.0
+    Y = X * (c / k.epsilon)
+    yq = xq * (c / k.epsilon) + (c - 1.0)
+    # the padding sits at s <= -4, two support widths right of every point
+    far = max(float(Y[-1]), float(yq.max())) + 4.0
+    Yp = np.concatenate([Y, np.full(width, far)])
+    mp = np.concatenate([m, np.zeros(width)])
+    ends = _tile_ends(count)
+    tiles = [(a, b, int(count[a:b].max())) for a, b in zip([0, *ends], ends)]
+    acc, dacc = (_tile_sums if _partner is None else _partner.sums)(Yp, mp, j0, yq, tiles, slope)
     acc *= k.normalization
     if slope:
         dacc *= k.normalization * 2.0 * c / k.epsilon

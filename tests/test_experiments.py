@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 
 import nclaw
-from nclaw import viscous
+from nclaw import kernels, viscous
 from nclaw.cli import main
+from nclaw.data import gaussian_datum, step_datum
 from nclaw.experiments import (
     _pool,
     counterexample_1,
     counterexample_2,
     counterexample_3,
     singular_limit_rate,
+    vanishing_viscosity,
 )
 from nclaw.grids import Grid1D
 from nclaw.kernels import EVEN_BUMP, Kernel
@@ -141,8 +143,8 @@ def test_ce2_rejects_a_t_end_off_its_closed_forms_before_any_run(monkeypatch, t_
 
 
 def test_visc_rejects_a_datum_too_wide_for_its_margin_before_any_run(monkeypatch, capsys):
-    # the viscous runs' domain check, made once at the largest nu: without
-    # it the particle reference left its grid first and the run exited 4
+    # the viscous runs' domain check, made for every nu before the pool:
+    # without it the particle reference left its grid first and the run exited 4
     import nclaw.experiments
 
     monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
@@ -163,6 +165,34 @@ def test_visc_rejects_an_eps_below_its_cell_width_before_any_run(monkeypatch, ca
     assert main(["--no-emit", "visc", "--eps", "0.002", *gate]) == 1
     assert "error: kernel under-resolved: eps=0.002 < dx=0.0025 of the viscous runs" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("scenario, kwargs, message", [
+    (singular_limit_rate, dict(width=-0.3, eps_list=(0.4, 0.2), t_end=0.2),
+     "width=-0.3 must be positive and finite"),
+    (vanishing_viscosity, dict(width=-0.6, nu_list=(0.1, 0.03), t_end=0.1),
+     "width=-0.6 must be positive and finite"),
+    (vanishing_viscosity, dict(nu_list=(0.1, -0.03), t_end=0.1), "nu=-0.03 must be positive"),
+    (singular_limit_rate, dict(eps_list=(-0.4, -0.2), t_end=0.2),
+     r"eps_list=\[-0.4, -0.2\] must hold positive finite eps only"),
+], ids=["rate_width", "visc_width", "visc_nu", "rate_eps"])
+def test_a_viscous_input_without_a_verdict_is_refused_before_any_run(
+    monkeypatch, scenario, kwargs, message
+):
+    # a negative Gaussian width gave a datum of mass -1 and a FAIL verdict;
+    # a negative nu was refused inside the pool, after two runs; negative
+    # eps were refused by a grid of -188 cells, naming neither eps nor the list
+    import nclaw.experiments
+
+    monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
+    with pytest.raises(ValueError, match=message):
+        scenario(gate=False, **kwargs)
+
+
+@pytest.mark.parametrize("width", [-0.3, 0.0, math.nan, math.inf])
+def test_gaussian_datum_refuses_a_width_that_is_not_positive_and_finite(width):
+    with pytest.raises(ValueError, match=f"width={width} must be positive and finite"):
+        gaussian_datum(Grid1D(-1.0, 1.0, 10), width=width)
 
 
 def test_every_check_carries_its_rerun_and_the_gate_compares_those_with_a_margin():
@@ -409,6 +439,8 @@ def test_pool_returns_results_in_order_whichever_process_ran_them():
     for (_, pid), s in zip(outs, stats):
         assert (pid == os.getpid()) == (s["process"] == "parent")
         assert s["n_steps"] is None and s["n_rejected"] is None
+        assert (s["passes"], s["shared_passes"], s["partner_share"]) == (0, 0, None)
+    assert multiprocessing.active_children() == []
 
 
 @needs_fork
@@ -469,3 +501,86 @@ def test_pool_runs_inline_with_one_call_or_without_fork(monkeypatch, hide_fork):
     assert outs == (os.getpid(),) * len(calls)
     assert [s["process"] for s in stats] == ["parent"] * len(calls)
     assert forks == []
+
+
+def _particle_run():
+    # 200 particles, about 20 in each one's reach: 4000 cells a pass, so at
+    # least 2 tiles once the tiles hold 512 cells
+    return run_nonlocal(step_datum(Grid1D(-1.5, 0.5, 400)), Kernel(EVEN_BUMP, 0.05), 0.1,
+                        n_outputs=2)
+
+
+def _one_particle_run_in(where):
+    """Two calls that meet at a barrier, so they run in different processes:
+    the one in ``where`` makes ``_particle_run`` and returns its final
+    positions, the other returns None at once and so runs out of calls."""
+    both = multiprocessing.Barrier(2, timeout=20)
+    pid = os.getpid()
+
+    def meet_then():
+        both.wait()
+        if (os.getpid() == pid) == (where == "parent"):
+            return _particle_run().final.positions
+        return None
+
+    return _jobs(meet_then, meet_then)
+
+
+def _let_the_partner_claim(monkeypatch, where):
+    """512-cell tiles, so that each pass of ``_particle_run`` has two tiles
+    or more, and the process in ``where`` sleeps 1 ms before it claims the
+    tiles of a shared pass, so that the other process claims some even where
+    the two share a CPU."""
+    monkeypatch.setattr(kernels, "_TILE_CELLS", 512)
+    real, pid = kernels._tile_sums, os.getpid()
+
+    def tile_sums(*args):
+        if len(args) > 6 and (os.getpid() == pid) == (where == "parent"):
+            time.sleep(0.001)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_tile_sums", tile_sums)
+
+
+@needs_fork
+@pytest.mark.parametrize("where", ["parent", "helper"])
+def test_a_particle_run_shared_with_the_idle_process_keeps_its_bits(monkeypatch, where):
+    # the process in ``where`` runs the particles while the other, out of
+    # calls, sums the tiles of its passes from a split index on: the
+    # helper serving the parent, or the parent serving the helper
+    _let_the_partner_claim(monkeypatch, where)
+    with _deadline(30):
+        outs, stats = zip(*_pool(_one_particle_run_in(where)))
+    assert multiprocessing.active_children() == [] and kernels._partner is None
+    (i,) = [i for i, out in enumerate(outs) if out is not None]
+    assert stats[i]["process"] == where
+    assert 0 < stats[i]["shared_passes"] <= stats[i]["passes"]
+    assert 0.0 < stats[i]["partner_share"] <= 1.0
+    # no partner here: the passes run whole, as with fork hidden
+    assert np.array_equal(outs[i], _particle_run().final.positions)
+
+
+@needs_fork
+@pytest.mark.parametrize("fate", ["dies", "raises"])
+def test_a_helper_lost_while_it_serves_is_named_not_awaited(monkeypatch, fate):
+    # the helper fails in the first tile of this process's passes that it
+    # claims: its death names its exit code, its exception crosses the pipe
+    # with its traceback
+    _let_the_partner_claim(monkeypatch, "parent")
+    real, pid = kernels._tile_sums, os.getpid()
+
+    def tile_sums(*args):
+        if os.getpid() != pid:
+            for _ in args[6]:  # the claims of the serving helper
+                if fate == "dies":
+                    os._exit(9)
+                raise ValueError("bad tiles")
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "_tile_sums", tile_sums)
+    expected = (ChildProcessError, "exit code 9") if fate == "dies" else (ValueError, "bad tiles")
+    with _deadline(30), pytest.raises(expected[0], match=expected[1]) as info:
+        _pool(_one_particle_run_in("parent"))
+    if fate == "raises":
+        assert "raised in the pool helper process" in str(info.value.__cause__)
+    assert multiprocessing.active_children() == [] and kernels._partner is None

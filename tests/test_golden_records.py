@@ -8,7 +8,9 @@ of the solvers, the scenario layer or the records must leave every one of
 these unchanged. The gate is on in every preset but ``ce1_no_gate``, and
 the presets cover all three verdicts, so the gate and verdict paths are
 pinned too. Every ``report.json`` and ``manifest.json`` must also read
-back through a strict JSON parser.
+back through a strict JSON parser, and each headline number must have one
+place in the record. The presets run three times in all: pooled, with
+fork hidden, and in a process without SciPy.
 
 The hashes belong to NumPy 2.4 on x86-64 Linux: another NumPy build may sum
 or round in a different order and change the last digits of the CSVs. The
@@ -104,9 +106,29 @@ pinned = pytest.mark.parametrize(
 
 @pinned
 def test_record_bytes_pinned(
-    tmp_path, fn_name, kwargs, run_dir_name, verdict, n_csv, report_sha, csv_sha
+    monkeypatch, tmp_path, fn_name, kwargs, run_dir_name, verdict, n_csv, report_sha, csv_sha
 ):
-    _check(tmp_path, fn_name, kwargs, run_dir_name, verdict, n_csv, report_sha, csv_sha)
+    # a check's number is recorded on the check, with its provenance the
+    # manifest's entry for its name; every other headline number in numbers
+    main = {}
+    scenario = ex._scenario
+
+    def spy(name, params, runs, headline, judge):
+        def recorded(r, k):
+            out = headline(r, k)
+            if k == 1:
+                main.update(out)
+            return out
+
+        return scenario(name, params, runs, recorded, judge)
+
+    monkeypatch.setattr(ex, "_scenario", spy)
+    report = _check(tmp_path, fn_name, kwargs, run_dir_name, verdict, n_csv, report_sha, csv_sha)
+    names = {c.name for c in report.checks}
+    assert main and names <= set(main) and names <= set(report.manifest.provenance)
+    assert all(report.manifest.provenance[c.name] == c.provenance for c in report.checks)
+    assert not names & set(report.numbers)
+    assert all((key in names) != (key in report.numbers) for key in main)
 
 
 @pinned
@@ -120,11 +142,21 @@ def test_record_bytes_pinned_without_fork(
 
 
 def _check(tmp_path, fn_name, kwargs, run_dir_name, verdict, n_csv, report_sha, csv_sha):
+    """Run a preset, check its verdict, run directory and pinned bytes, and
+    that its report.json and manifest.json read back as strict JSON (JSON
+    has no NaN or Infinity); return its report."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
     report = getattr(ex, fn_name)(**kwargs)
     assert report.verdict == verdict
     run_dir = emit_report(report, tmp_path)["run_dir"]
     assert run_dir.name == run_dir_name
     _check_bytes(run_dir, n_csv, report_sha, csv_sha)
+    for name in ("report.json", "manifest.json"):
+        json.loads((run_dir / name).read_text(), parse_constant=reject)
+    return report
 
 
 def _check_bytes(run_dir, n_csv, report_sha, csv_sha):
@@ -174,45 +206,9 @@ def test_records_hold_without_scipy(tmp_path):
     assert (tmp_path / "bare" / oracle.name).read_bytes() == oracle.read_bytes()
 
 
-@pytest.mark.parametrize("fn_name, kwargs", [g[1:3] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
-def test_each_headline_number_has_one_place_in_the_record(monkeypatch, fn_name, kwargs):
-    # a check's number is recorded on the check, with its provenance the
-    # manifest's entry for its name; every other headline number in numbers
-    main = {}
-    scenario = ex._scenario
-
-    def spy(name, params, runs, headline, judge):
-        def recorded(r, k):
-            out = headline(r, k)
-            if k == 1:
-                main.update(out)
-            return out
-
-        return scenario(name, params, runs, recorded, judge)
-
-    monkeypatch.setattr(ex, "_scenario", spy)
-    report = getattr(ex, fn_name)(**kwargs)
-    names = {c.name for c in report.checks}
-    assert main and names <= set(main) and names <= set(report.manifest.provenance)
-    assert all(report.manifest.provenance[c.name] == c.provenance for c in report.checks)
-    assert not names & set(report.numbers)
-    assert all((key in names) != (key in report.numbers) for key in main)
-
-
 def test_a_hash_on_another_backend_names_both_backends():
     assert _backend_note(PINNED_BACKEND) == ""
     for key, other in (("numpy", "2.0.0"), ("blas", "openblas 0.3.23"), ("blas_core", "Haswell"),
                        ("lapack", "scipy")):
         note = _backend_note(dict(PINNED_BACKEND, **{key: other}))
         assert other in note and PINNED_BACKEND[key] in note
-
-
-@pytest.mark.parametrize("fn_name, kwargs", [g[1:3] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
-def test_records_are_strict_json(tmp_path, fn_name, kwargs):
-    # JSON has no NaN or Infinity: a strict reader must take every record
-    def reject(token):
-        raise ValueError(f"{token} is not JSON")
-
-    run_dir = emit_report(getattr(ex, fn_name)(**kwargs), tmp_path)["run_dir"]
-    for name in ("report.json", "manifest.json"):
-        json.loads((run_dir / name).read_text(), parse_constant=reject)
