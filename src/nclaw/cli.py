@@ -4,7 +4,7 @@ Every configuration section but ``[lab]`` is a subcommand, which calls
 the function ``config.COMMANDS`` names for it. Each parameter of that
 function is both a config key and the flag ``--<key-with-dashes>``, or
 ``--no-<key>`` for a key whose default is True; flag values and config
-values are typed and checked by the same ``config.parse_value``.
+values are typed by ``config.parse_value`` and range-checked by the function.
 
 Exit codes: 0 = all checks pass, 2 = some check failed, 3 = verdict
 inconclusive (headline numbers not grid-converged), 1 = usage or

@@ -4,8 +4,8 @@ An empty file is a valid configuration (all defaults). Every section but
 ``[lab]`` takes its keys and defaults from the signature of the function
 its command runs (``COMMANDS``), so a key is a parameter name. Unknown
 sections or keys are rejected with the offending line number; values are
-typed after the defaults and checked by ``validate``, which the ``lab``
-flags go through too.
+typed after the defaults (``parse_value``, which the ``lab`` flags go through
+too), and the function of the command that reads a value checks its range.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .kernels import SHAPES
 from .local_entropy import VARIANTS
 
 __all__ = ["COMMANDS", "ConfigError", "DEFAULTS", "LabConfig", "command_function",
-           "parse_config", "parse_value", "validate"]
+           "parse_config", "parse_value"]
 
 
 class ConfigError(ValueError):
@@ -35,7 +35,7 @@ COMMANDS = {
     "visc": (experiments, "vanishing_viscosity"),
     "oracle": (local_entropy, "sample_oracle"),
 }
-# keys with a fixed set of values: the tuples the library checks against
+# keys with a fixed set of values, shown in the flags' help: the library's own tuples
 CHOICES = {"kernel_shape": SHAPES, "variant": VARIANTS}
 
 
@@ -57,7 +57,6 @@ DEFAULTS = {
     **{section: _signature_defaults(section) for section in COMMANDS},
 }
 
-_POSITIVE_KEYS = {"eps", "t_end", "nu", "width", "n_particles", "godunov_n", "n_cells"}
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -77,23 +76,9 @@ class LabConfig:
         return self.sections[section]
 
 
-def validate(key: str, value, where: str):
-    """Return ``value`` if it is a valid setting of ``key``, else raise
-    ConfigError naming ``where`` (a config line or a flag)."""
-    if key in _POSITIVE_KEYS and not value > 0:
-        raise ConfigError(f"{where}: {key} must be > 0")
-    if key == "t" and not value >= 0:  # the oracle holds from the datum on
-        raise ConfigError(f"{where}: t must be >= 0")
-    if key in ("eps_list", "nu_list"):
-        if not value or any(not x > 0 for x in value):
-            raise ConfigError(f"{where}: {key} entries must be > 0")
-    if key in CHOICES and value not in CHOICES[key]:
-        raise ConfigError(f"{where}: {key} must be {'|'.join(CHOICES[key])}")
-    return value
-
-
 def parse_value(section: str, key: str, raw: str, where: str):
-    """Type ``raw`` after the default of ``key`` in ``section``, then validate it."""
+    """Type ``raw`` after the default of ``key`` in ``section``, or raise
+    ConfigError naming ``where`` (a config line or a flag)."""
     default = DEFAULTS[section][key]
     raw = raw.strip()
     try:
@@ -107,7 +92,7 @@ def parse_value(section: str, key: str, raw: str, where: str):
         raise ConfigError(
             f"{where}: key {key!r} expects a {type(default).__name__}, got {raw!r}"
         ) from None
-    return validate(key, value, where)
+    return value
 
 
 def parse_config(text: str) -> LabConfig:

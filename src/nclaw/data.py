@@ -18,6 +18,10 @@ from .grids import Field, Grid1D
 
 __all__ = ["step_datum", "odd_datum", "gaussian_datum", "indicator_field"]
 
+# the fewest cells a Gaussian's width may span: at 2 or fewer, visc's distances
+# read 1.98-2.00 (disjoint masses) at dx, dx/2 and dx/4, which its gate passes
+_MIN_WIDTH_CELLS = 4
+
 
 def _interval_overlap(grid: Grid1D, a: float, b: float) -> np.ndarray:
     """Length of the overlap of (a, b) with each cell.
@@ -60,10 +64,14 @@ def gaussian_datum(
     which from Python 3.11 on is the C library's erf: the last bit of a
     value may differ between C libraries). The tails are truncated by the
     grid; pick the domain so they are negligible. A width that is not
-    positive and finite is refused: a negative one gives mass -mass.
+    positive and finite is refused: a negative one gives mass -mass. So is
+    one of fewer than 4 cells, too narrow for the grid to resolve.
     """
     if not (width > 0.0 and math.isfinite(width)):
         raise ValueError(f"width={width} must be positive and finite")
+    if width < _MIN_WIDTH_CELLS * grid.dx:
+        raise ValueError(f"width={width} spans {width / grid.dx:.3g} cells of dx={grid.dx:.4g}, "
+                         f"fewer than {_MIN_WIDTH_CELLS}: the datum is not resolved")
     e = (grid.edges - center) / (width * math.sqrt(2.0))
     cdf = 0.5 * (1.0 + np.fromiter(map(math.erf, e), float, e.size))
     return Field(grid, mass * np.diff(cdf) / grid.dx)

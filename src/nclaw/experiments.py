@@ -173,12 +173,12 @@ def _godunov_grid(x_min, x_max, godunov_n, k):
 
 
 def _check_oracle_horizon(variant: str, t_end: float) -> ExactSolution:
-    """The exact solution a verdict reads, after rejecting a t_end it is not valid at."""
+    """The exact solution a verdict reads, after rejecting a t_end outside (0, its horizon]."""
     oracle = ExactSolution(variant)
     lo, hi = oracle.validity
-    if not lo <= t_end <= hi:
-        raise ValueError(f"t_end={t_end} is outside the validity [{lo}, {hi}] of the "
-                         f"{variant!r} exact solution the verdict reads")
+    if not lo < t_end <= hi:
+        raise ValueError(f"t_end={t_end} must lie in ({lo}, {hi}]: after the datum and in the "
+                         f"validity of the {variant!r} exact solution the verdict reads")
     return oracle
 
 
@@ -832,7 +832,8 @@ def singular_limit_rate(
     (``pairwise_orders``, and ``pairwise_orders_extrapolated`` from the
     Richardson-extrapolated distances with the gate on) and not judged.
     The gate reruns the sweep at half the cell width. Needs p >= 1 and at
-    least two distinct eps, each positive and finite, to fit the order.
+    least two distinct positive finite eps to fit the order, and a width of
+    4 cells (of min eps / 10) or more.
     """
     if not p >= 1.0:
         raise ValueError(f"p={p} must be >= 1: the L^p distance needs a norm")
@@ -926,7 +927,7 @@ def vanishing_viscosity(
     4.5e-3 off in L1 from one with 14,898 particles, about 60% of the
     nu = 0.003 distance, so the smallest-nu line carries deposit noise.
     The gate reruns the sweep at half the cell width. Needs at least two
-    distinct nu, each positive, to compare.
+    distinct positive nu to compare, and a width of 4 cells (0.01) or more.
     """
     if len(set(nu_list)) < 2:
         raise ValueError(f"nu_list={list(nu_list)} needs at least two distinct nu "
@@ -947,9 +948,9 @@ def vanishing_viscosity(
         n_cmp = n // factor
         return Grid1D(-4.75, 4.75, n_cmp * factor), Grid1D(-4.75, 4.75, n_cmp), factor
 
-    # the viscous runs' own checks, made before any run: the kernel is
-    # resolved on their coarsest cells, and each nu is positive with room
-    # for the domain margin 4 sqrt(nu t_end) + eps
+    # the viscous runs' own checks, made before any run: the kernel and the
+    # datum are resolved on their coarsest cells, and each nu is positive
+    # with room for the domain margin 4 sqrt(nu t_end) + eps
     grid = grids(1)[0]
     if eps < grid.dx:
         raise ValueError(f"kernel under-resolved: eps={eps} < dx={grid.dx} of the viscous runs")

@@ -236,9 +236,12 @@ def _backend() -> dict:
     scenario does where NumPy's OpenBLAS carries the diffusion solve's
     LAPACK. ``blas`` is the name and version of the BLAS NumPy was built
     with, ``blas_core`` the kernel OpenBLAS chose for this CPU
-    (``_openblas_core``), and ``lapack`` the library the diffusion solve
-    calls, as ``viscous._lapack`` chose it: ``numpy-openblas`` or ``scipy``.
+    (``_openblas_core``), ``cpu_dispatch`` NumPy's enabled SIMD targets (its
+    ``np.exp`` and ``np.log`` bits move with them), and ``lapack`` the library the
+    diffusion solve calls, as ``viscous._lapack`` chose it: ``numpy-openblas`` or ``scipy``.
     """
+    from numpy._core import _multiarray_umath as umath
+
     from .viscous import _lapack, _scipy_factor  # imported here: viscous imports records
 
     scipy = sys.modules.get("scipy")
@@ -248,6 +251,7 @@ def _backend() -> dict:
         "scipy": None if scipy is None else scipy.__version__,
         "blas": None if blas is None else f"{blas['name']} {blas['version']}",
         "blas_core": _openblas_core(),
+        "cpu_dispatch": " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]),
         "lapack": "scipy" if _lapack() is _scipy_factor else "numpy-openblas",
     }
 

@@ -167,6 +167,21 @@ def test_visc_rejects_an_eps_below_its_cell_width_before_any_run(monkeypatch, ca
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("scenario, t_end, horizon", [
+    (counterexample_1, 0.0, 0.25), (counterexample_1, -0.1, 0.25), (counterexample_1, 0.3, 0.25),
+    (counterexample_3, 0.0, 1.0), (counterexample_3, 1.5, 1.0),
+])
+def test_ce1_and_ce3_reject_a_t_end_off_their_oracles_horizon_before_any_run(
+    monkeypatch, scenario, t_end, horizon
+):
+    # at t_end = 0 no run moves: the pool was started and its first run failed
+    import nclaw.experiments
+
+    monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
+    with pytest.raises(ValueError, match=rf"t_end={t_end} must lie in \(0.0, {horizon}\]"):
+        scenario(n_particles=200, godunov_n=512, t_end=t_end, gate=False)
+
+
 @pytest.mark.parametrize("scenario, kwargs, message", [
     (singular_limit_rate, dict(width=-0.3, eps_list=(0.4, 0.2), t_end=0.2),
      "width=-0.3 must be positive and finite"),
@@ -175,13 +190,20 @@ def test_visc_rejects_an_eps_below_its_cell_width_before_any_run(monkeypatch, ca
     (vanishing_viscosity, dict(nu_list=(0.1, -0.03), t_end=0.1), "nu=-0.03 must be positive"),
     (singular_limit_rate, dict(eps_list=(-0.4, -0.2), t_end=0.2),
      r"eps_list=\[-0.4, -0.2\] must hold positive finite eps only"),
-], ids=["rate_width", "visc_width", "visc_nu", "rate_eps"])
+    (singular_limit_rate, dict(width=1e-9, eps_list=(0.4, 0.2), t_end=0.2),
+     "width=1e-09 spans 5e-08 cells of dx=0.02, fewer than 4"),
+    (vanishing_viscosity, dict(width=0.001, nu_list=(0.1, 0.03), t_end=0.1),
+     "width=0.001 spans 0.4 cells of dx=0.0025, fewer than 4"),
+], ids=["rate_width", "visc_width", "visc_nu", "rate_eps", "rate_unresolved_width",
+        "visc_unresolved_width"])
 def test_a_viscous_input_without_a_verdict_is_refused_before_any_run(
     monkeypatch, scenario, kwargs, message
 ):
     # a negative Gaussian width gave a datum of mass -1 and a FAIL verdict;
     # a negative nu was refused inside the pool, after two runs; negative
-    # eps were refused by a grid of -188 cells, naming neither eps nor the list
+    # eps were refused by a grid of -188 cells, naming neither eps nor the list;
+    # a width inside one cell gave a FAIL (rate's order -0.015, visc's
+    # distances about 2)
     import nclaw.experiments
 
     monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
@@ -193,6 +215,13 @@ def test_a_viscous_input_without_a_verdict_is_refused_before_any_run(
 def test_gaussian_datum_refuses_a_width_that_is_not_positive_and_finite(width):
     with pytest.raises(ValueError, match=f"width={width} must be positive and finite"):
         gaussian_datum(Grid1D(-1.0, 1.0, 10), width=width)
+
+
+def test_gaussian_datum_refuses_a_width_of_fewer_than_4_cells():
+    grid = Grid1D(-4.0, 4.0, 400)  # dx = 0.02
+    assert gaussian_datum(grid, width=0.08).values.sum() * grid.dx == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="width=0.079 spans 3.95 cells of dx=0.02, fewer than 4"):
+        gaussian_datum(grid, width=0.079)
 
 
 def test_every_check_carries_its_rerun_and_the_gate_compares_those_with_a_margin():

@@ -20,10 +20,12 @@ NumPy picks for the CPU, as they did when ``np.convolve`` called ``ddot``.
 The bytes of ``rate`` and ``visc`` also depend on the LAPACK their diffusion
 solve calls (NumPy's OpenBLAS, or SciPy's where that is not found) and on
 the C library's ``erf``, which ``math.erf`` calls from Python 3.11 on and
-which builds their Gaussian datum. ``PINNED_BACKEND`` records the NumPy
-and BLAS build, the OpenBLAS kernel and the LAPACK the hashes were pinned
-on, read as the manifest reads them, and a hash that differs on another
-backend says so.
+which builds their Gaussian datum. NumPy's own SIMD loops change the last
+bits of ``np.exp`` and ``np.log`` with the CPU targets they dispatch to, so
+the particle runs move with those. ``PINNED_BACKEND`` records the NumPy and
+BLAS build, the OpenBLAS kernel, NumPy's enabled dispatch targets and the
+LAPACK the hashes were pinned on, read as the manifest reads them, and a
+hash that differs on another backend says so.
 """
 
 import hashlib
@@ -42,7 +44,8 @@ from nclaw.cli import main
 from nclaw.records import emit_report
 
 PINNED_BACKEND = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0",
-                  "blas_core": "SkylakeX", "lapack": "numpy-openblas"}
+                  "blas_core": "SkylakeX", "cpu_dispatch": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+                  "lapack": "numpy-openblas"}
 
 # (preset, scenario function, arguments, run directory, verdict, CSV count,
 #  sha256 of report.json, sha256 of the sorted "path sha256" lines of the CSVs)
@@ -90,8 +93,8 @@ def _backend_note(backend: dict) -> str:
         return ""
 
     def named(b):
-        return (f"NumPy {b['numpy']} with {b['blas']} (kernel {b['blas_core']}, "
-                f"LAPACK from {b['lapack']})")
+        return (f"NumPy {b['numpy']} (dispatch {b['cpu_dispatch']}) with {b['blas']} "
+                f"(kernel {b['blas_core']}, LAPACK from {b['lapack']})")
 
     return (f"pinned on {named(PINNED_BACKEND)}, run on {named(backend)}: another "
             "backend may sum or round in another order")
@@ -209,6 +212,6 @@ def test_records_hold_without_scipy(tmp_path):
 def test_a_hash_on_another_backend_names_both_backends():
     assert _backend_note(PINNED_BACKEND) == ""
     for key, other in (("numpy", "2.0.0"), ("blas", "openblas 0.3.23"), ("blas_core", "Haswell"),
-                       ("lapack", "scipy")):
+                       ("cpu_dispatch", "AVX512F AVX512_SKX"), ("lapack", "scipy")):
         note = _backend_note(dict(PINNED_BACKEND, **{key: other}))
         assert other in note and PINNED_BACKEND[key] in note

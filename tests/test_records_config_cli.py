@@ -1,16 +1,20 @@
 import argparse
 import inspect
+import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nclaw.cli import _build_parser, main
@@ -124,6 +128,18 @@ class TestManifest:
         if blas["name"] == "scipy-openblas":  # the OpenBLAS of the NumPy wheels
             assert isinstance(backend["blas_core"], str) and backend["blas_core"]
         assert m.hash == RunManifest("ce1", {"eps": 0.05}, backend={}).hash
+
+    def test_backend_names_numpys_enabled_dispatch_targets(self):
+        # a process that disables all but the lowest target records only that
+        # one, as NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+        # leaves "X86_V3" where NumPy dispatches up to AVX512_SPR
+        enabled = RunManifest("ce1", {}).backend["cpu_dispatch"].split()
+        probe = ("from nclaw.records import RunManifest; "
+                 "print(RunManifest('ce1', {}).backend['cpu_dispatch'])")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                                                  NPY_DISABLE_CPU_FEATURES=" ".join(enabled[1:])))
+        assert out.stdout.split() == enabled[:1]
 
     def test_source_digest_names_the_code_outside_the_hash(self, tmp_path):
         # two copies of the package, the second with one byte of a docstring
@@ -365,9 +381,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 2.*godunov_n"):
             parse_config("[ce1]\ngodunov_n = soon\n")
 
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(ConfigError, match="eps must be > 0"):
-            parse_config("[ce1]\neps = -1\n")
+    def test_negative_epsilon_rejected(self, tmp_path, monkeypatch, capsys):
+        # the config types the value; the command that reads it refuses it,
+        # with its own message, before any run
+        import nclaw.experiments
+
+        monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text("[ce1]\neps = -1\n")
+        assert parse_config(cfg.read_text())["ce1"]["eps"] == -1.0
+        assert main(["--no-emit", "--config", str(cfg), "ce1"]) == 1
+        assert capsys.readouterr().err == "error: epsilon=-1.0 must be positive\n"
 
     def test_list_parsing(self):
         cfg = parse_config("[visc]\nnu_list = 0.2, 0.1\n")
@@ -392,7 +416,103 @@ class TestConfig:
             assert flags[name] == [prefix + name.replace("_", "-")]
 
 
+# small values of every setting, in range and out of it: each grid a drawn
+# command builds before its runs stays small
+_DRAWN = {
+    "eps": st.sampled_from([-0.05, 0.0, math.nan, math.inf, 0.002, 0.05, 0.1, 0.4]),
+    "n_particles": st.sampled_from([-5, 0, 1, 3, 40, 200]),
+    "t_end": st.sampled_from([-0.1, 0.0, math.nan, math.inf, 0.05, 0.1, 0.25, 0.3, 1.5]),
+    "godunov_n": st.sampled_from([-4, 0, 1, 3, 64]),
+    "gate": st.booleans(),
+    "nu": st.sampled_from([-0.1, 0.0, math.nan, 0.03, 0.1]),
+    "p": st.sampled_from([0.5, 1.0, 2.0, math.inf, math.nan]),
+    "eps_list": st.lists(st.sampled_from([-0.1, 0.0, math.nan, math.inf, 0.1, 0.2, 0.4]),
+                         max_size=3),
+    "kernel_shape": st.sampled_from(["even_bump", "one_sided_left", "spectral"]),
+    "width": st.sampled_from([-0.3, 0.0, math.nan, math.inf, 1e-9, 0.001, 0.05, 0.3, 3.0]),
+    "nu_list": st.lists(st.sampled_from([-0.03, 0.0, math.nan, 0.003, 0.03, 0.1]), max_size=3),
+    "variant": st.sampled_from(["step", "odd", "spectral"]),
+    "t": st.sampled_from([-0.5, 0.0, math.nan, 0.1, 0.3, 1.5]),
+    "x_min": st.sampled_from([-4.0, 0.0, math.nan, math.inf]),
+    "x_max": st.sampled_from([4.0, -1.0, math.inf]),
+    "n_cells": st.sampled_from([-4, 0, 2, 64]),
+}
+
+
+def _raw(value) -> str:
+    """``value`` as a flag or a config line spells it."""
+    if isinstance(value, (bool, str)):
+        return str(value).lower()
+    return ",".join(map(repr, value)) if isinstance(value, list) else repr(value)
+
+
 class TestCLI:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_exit_1_is_before_any_run_and_a_failed_run_is_exit_4_naming_it(self, data):
+        # drawn settings of a drawn command, given by flag, by config line and
+        # to the library function, with every solver failing at once: a
+        # refusal comes before the pool, alike all three ways; an input that
+        # is not refused starts the pool, whose failure names its run's label
+        # and k (lab oracle has no pool: it writes its CSV or refuses)
+        import nclaw.experiments as ex
+
+        section = data.draw(st.sampled_from(sorted(COMMANDS)), label="command")
+        keys = data.draw(st.sets(st.sampled_from(list(DEFAULTS[section]))), label="keys")
+        values = {key: data.draw(_DRAWN[key], label=key) for key in sorted(keys)}
+        pooled, real_pool = [], ex._pool
+
+        def spy(jobs, fork=True):
+            pooled.append([(label, k) for label, k, _ in jobs])
+            return real_pool(jobs, fork)
+
+        def failing(*args, **kwargs):
+            raise NumericalFailure("a drawn failure")
+
+        flags = [f"--{key.replace('_', '-')}={_raw(v)}" for key, v in values.items()
+                 if key != "gate"] + (["--no-gate"] if values.get("gate") is False else [])
+        lines = "".join(f"{key} = {_raw(v)}\n" for key, v in values.items())
+        outcomes = []
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
+            mp.setattr(ex, "_pool", spy)
+            for name in ("run_nonlocal", "run_local", "run_viscous"):
+                mp.setattr(ex, name, failing)
+            cfg = Path(out) / "lab.cfg"
+            cfg.write_text(f"[{section}]\n{lines}")
+            for argv in ([section, *flags], ["--config", str(cfg), section]):
+                pooled.clear()
+                err = io.StringIO()
+                with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                    code = main(["--no-emit", "--out", out, *argv])
+                outcomes.append((code, err.getvalue(), list(pooled)))
+            pooled.clear()
+            try:
+                command_function(section)(**values)
+                library = ""
+            except ValueError as exc:
+                library = f"error: {exc}\n"
+            except NumericalFailure as exc:
+                library = f"numerical failure: {exc}\n"
+            outcomes.append((None, library, list(pooled)))
+
+        codes = {code for code, _, _ in outcomes[:2]}
+        assert len(codes) == 1
+        (code,) = codes
+        event(f"lab {section} exit {code}")
+        if code == 1:
+            assert all(not p for _, _, p in outcomes)
+            assert len({err for _, err, _ in outcomes}) == 1
+            assert outcomes[0][1].startswith("error: ")
+        elif section == "oracle":
+            assert code == 0 and outcomes[2][1] == ""
+        else:
+            assert code == 4
+            for _, err, p in outcomes:
+                (jobs,) = p
+                found = re.fullmatch(r"numerical failure: run '(.+)' at k=(\d+): a drawn failure\n",
+                                     err)
+                assert found and (found[1], int(found[2])) in jobs
+
     def test_oracle_emits_csv(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "oracle", "--variant", "step", "--t", "0.5"])
         assert code == 0
@@ -416,11 +536,18 @@ class TestCLI:
         code = main(["--out", str(tmp_path), "oracle", "--variant", "odd", "--t", "0.5"])
         assert code == 1
 
-    def test_bad_config_is_usage_error(self, tmp_path):
+    def test_bad_config_is_usage_error(self, tmp_path, monkeypatch):
+        # a value out of range is refused by the command that reads it, before
+        # any run; a value that does not type is refused for every command
+        import nclaw.experiments
+
+        monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
         bad = tmp_path / "bad.cfg"
         bad.write_text("[ce1]\neps = -3\n")
-        code = main(["--config", str(bad), "oracle"])
-        assert code == 1
+        assert main(["--config", str(bad), "ce1"]) == 1
+        assert main(["--config", str(bad), "--out", str(tmp_path), "oracle"]) == 0
+        bad.write_text("[ce1]\neps = soon\n")
+        assert main(["--config", str(bad), "oracle"]) == 1
 
     def test_tiny_ce1_passes_and_emits(self, tmp_path, capsys):
         code = main(
@@ -497,13 +624,31 @@ class TestCLI:
         ("oracle", "n_cells", "-4"),
         ("oracle", "t", "-0.5"),
     ])
-    def test_flag_value_is_validated_like_a_config_value(self, section, key, raw, capsys):
-        with pytest.raises(ConfigError) as info:
-            parse_config(f"[{section}]\n{key} = {raw}\n")
-        message = str(info.value).removeprefix("line 2: ")
+    def test_flag_value_is_validated_like_a_config_value(
+        self, section, key, raw, tmp_path, monkeypatch, capsys
+    ):
+        # by flag and by config line, the same refusal before any run: a value
+        # out of range in the command function's own words, a value that does
+        # not type naming the flag or the line
+        import nclaw.experiments
+
+        monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
+        cfg = tmp_path / "lab.cfg"
+        cfg.write_text(f"[{section}]\n{key} = {raw}\n")
         flag = "--" + key.replace("_", "-")
-        assert main(["--no-emit", section, flag, raw]) == 1
-        assert capsys.readouterr().err == f"error: {flag}: {message}\n"
+        assert main(["--no-emit", "--out", str(tmp_path), section, flag, raw]) == 1
+        by_flag = capsys.readouterr().err
+        assert main(["--no-emit", "--out", str(tmp_path), "--config", str(cfg), section]) == 1
+        by_line = capsys.readouterr().err
+        try:
+            parse_config(cfg.read_text())
+        except ConfigError as exc:  # does not type
+            message = str(exc).removeprefix("line 2: ")
+            assert by_flag == f"error: {flag}: {message}\n"
+            assert by_line == f"config error: line 2: {message}\n"
+        else:  # out of range
+            assert by_flag == by_line and by_flag.startswith("error: ")
+            assert "Traceback" not in by_flag
 
     def test_old_flag_n_is_rejected(self, capsys):
         # so is --solver: ce1's Lax-Friedrichs drain is a side number now
@@ -533,6 +678,12 @@ class TestCLI:
         (["ce3", "--n-particles", "1"], "n_particles"),
         (["ce1", "--t-end", "0.3"], "t_end=0.3"),
         (["ce3", "--t-end", "1.5"], "t_end=1.5"),
+        (["ce1", "--t-end", "0"], "t_end=0.0"),
+        (["ce3", "--t-end", "0"], "t_end=0.0"),
+        (["rate", "--width", "1e-9", "--eps-list", "0.4,0.2", "--t-end", "0.2", "--no-gate"],
+         "width=1e-09"),
+        (["visc", "--width", "0.001", "--nu-list", "0.1,0.03", "--t-end", "0.1", "--no-gate"],
+         "width=0.001"),
     ])
     def test_input_without_a_verdict_is_rejected_before_any_run(
         self, monkeypatch, capsys, argv, name
