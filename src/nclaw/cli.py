@@ -3,7 +3,8 @@
 Every configuration section but ``[lab]`` is a subcommand, which calls
 the function ``config.COMMANDS`` names for it. Each parameter of that
 function is both a config key and the flag ``--<key-with-dashes>``, or
-``--no-<key>`` for a key whose default is True; flag values and config
+``--no-<key>`` for a key whose default is True. A flag's value is the token
+after it, whatever it starts with (``_join_values``); flag values and config
 values are typed by ``config.parse_value`` and range-checked by the function.
 
 Exit codes: 0 = all checks pass, 2 = some check failed, 3 = verdict
@@ -42,6 +43,25 @@ EXIT_NUMERICAL = 4
 
 def _flag(key: str, default) -> str:
     return ("--no-" if default is True else "--") + key.replace("_", "-")
+
+
+def _join_values(argv: list) -> list:
+    """``argv`` with each flag that takes a value joined to the token after
+    it by '=': argparse takes a token that starts with '-' and is not a
+    plain negative decimal (``-inf``, ``-1e-3``, ``-0.4,0.2``) for a flag.
+    The flags are lab's own up to the command's name, then the command's."""
+    flags, section, out = {"--config", "--out"}, None, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in flags:
+            value = next(tokens, None)
+            token = token if value is None else f"{token}={value}"
+        elif section is None and token in COMMANDS:
+            section = token
+            flags = {_flag(key, default) for key, default in DEFAULTS[section].items()
+                     if default is not True}
+        out.append(token)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,7 +104,7 @@ def _load_config(path) -> LabConfig:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

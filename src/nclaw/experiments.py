@@ -172,6 +172,14 @@ def _godunov_grid(x_min, x_max, godunov_n, k):
     return Grid1D(x_min, x_max, godunov_n // k)
 
 
+def _kernel(shape: str, eps: float) -> Kernel:
+    """The scenario's kernel, after refusing an ``eps`` that is not positive
+    and finite under the setting's own name."""
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise ValueError(f"eps={eps} must be positive and finite")
+    return Kernel(shape, eps)
+
+
 def _check_oracle_horizon(variant: str, t_end: float) -> ExactSolution:
     """The exact solution a verdict reads, after rejecting a t_end outside (0, its horizon]."""
     oracle = ExactSolution(variant)
@@ -215,8 +223,9 @@ def _scenario(name: str, params: dict, runs, headline, judge) -> ScenarioReport:
     Godunov cell count for the counterexamples, the cell width for the
     viscous experiments. ``runs(1)`` may add calls that only ``judge``
     reads. The calls run at k = 1, and at every k of ``GATE_LEVELS`` when
-    ``params["gate"]`` is set; with the gate on, they are pooled over two
-    processes (``_pool``), the gate rerun's calls first. ``headline(results,
+    ``params["gate"]`` is set, the gate rerun's calls first; gate on or off,
+    they are independent and go through one pool (``_pool``). The gate
+    decides what is compared, not where a call runs. ``headline(results,
     k)`` reduces the results of each k to its headline numbers.
     ``judge(results, main, rerun)`` gets the k = 1 results and both
     headlines (``rerun`` is None without the gate) and returns the checks
@@ -235,7 +244,7 @@ def _scenario(name: str, params: dict, runs, headline, judge) -> ScenarioReport:
     ks = GATE_LEVELS if params["gate"] else (1,)
     results, stats = {k: {} for k in ks}, []
     jobs = [(label, k, call) for k in ks for label, call in runs(k).items()]
-    for (label, k, _), (out, entry) in zip(jobs, _pool(jobs, fork=params["gate"])):
+    for (label, k, _), (out, entry) in zip(jobs, _pool(jobs)):
         results[k][label] = out
         stats.append(entry)
     rerun = headline(results.pop(ks[0]), ks[0]) if params["gate"] else None
@@ -383,13 +392,13 @@ class _Partner:
         return msg
 
 
-def _pool(jobs, fork=True):
+def _pool(jobs):
     """Call each ``(label, k, call)`` of ``jobs``; return its result and a
     stats entry for each, in the order of ``jobs``.
 
-    With ``fork`` set, two calls or more and a platform that can fork, a
-    forked helper process works beside this one, each taking the next call
-    from a shared counter. A process that finds the calls run out marks
+    With two calls or more on a platform that can fork, a forked helper
+    process works beside this one, each taking the next call from a
+    shared counter. A process that finds the calls run out marks
     itself idle under the counter's lock. The first to do so does not wait:
     it serves the other, which still runs a call, over a persistent duplex
     pipe, summing tiles of that call's particle passes (``_Partner``,
@@ -403,7 +412,7 @@ def _pool(jobs, fork=True):
     process was serving it or waiting for its sums. A ``NumericalFailure``
     raised in either process names the call's label and k (its ``run``).
     Leaving, also by an exception, terminates and reaps a helper that still
-    runs. Otherwise the calls run here, in order.
+    runs. A single call, or a platform without fork, runs here, in order.
 
     A stats entry holds the label, k, the process that made the call
     (``parent`` or ``helper``), its wall seconds, the keys of
@@ -429,7 +438,7 @@ def _pool(jobs, fork=True):
                      **{key: info.get(key) for key in _RUN_STAT_KEYS},
                      **(dict.fromkeys(_SHARE_KEYS) if partner is None else partner.tally())}
 
-    if not fork or len(jobs) < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    if len(jobs) < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [run(i, "parent") for i in range(len(jobs))]
 
     ctx = multiprocessing.get_context("fork")
@@ -514,7 +523,7 @@ def counterexample_1(
     if n_particles < 1:
         raise ValueError(f"n_particles={n_particles} must be >= 1")
     oracle = _check_oracle_horizon("odd", t_end)
-    kernel = Kernel(EVEN_BUMP, eps)
+    kernel = _kernel(EVEN_BUMP, eps)
     window = (-4.0, 0.0)
     diag_grid = Grid1D(-4.5, 4.5, 4500)
     # coarse Lax-Friedrichs counterpart (dx ~ eps): numerical viscosity
@@ -601,7 +610,7 @@ def counterexample_2(
     if not (t_end <= 0.5 and np.min(np.abs(output_times(t_godunov, 75) - t_end)) <= 1e-12):
         raise ValueError(f"t_end={t_end} must be a multiple of 0.01 in (0, 0.5]: a Godunov "
                          "output time where the entropy solution's right mass is t_end")
-    kernel = Kernel(ONE_SIDED_LEFT, eps)
+    kernel = _kernel(ONE_SIDED_LEFT, eps)
     diag_grid = Grid1D(-1.5, 0.5, 2000)
     right_window = (0.0, 0.5)
     # dx = eps/2 is the coarsest grid with an interior sample of the
@@ -730,7 +739,7 @@ def counterexample_3(
     """
     params = dict(locals())  # the manifest records every argument
     oracle = _check_oracle_horizon("step", t_end)
-    kernel = Kernel(EVEN_BUMP, eps)
+    kernel = _kernel(EVEN_BUMP, eps)
     diag_grid = Grid1D(-2.0, 1.5, 1400)
     # finite-volume nonlocal run at dx = eps/20: resolved in eps but its
     # numerical viscosity still dissipates a visible amount of entropy
@@ -837,11 +846,13 @@ def singular_limit_rate(
     """
     if not p >= 1.0:
         raise ValueError(f"p={p} must be >= 1: the L^p distance needs a norm")
+    # each eps's range before the count of distinct eps: set() tells two NaN
+    # objects apart, but not one NaN object passed twice
+    if not all(eps > 0.0 and math.isfinite(eps) for eps in eps_list):
+        raise ValueError(f"eps_list={list(eps_list)} must hold positive finite eps only")
     if len(set(eps_list)) < 2:
         raise ValueError(f"eps_list={list(eps_list)} needs at least two distinct eps "
                          "to fit an order")
-    if not all(eps > 0.0 and math.isfinite(eps) for eps in eps_list):
-        raise ValueError(f"eps_list={list(eps_list)} must hold positive finite eps only")
     eps_list = tuple(sorted(eps_list, reverse=True))
     params = dict(locals())  # the manifest records every argument
     dx = min(eps_list) / 10.0
@@ -929,12 +940,9 @@ def vanishing_viscosity(
     The gate reruns the sweep at half the cell width. Needs at least two
     distinct positive nu to compare, and a width of 4 cells (0.01) or more.
     """
-    if len(set(nu_list)) < 2:
-        raise ValueError(f"nu_list={list(nu_list)} needs at least two distinct nu "
-                         "to compare")
     nu_list = tuple(sorted(nu_list, reverse=True))
     params = dict(locals())  # the manifest records every argument
-    kernel = Kernel(EVEN_BUMP, eps)
+    kernel = _kernel(EVEN_BUMP, eps)
     dx = 0.0025
     # diagram-corner consistency: the inviscid nonlocal solution with a
     # one-sided kernel stays far from the local entropy solution
@@ -957,6 +965,11 @@ def vanishing_viscosity(
     u0 = gaussian_datum(grid, mass=1.0, width=width)
     for nu in nu_list:
         _check_domain(u0, kernel, nu, t_end)
+    # counted after each nu's range: set() tells two NaN objects apart, but
+    # not one NaN object passed twice
+    if len(set(nu_list)) < 2:
+        raise ValueError(f"nu_list={list(nu_list)} needs at least two distinct nu "
+                         "to compare")
 
     def runs(k):
         u0 = gaussian_datum(grids(k)[0], mass=1.0, width=width)

@@ -111,12 +111,14 @@ def _lf_update(u: np.ndarray, V: np.ndarray, dx: float, dt: float, speed) -> np.
 
 
 def _burgers_godunov_flux(ul: np.ndarray, ur: np.ndarray) -> np.ndarray:
-    # exact Riemann flux for f(u) = u^2: minimize over [ul, ur] when ul <= ur
-    # (zero if the interval straddles the sonic point), maximize otherwise
-    fl = ul * ul
-    fr = ur * ur
-    fmin = np.where((ul <= 0.0) & (ur >= 0.0), 0.0, np.minimum(fl, fr))
-    return np.where(ul <= ur, fmin, np.maximum(fl, fr))
+    # exact Riemann flux for f(u) = u^2, convex with its sonic point at 0:
+    # min of f over [ul, ur] when ul <= ur, max over [ur, ul] otherwise, in
+    # one closed form F = max(max(ul, 0)^2, min(ur, 0)^2)
+    fl = np.maximum(ul, 0.0)
+    fl *= fl
+    fr = np.minimum(ur, 0.0)
+    fr *= fr
+    return np.maximum(fl, fr, out=fl)
 
 
 _GODUNOV_CFL = 0.9  # Courant number of run_local's step
@@ -133,9 +135,9 @@ def godunov_step(f: Field, dt: float) -> Field:
     speed = float(np.max(2.0 * np.abs(u)))
     if speed > 0.0 and dt > _GODUNOV_CFL_GUARD * dx / speed:
         raise CFLError(dt, _GODUNOV_CFL_GUARD * dx / speed)
-    ul = np.concatenate([[0.0], u])   # zero states outside the domain
-    ur = np.concatenate([u, [0.0]])
-    F = _burgers_godunov_flux(ul, ur)
+    padded = np.zeros(u.size + 2)  # zero states outside the domain
+    padded[1:-1] = u
+    F = _burgers_godunov_flux(padded[:-1], padded[1:])
     out = u - (dt / dx) * (F[1:] - F[:-1])
     return Field(f.grid, out, f.time_stamp + dt)
 

@@ -7,6 +7,7 @@ from nclaw.local_entropy import (
     CFLError,
     ExactSolution,
     SupportReachedBoundary,
+    _burgers_godunov_flux,
     baricenter_lower_bound,
     exact_eval,
     godunov_step,
@@ -189,3 +190,24 @@ class TestBaricenterBound:
         bounds = baricenter_lower_bound(1.0, -0.5, 0.6, -1.05, 0.05)
         assert bounds["plain"] == pytest.approx(0.1)
         assert bounds["jensen"] == pytest.approx(0.6 / 1.1 - 0.5)
+
+
+def _case_split_godunov_flux(ul, ur):
+    # the exact Burgers flux by cases: min of u^2 over [ul, ur] when
+    # ul <= ur (0 where that interval holds the sonic point), else the max
+    fl, fr = ul * ul, ur * ur
+    fmin = np.where((ul <= 0.0) & (ur >= 0.0), 0.0, np.minimum(fl, fr))
+    return np.where(ul <= ur, fmin, np.maximum(fl, fr))
+
+
+def test_godunov_flux_closed_form_has_the_bits_of_the_case_split():
+    rng = np.random.default_rng(7)
+    n = 200_000
+    ul = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 150, n)
+    ur = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 150, n)
+    # signed zeros, subnormals and unit states, in every pairing
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0])
+    ul[: n // 4], ur[: n // 4] = rng.choice(special, (2, n // 4))
+    ur[n // 4 : n // 2] = ul[n // 4 : n // 2]  # equal states
+    got = _burgers_godunov_flux(ul, ur)
+    assert got.tobytes() == _case_split_godunov_flux(ul, ur).tobytes()

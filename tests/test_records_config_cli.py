@@ -383,7 +383,7 @@ class TestConfig:
 
     def test_negative_epsilon_rejected(self, tmp_path, monkeypatch, capsys):
         # the config types the value; the command that reads it refuses it,
-        # with its own message, before any run
+        # under the setting's own name, before any run
         import nclaw.experiments
 
         monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
@@ -391,7 +391,7 @@ class TestConfig:
         cfg.write_text("[ce1]\neps = -1\n")
         assert parse_config(cfg.read_text())["ce1"]["eps"] == -1.0
         assert main(["--no-emit", "--config", str(cfg), "ce1"]) == 1
-        assert capsys.readouterr().err == "error: epsilon=-1.0 must be positive\n"
+        assert capsys.readouterr().err == "error: eps=-1.0 must be positive and finite\n"
 
     def test_list_parsing(self):
         cfg = parse_config("[visc]\nnu_list = 0.2, 0.1\n")
@@ -446,72 +446,94 @@ def _raw(value) -> str:
     return ",".join(map(repr, value)) if isinstance(value, list) else repr(value)
 
 
+def _exit_1_before_any_run_or_exit_4_naming_a_run(section: str, values: dict) -> int:
+    """Give ``values`` to the command of ``section`` by flag, by config line
+    and to the library function, with every solver failing at once, and
+    return its exit code: a refusal (exit 1) comes before the pool, with
+    one message all three ways; an input that is not refused starts the
+    pool, whose failure names its run's label and k (lab oracle has no
+    pool: it writes its CSV or refuses)."""
+    import nclaw.experiments as ex
+
+    pooled, real_pool = [], ex._pool
+
+    def spy(jobs):
+        pooled.append([(label, k) for label, k, _ in jobs])
+        return real_pool(jobs)
+
+    def failing(*args, **kwargs):
+        raise NumericalFailure("a drawn failure")
+
+    flags = [f"--{key.replace('_', '-')}={_raw(v)}" for key, v in values.items()
+             if key != "gate"] + (["--no-gate"] if values.get("gate") is False else [])
+    lines = "".join(f"{key} = {_raw(v)}\n" for key, v in values.items())
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
+        mp.setattr(ex, "_pool", spy)
+        for name in ("run_nonlocal", "run_local", "run_viscous"):
+            mp.setattr(ex, name, failing)
+        cfg = Path(out) / "lab.cfg"
+        cfg.write_text(f"[{section}]\n{lines}")
+        for argv in ([section, *flags], ["--config", str(cfg), section]):
+            pooled.clear()
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main(["--no-emit", "--out", out, *argv])
+            outcomes.append((code, err.getvalue(), list(pooled)))
+        pooled.clear()
+        try:
+            command_function(section)(**values)
+            library = ""
+        except ValueError as exc:
+            library = f"error: {exc}\n"
+        except NumericalFailure as exc:
+            library = f"numerical failure: {exc}\n"
+        outcomes.append((None, library, list(pooled)))
+
+    codes = {code for code, _, _ in outcomes[:2]}
+    assert len(codes) == 1
+    (code,) = codes
+    if code == 1:
+        assert all(not p for _, _, p in outcomes)
+        assert len({err for _, err, _ in outcomes}) == 1
+        assert outcomes[0][1].startswith("error: ")
+    elif section == "oracle":
+        assert code == 0 and outcomes[2][1] == ""
+    else:
+        assert code == 4
+        for _, err, p in outcomes:
+            (jobs,) = p
+            found = re.fullmatch(r"numerical failure: run '(.+)' at k=(\d+): a drawn failure\n",
+                                 err)
+            assert found and (found[1], int(found[2])) in jobs
+    return code
+
+
 class TestCLI:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_exit_1_is_before_any_run_and_a_failed_run_is_exit_4_naming_it(self, data):
-        # drawn settings of a drawn command, given by flag, by config line and
-        # to the library function, with every solver failing at once: a
-        # refusal comes before the pool, alike all three ways; an input that
-        # is not refused starts the pool, whose failure names its run's label
-        # and k (lab oracle has no pool: it writes its CSV or refuses)
-        import nclaw.experiments as ex
-
+        # drawn settings of a drawn command, given all three ways
         section = data.draw(st.sampled_from(sorted(COMMANDS)), label="command")
         keys = data.draw(st.sets(st.sampled_from(list(DEFAULTS[section]))), label="keys")
         values = {key: data.draw(_DRAWN[key], label=key) for key in sorted(keys)}
-        pooled, real_pool = [], ex._pool
-
-        def spy(jobs, fork=True):
-            pooled.append([(label, k) for label, k, _ in jobs])
-            return real_pool(jobs, fork)
-
-        def failing(*args, **kwargs):
-            raise NumericalFailure("a drawn failure")
-
-        flags = [f"--{key.replace('_', '-')}={_raw(v)}" for key, v in values.items()
-                 if key != "gate"] + (["--no-gate"] if values.get("gate") is False else [])
-        lines = "".join(f"{key} = {_raw(v)}\n" for key, v in values.items())
-        outcomes = []
-        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
-            mp.setattr(ex, "_pool", spy)
-            for name in ("run_nonlocal", "run_local", "run_viscous"):
-                mp.setattr(ex, name, failing)
-            cfg = Path(out) / "lab.cfg"
-            cfg.write_text(f"[{section}]\n{lines}")
-            for argv in ([section, *flags], ["--config", str(cfg), section]):
-                pooled.clear()
-                err = io.StringIO()
-                with redirect_stderr(err), redirect_stdout(io.StringIO()):
-                    code = main(["--no-emit", "--out", out, *argv])
-                outcomes.append((code, err.getvalue(), list(pooled)))
-            pooled.clear()
-            try:
-                command_function(section)(**values)
-                library = ""
-            except ValueError as exc:
-                library = f"error: {exc}\n"
-            except NumericalFailure as exc:
-                library = f"numerical failure: {exc}\n"
-            outcomes.append((None, library, list(pooled)))
-
-        codes = {code for code, _, _ in outcomes[:2]}
-        assert len(codes) == 1
-        (code,) = codes
+        code = _exit_1_before_any_run_or_exit_4_naming_a_run(section, values)
         event(f"lab {section} exit {code}")
-        if code == 1:
-            assert all(not p for _, _, p in outcomes)
-            assert len({err for _, err, _ in outcomes}) == 1
-            assert outcomes[0][1].startswith("error: ")
-        elif section == "oracle":
-            assert code == 0 and outcomes[2][1] == ""
-        else:
-            assert code == 4
-            for _, err, p in outcomes:
-                (jobs,) = p
-                found = re.fullmatch(r"numerical failure: run '(.+)' at k=(\d+): a drawn failure\n",
-                                     err)
-                assert found and (found[1], int(found[2])) in jobs
+
+    @pytest.mark.parametrize("section, key, message", [
+        ("rate", "eps_list", "eps_list=[nan, nan] must hold positive finite eps only"),
+        ("visc", "nu_list", "nu=nan must be positive"),
+    ])
+    def test_one_nan_object_passed_twice_is_refused_like_two(self, section, key, message):
+        # a list of one NaN object twice, as the property above can draw it:
+        # set() counts it once, the parsed flag and config line hold two NaN
+        # objects; each value's range is checked before distinct values count
+        values = {key: [math.nan, math.nan]}
+        assert len(set(values[key])) == 1
+        assert _exit_1_before_any_run_or_exit_4_naming_a_run(section, values) == 1
+        with pytest.raises(ValueError) as info:
+            command_function(section)(**values)
+        assert str(info.value) == message
 
     def test_oracle_emits_csv(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "oracle", "--variant", "step", "--t", "0.5"])
@@ -623,13 +645,21 @@ class TestCLI:
         ("rate", "eps_list", "0.1,-0.2"),
         ("oracle", "n_cells", "-4"),
         ("oracle", "t", "-0.5"),
+        # a value that starts with "-" but is no plain negative decimal, which
+        # argparse alone takes for a flag: one for every float and list flag
+        *((section, key, "-0.4,0.2" if isinstance(default, list) else "-inf")
+          for section in sorted(COMMANDS) for key, default in DEFAULTS[section].items()
+          if isinstance(default, (float, list))),
+        ("rate", "t_end", "-nan"),
+        ("rate", "t_end", "-1e-3"),
     ])
     def test_flag_value_is_validated_like_a_config_value(
         self, section, key, raw, tmp_path, monkeypatch, capsys
     ):
-        # by flag and by config line, the same refusal before any run: a value
-        # out of range in the command function's own words, a value that does
-        # not type naming the flag or the line
+        # by flag (--flag value or --flag=value) and by config line, the same
+        # refusal before any run: a value out of range in the command
+        # function's own words, a value that does not type naming the flag or
+        # the line
         import nclaw.experiments
 
         monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
@@ -638,6 +668,8 @@ class TestCLI:
         flag = "--" + key.replace("_", "-")
         assert main(["--no-emit", "--out", str(tmp_path), section, flag, raw]) == 1
         by_flag = capsys.readouterr().err
+        assert main(["--no-emit", "--out", str(tmp_path), section, f"{flag}={raw}"]) == 1
+        assert capsys.readouterr().err == by_flag
         assert main(["--no-emit", "--out", str(tmp_path), "--config", str(cfg), section]) == 1
         by_line = capsys.readouterr().err
         try:
@@ -684,6 +716,10 @@ class TestCLI:
          "width=1e-09"),
         (["visc", "--width", "0.001", "--nu-list", "0.1,0.03", "--t-end", "0.1", "--no-gate"],
          "width=0.001"),
+        (["ce1", "--eps", "0"], "eps=0.0 must be positive and finite"),
+        (["ce2", "--eps", "0"], "eps=0.0 must be positive and finite"),
+        (["ce3", "--eps", "0"], "eps=0.0 must be positive and finite"),
+        (["visc", "--eps", "0"], "eps=0.0 must be positive and finite"),
     ])
     def test_input_without_a_verdict_is_rejected_before_any_run(
         self, monkeypatch, capsys, argv, name
