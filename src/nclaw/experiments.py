@@ -197,9 +197,10 @@ def _final(solver, *args, **kwargs):
 
 
 def _final_at_rerun(k, solver, *args, **kwargs):
-    """``solver(*args, **kwargs)``; at k = 2, where only ``headline`` reads the
-    run and it reads diagnostics, keeping only the final state (``_final``)."""
-    return _final(solver, *args, **kwargs) if k == 2 else solver(*args, **kwargs)
+    """``solver(*args, **kwargs)``; at any k but 1, where only ``headline``
+    reads the run and it reads diagnostics, keeping only the final state
+    (``_final``)."""
+    return _final(solver, *args, **kwargs) if k != 1 else solver(*args, **kwargs)
 
 
 def _counterexample_records(r: dict, diag_grid: Grid1D) -> dict:
@@ -404,12 +405,14 @@ def _pool(jobs):
     pipe, summing tiles of that call's particle passes (``_Partner``,
     ``kernels._atom_sums``) with the same bits. The second releases it: the
     parent sends ``done``, or the helper its answer. The helper inherits the
-    calls, so only its results cross the pipe, in that one answer once both
+    calls, so only its results cross the pipe, in its answer once both
     processes have run out: it never waits on a full pipe while this process
-    computes. Its exceptions are re-raised here with their class, chained to
-    a ChildProcessError that holds its traceback; a helper that dies without
-    an answer raises ChildProcessError naming its exit code, also where this
-    process was serving it or waiting for its sums. A ``NumericalFailure``
+    computes. The answer is a count, then one message per result, so this
+    process holds one result's pickle at a time. The helper's exceptions are
+    re-raised here with their class, chained to a ChildProcessError that
+    holds its traceback; a helper that dies before its whole answer raises
+    ChildProcessError naming its exit code, also where this process was
+    serving it or waiting for its sums. A ``NumericalFailure``
     raised in either process names the call's label and k (its ``run``).
     Leaving, also by an exception, terminates and reaps a helper that still
     runs. A single call, or a platform without fork, runs here, in order.
@@ -467,15 +470,17 @@ def _pool(jobs):
             results, last = work(1, "helper")
             if not last:
                 partner.serve()  # until the parent runs out too and sends done
-            msg = ("ok", results)
         except Exception as exc:
-            msg = ("err", (exc, traceback.format_exc()))
-        there.send(msg)
+            there.send(("err", (exc, traceback.format_exc())))
+            return
+        there.send(("ok", len(results)))
+        for result in results:
+            there.send(("ok", result))
 
     def lost():
         child.join()
         return ChildProcessError(
-            f"pool helper process died without an answer (exit code {child.exitcode})")
+            f"pool helper process died before its whole answer (exit code {child.exitcode})")
 
     done = [None] * len(jobs)
     here, there = ctx.Pipe()
@@ -487,8 +492,8 @@ def _pool(jobs):
         results, last = work(0, "parent")
         if last:
             partner.send(("done", None))
-        _, answer = partner.serve()  # until the helper's answer
-        for i, value in results + answer:
+        _, n = partner.serve()  # until the helper's count of results
+        for i, value in results + [partner._recv()[1] for _ in range(n)]:
             done[i] = value
         child.join()
     finally:
@@ -523,12 +528,14 @@ def counterexample_1(
     if n_particles < 1:
         raise ValueError(f"n_particles={n_particles} must be >= 1")
     oracle = _check_oracle_horizon("odd", t_end)
+    output_times(t_end, 25)  # the runs' finest output schedule, refused before any run
     kernel = _kernel(EVEN_BUMP, eps)
     window = (-4.0, 0.0)
     diag_grid = Grid1D(-4.5, 4.5, 4500)
-    # coarse Lax-Friedrichs counterpart (dx ~ eps): numerical viscosity
-    # drains the window mass, masking the conservation; logged, not judged
-    lf_grid = Grid1D(-4.5, 4.5, int(round(9.0 / eps)))
+    # coarse Lax-Friedrichs counterpart (dx ~ eps, the cell count rounded up
+    # so the kernel is resolved): numerical viscosity drains the window mass,
+    # masking the conservation; logged, not judged
+    lf_grid = Grid1D(-4.5, 4.5, math.ceil(9.0 / eps))
 
     def runs(k):
         # multiples of 4 keep the datum edges and the origin on cell edges
@@ -739,13 +746,15 @@ def counterexample_3(
     """
     params = dict(locals())  # the manifest records every argument
     oracle = _check_oracle_horizon("step", t_end)
+    output_times(t_end, 50)  # the runs' finest output schedule, refused before any run
     kernel = _kernel(EVEN_BUMP, eps)
     diag_grid = Grid1D(-2.0, 1.5, 1400)
     # finite-volume nonlocal run at dx = eps/20: resolved in eps but its
     # numerical viscosity still dissipates a visible amount of entropy
     fv_grid = Grid1D(-2.0, 1.5, int(round(3.5 / (eps / 20.0))))
-    # wide domain: the coarse scheme smear travels one cell per step
-    lf_grid = Grid1D(-3.5, 3.5, max(int(round(7.0 / eps)), 8))
+    # dx ~ eps, the cell count rounded up so the kernel is resolved; wide
+    # domain: the coarse scheme smear travels one cell per step
+    lf_grid = Grid1D(-3.5, 3.5, max(math.ceil(7.0 / eps), 8))
 
     def runs(k):
         datum_grid = _support_datum_grid(-2.0, 1.5, 1.0, n_particles // k, eps)
@@ -821,6 +830,16 @@ def _pairwise_orders(eps_list, distances) -> list:
     ]
 
 
+def _least_squares_slope(eps_list, distances) -> float:
+    """The least-squares slope of log(distance) against log(eps), in closed
+    form: ``np.polyfit`` calls LAPACK's ``dgelsd``, which leaves about 1 MB
+    resident for a fit of a few points."""
+    xs, ys = [math.log(e) for e in eps_list], [math.log(d) for d in distances]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))
+
+
 def singular_limit_rate(
     nu: float = 0.1,
     p: float = 2.0,
@@ -865,8 +884,9 @@ def singular_limit_rate(
         # wave speed with a 1.4 headroom
         return u0, _CFL * grid.dx / (1.4 * float(np.max(_cell_speeds(None, u0.values))))
 
-    # the runs' own check, made once before any run: the largest eps reaches farthest
+    # the runs' own checks, made once before any run: the largest eps reaches farthest
     _check_domain(setup(1)[0], Kernel(kernel_shape, eps_list[0]), nu, t_end)
+    output_times(t_end, 10)
 
     def runs(k):
         u0, dt = setup(k)
@@ -881,8 +901,8 @@ def singular_limit_rate(
         ds = [max(lp_norm(Field(a.grid, a.values - b.values), p)
                   for a, b in zip(r[f"eps={eps}"].states[1:], local))
               for eps in eps_list]
-        slope = float(np.polyfit(np.log(np.array(eps_list)), np.log(np.array(ds)), 1)[0])
-        return {"fitted_order_in_eps": slope, "distances": ds, "dt": setup(k)[1]}
+        return {"fitted_order_in_eps": _least_squares_slope(eps_list, ds), "distances": ds,
+                "dt": setup(k)[1]}
 
     def judge(r, main, rerun):
         ds = main["distances"]
@@ -965,6 +985,7 @@ def vanishing_viscosity(
     u0 = gaussian_datum(grid, mass=1.0, width=width)
     for nu in nu_list:
         _check_domain(u0, kernel, nu, t_end)
+    output_times(t_end, 5)
     # counted after each nu's range: set() tells two NaN objects apart, but
     # not one NaN object passed twice
     if len(set(nu_list)) < 2:

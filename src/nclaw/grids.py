@@ -81,9 +81,6 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("corrupt field: non-finite values")
 
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy(), self.time_stamp)
-
 
 def _check_finite(f: Field):
     if not np.all(np.isfinite(f.values)):

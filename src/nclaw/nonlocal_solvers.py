@@ -77,11 +77,6 @@ class ParticleEnsemble:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    def copy(self) -> "ParticleEnsemble":
-        return ParticleEnsemble(
-            self.positions.copy(), self.masses.copy(), self.time_stamp
-        )
-
 
 def sample_particles(initial: Field) -> ParticleEnsemble:
     """Midpoint sampling: one particle per cell with m = u_i * dx.

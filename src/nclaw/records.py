@@ -118,35 +118,51 @@ class RunResult:
         return self.states[-1]
 
 
+# how close ``march`` steps to each output time
+_TIME_TOL = 1e-13
+
+
 def output_times(t_end: float, n_outputs: int) -> np.ndarray:
-    """n_outputs evenly spaced output times in (0, t_end], t_end included."""
-    return np.linspace(0.0, t_end, max(n_outputs, 1) + 1)[1:]
+    """n_outputs evenly spaced output times in (0, t_end], t_end included.
+
+    Refuses a t_end whose output interval is not longer than ``march``'s
+    time tolerance: no step would reach the first output time.
+    """
+    n = max(n_outputs, 1)
+    if not t_end / n > _TIME_TOL:
+        raise ValueError(f"t_end={t_end} gives {n} output intervals of {t_end / n:.3g}, not "
+                         f"longer than the runs' time tolerance {_TIME_TOL:g}: no step "
+                         "would reach an output")
+    return np.linspace(0.0, t_end, n + 1)[1:]
 
 
 def march(state, targets, advance, diagnostics, after_output) -> RunResult:
     """The time-marching loop shared by every solver.
 
-    Records ``diagnostics(state)`` and a copy of the state at the start and
-    at each output time in ``targets``. Between outputs it calls
-    ``advance(state, target)``, which returns the state one step later and
-    must not step past ``target``, until the state's time stamp is within
-    1e-13 of it. ``after_output(state)`` runs before each output is
-    recorded and may raise to abort the run. ``info["n_steps"]`` counts
-    the accepted steps (at least one: every driver takes t_end > 0), and
-    ``dt_min``, ``dt_median`` and ``dt_max`` give their range, taken from
-    consecutive time stamps; drivers add their own keys.
+    Records ``diagnostics(state)`` and the state itself, not a copy, at the
+    start and at each output time in ``targets``. Between outputs it calls
+    ``advance(state, target)``, which returns a new state one step later,
+    leaves its argument as it was and must not step past ``target``, until
+    the state's time stamp is within 1e-13 of it. No step mutates a state,
+    so the recorded ones hold their values, and a particle run's states
+    share one masses array. ``after_output(state)`` runs before each output
+    is recorded and may raise to abort the run. ``info["n_steps"]`` counts
+    the accepted steps (at least one: ``output_times`` refuses an interval
+    no step would cross), and ``dt_min``, ``dt_median`` and ``dt_max`` give
+    their range, taken from consecutive time stamps; drivers add their own
+    keys.
     """
     series = DiagnosticSeries()
     states = []
 
     def record(s):
         series.append(s.time_stamp, diagnostics(s))
-        states.append(s.copy())
+        states.append(s)
 
     record(state)
     dts = []
     for target in targets:
-        while state.time_stamp < target - 1e-13:
+        while state.time_stamp < target - _TIME_TOL:
             t = state.time_stamp
             state = advance(state, target)
             dts.append(state.time_stamp - t)

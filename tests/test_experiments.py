@@ -17,6 +17,8 @@ from nclaw import kernels, viscous
 from nclaw.cli import main
 from nclaw.data import gaussian_datum, step_datum
 from nclaw.experiments import (
+    _least_squares_slope,
+    _Partner,
     _pool,
     counterexample_1,
     counterexample_2,
@@ -91,6 +93,18 @@ def test_rate_extrapolates_its_distances_from_the_gate_rerun():
     assert n["distances_extrapolated"] == [
         2.0 * d2 - d1 for d1, d2 in zip(n["distances"], n["distances_refined"])]
     assert singular_limit_rate(**kw, gate=False).numbers["distances_extrapolated"] is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_the_closed_form_order_fit_agrees_with_polyfit(rng, n):
+    # the least-squares slope without LAPACK, against np.polyfit as the
+    # reference: the slopes are of order 1, and the two sum in different
+    # orders, so they may differ by a few ulps of 1 (1e-14 is 45)
+    eps = 0.4 / 2.0 ** np.arange(n)
+    for _ in range(20):
+        ds = eps ** rng.uniform(0.5, 2.0) * rng.uniform(0.5, 2.0, n)
+        ref = np.polyfit(np.log(eps), np.log(ds), 1)[0]
+        assert _least_squares_slope(list(eps), list(ds)) == pytest.approx(ref, rel=0, abs=1e-14)
 
 
 def test_ce2_reads_the_entropy_right_mass_at_t_end():
@@ -250,6 +264,20 @@ def test_ce1_reports_the_resolved_lax_friedrichs_drain_beside_a_passing_check():
     assert r.numbers["fv_window_mass"] < 0.98
     assert r.numbers["fv_dx_over_eps"] == 0.04
     assert next(iter(r.series)) == "nonlocal" and "fv" in r.series
+
+
+@pytest.mark.parametrize("scenario, eps, number, preset_cells", [
+    (counterexample_1, 0.065, "lf_coarse_window_mass", 180),
+    (counterexample_3, 0.066, "lf_coarse_entropy", 140),
+], ids=["ce1", "ce3"])
+def test_the_coarse_lax_friedrichs_grid_is_no_wider_than_eps(scenario, eps, number, preset_cells):
+    # its cell count is rounded up: round(9/eps) and round(7/eps) gave cells
+    # wider than these eps, which the kernel refused in the pool; the
+    # preset's count holds
+    r = scenario(eps=eps, n_particles=300, godunov_n=512, t_end=0.05, gate=False)
+    assert eps - 0.001 < r.numbers["lf_coarse_dx"] <= eps
+    r = scenario(n_particles=300, godunov_n=512, t_end=0.05, gate=False)
+    assert r.manifest.provenance[number] == f"lax_friedrichs N={preset_cells}"
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +570,47 @@ def test_a_numerical_failure_names_its_run(where):
     assert str(exc) == (f"run {label!r} at k={k}: CFL violation: dt={exc.dt:.3e} exceeds "
                         "admissible dt=5.000e-01")
     assert multiprocessing.active_children() == []
+
+
+class _ExitsAtItsSecondPickle:
+    """A result whose second pickling in a process exits it with code 5."""
+
+    pickled = 0
+
+    def __reduce__(self):
+        type(self).pickled += 1
+        if type(self).pickled == 2:
+            os._exit(5)
+        return str, ("sent",)
+
+
+@needs_fork
+def test_a_helper_that_dies_in_its_answer_is_named_not_awaited(monkeypatch):
+    # as in the test above, the helper makes two of the three calls; it
+    # sends its count and its first result, then exits while it pickles
+    # its second (this process never pickles a result of its own)
+    both = multiprocessing.Barrier(2, timeout=20)
+    third_ran = multiprocessing.Event()
+    pid = os.getpid()
+    received, recv = [], _Partner._recv
+
+    def meet():
+        both.wait()
+        if os.getpid() == pid:
+            third_ran.wait(20)
+        return _ExitsAtItsSecondPickle()
+
+    def spy(self):
+        received.append(recv(self))
+        return received[-1]
+
+    monkeypatch.setattr(_Partner, "_recv", spy)
+    with _deadline(30), pytest.raises(ChildProcessError, match="exit code 5"):
+        _pool(_jobs(meet, meet, lambda: third_ran.set() or _ExitsAtItsSecondPickle()))
+    assert multiprocessing.active_children() == [] and kernels._partner is None
+    assert _ExitsAtItsSecondPickle.pickled == 0
+    (_, count), (_, (_, (first, entry))) = received
+    assert count == 2 and first == "sent" and entry["process"] == "helper"
 
 
 @pytest.mark.parametrize("hide_fork", [False, True], ids=["one_call", "fork_hidden"])

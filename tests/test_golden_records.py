@@ -68,7 +68,7 @@ GOLDEN = [
      "517f0a4901e246f3a4e16cba578a577ceb2370275fd88ccb0e964af3d6183413"),
     ("rate", "singular_limit_rate", dict(eps_list=(0.4, 0.2), t_end=0.2),
      "rate-5d5d7e979357829b", "FAIL", 0,
-     "25d3819206a6e1254e07537958753404ba37690506ba9bf382d67f4f3dcd4b9b",
+     "5f999d7373fe0843a199cfbcfa4fb1932fd4614cc591d478e2590a70fb4efd24",
      hashlib.sha256(b"").hexdigest()),
     ("visc", "vanishing_viscosity", dict(nu_list=(0.1, 0.03), t_end=0.1),
      "visc-15a01de0cf99a9dd", "FAIL", 0,

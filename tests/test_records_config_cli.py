@@ -23,12 +23,17 @@ from nclaw.data import odd_datum, step_datum
 from nclaw.experiments import Check, _scenario
 from nclaw.grids import Field, Grid1D
 from nclaw.kernels import EVEN_BUMP, Kernel
-from nclaw.local_entropy import CFLError, NumericalFailure, SupportReachedBoundary, run_local
+from nclaw.local_entropy import (CFLError, NumericalFailure, SupportReachedBoundary,
+                                 godunov_step, run_local)
 from nclaw.nonlocal_solvers import (
     CharacteristicsCrossed,
     ParticlesLeftGrid,
     SignPartitionViolated,
+    lf_step,
+    particle_step,
+    particle_velocity_and_bound,
     run_nonlocal,
+    sample_particles,
 )
 from nclaw.records import (
     DiagnosticSeries,
@@ -38,7 +43,7 @@ from nclaw.records import (
     manifest_hash,
     output_times,
 )
-from nclaw.viscous import NonFiniteState, run_viscous
+from nclaw.viscous import NonFiniteState, imex_step, run_viscous
 
 
 class TestDiagnosticSeries:
@@ -323,6 +328,68 @@ class TestOutputSchedule:
         assert info["n_steps"] % n_outputs == 0
         assert info["dt_max"] - info["dt_min"] <= 1e-12
         assert info["dt_max"] * 2.0 / grid.dx <= 0.9 + 1e-12
+
+    def test_an_interval_no_step_would_cross_is_refused(self):
+        # march steps to within 1e-13 of each output time, so a shorter
+        # interval would take no step and record t = 0 twice
+        with pytest.raises(ValueError, match=r"^t_end=1e-12 gives 10 output intervals of 1e-13"):
+            output_times(1e-12, 10)
+        assert output_times(1.01e-12, 10)[0] > 1e-13
+        with pytest.raises(ValueError, match=r"^t_end=1e-14 gives 50 output intervals"):
+            run_local(step_datum(Grid1D(-2.0, 2.0, 64)), 1e-14)
+
+
+def _bytes(state) -> tuple:
+    """The time stamp and the array bytes of a field or a particle ensemble."""
+    arrays = [state.values] if isinstance(state, Field) else [state.positions, state.masses]
+    return (state.time_stamp, *(a.tobytes() for a in arrays))
+
+
+def _particle_steps(adams: bool):
+    """A start-up or an Adams step of 100 particles, each with its input."""
+    kernel = Kernel(EVEN_BUMP, 0.1)
+    e = sample_particles(step_datum(Grid1D(-1.5, 0.5, 200)))
+    v, bound = particle_velocity_and_bound(e, kernel)
+    dt = 0.5 * bound
+    history = [(v, dt), (v, dt)] if adams else ()
+    return e, lambda s: particle_step(s, kernel, dt, stage1=(v, bound), history=history)
+
+
+class TestMarch:
+    # march records each state by reference, so no step may edit its input
+    @pytest.mark.parametrize("step", [
+        "godunov", "lax_friedrichs", "imex_local", "imex_nonlocal", "particle_startup",
+        "particle_adams"])
+    def test_every_step_returns_a_new_state_and_leaves_its_input(self, step):
+        kernel, datum = Kernel(EVEN_BUMP, 0.4), step_datum(Grid1D(-4.0, 4.0, 80))
+        state, advance = {
+            "godunov": (datum, lambda u: godunov_step(u, 0.01)),
+            "lax_friedrichs": (datum, lambda u: lf_step(u, kernel, 0.01)),
+            "imex_local": (datum, lambda u: imex_step(u, None, 0.1, 0.01)),
+            "imex_nonlocal": (datum, lambda u: imex_step(u, kernel, 0.1, 0.01)),
+            "particle_startup": _particle_steps(adams=False),
+            "particle_adams": _particle_steps(adams=True),
+        }[step]
+        before = _bytes(state)
+        out = advance(state)
+        assert _bytes(state) == before
+        assert out is not state and out.time_stamp > state.time_stamp
+        if isinstance(out, Field):
+            assert not np.shares_memory(out.values, state.values)
+        else:  # transport moves the positions only: the masses are the input's
+            assert not np.shares_memory(out.positions, state.positions)
+            assert out.masses is state.masses
+
+    def test_recorded_states_are_the_steps_own(self):
+        datum = step_datum(Grid1D(-2.0, 2.0, 64))
+        run = run_local(datum, 0.2, n_outputs=4)
+        assert run.states[0] is datum
+        assert [s.time_stamp for s in run.states] == list(run.diagnostics.times)
+        for a, b in zip(run.states, run.states[1:]):
+            assert not np.shares_memory(a.values, b.values)
+        run = run_nonlocal(datum, Kernel(EVEN_BUMP, 0.4), 0.2, n_outputs=4)
+        assert all(s.masses is run.states[0].masses for s in run.states)
+        assert len({id(s.positions) for s in run.states}) == len(run.states)
 
 
 class TestEmitReport:
@@ -720,6 +787,11 @@ class TestCLI:
         (["ce2", "--eps", "0"], "eps=0.0 must be positive and finite"),
         (["ce3", "--eps", "0"], "eps=0.0 must be positive and finite"),
         (["visc", "--eps", "0"], "eps=0.0 must be positive and finite"),
+        # output intervals within the runs' time tolerance: no step would be taken
+        (["ce3", "--t-end", "1e-14", "--no-gate"], "t_end=1e-14 gives 50 output intervals"),
+        (["ce1", "--t-end", "1e-12"], "t_end=1e-12 gives 25 output intervals"),
+        (["visc", "--t-end", "1e-13"], "t_end=1e-13 gives 5 output intervals"),
+        (["rate", "--t-end", "1e-12"], "t_end=1e-12 gives 10 output intervals"),
     ])
     def test_input_without_a_verdict_is_rejected_before_any_run(
         self, monkeypatch, capsys, argv, name
