@@ -264,13 +264,6 @@ def _scenario(name: str, params: dict, runs, headline, judge) -> ScenarioReport:
     return ScenarioReport(name, gate=gate, manifest=manifest, **out)
 
 
-def _timed(fn, *args):
-    """``fn(*args)`` and the wall time it took, in seconds."""
-    t0 = time.monotonic()
-    out = fn(*args)
-    return out, time.monotonic() - t0
-
-
 # the keys of a run's ``info`` that its ``run_stats`` entry copies
 _RUN_STAT_KEYS = ("n_steps", "n_rejected", "dt_min", "dt_median", "dt_max", "steps_by_rule",
                  "n_startup")
@@ -286,22 +279,22 @@ _POLL_S = 0.003
 class _Partner:
     """The other process of a forked pool, as ``kernels._atom_sums`` sees it.
 
-    ``idle`` holds one flag per process (this one's at ``me``), set once the
-    process runs out of calls; ``claims`` is the shared (pass, front, back)
-    of the pass being shared, guarded by ``lock``. While the other process
-    is idle, ``sums`` sends it each pass of two tiles or more; this process
-    then claims tiles from the front and the other one, in ``serve``, from
-    the back, one at a time, until they meet. The other process answers
-    with its sums only where it claimed a tile, so a pass it reaches too
-    late costs nothing and a stalled partner holds up at most the tiles it
-    claimed. ``lost()`` is the exception raised where the other process is
-    gone; a helper's error that arrives instead is re-raised (see
-    ``_pool``). ``tally`` counts the passes of each call.
+    ``state`` is the pool's shared array, guarded by ``lock``: the next of its
+    ``n_calls`` calls to draw, then the (pass, front, back) of the pass being
+    shared. Once ``state[0] > n_calls`` the other process has drawn past the
+    last call (this one, in ``sums``, is running a call), and ``sums`` sends
+    it each pass of two tiles or more; this process then claims tiles from the
+    front and the other one, in ``serve``, from the back, one at a time, until
+    they meet. The other process answers with its sums only where it claimed a
+    tile, so a pass it reaches too late costs nothing and a stalled partner
+    holds up at most the tiles it claimed. ``lost()`` is the exception raised
+    where the other process is gone; a helper's error that arrives instead is
+    re-raised (see ``_pool``). ``tally`` counts the passes of each call.
     """
 
-    def __init__(self, conn, idle, claims, lock, me: int, lost):
-        self.conn, self.idle, self.claims, self.lock = conn, idle, claims, lock
-        self.me, self.lost = me, lost
+    def __init__(self, conn, state, lock, n_calls: int, lost):
+        self.conn, self.state, self.lock = conn, state, lock
+        self.n_calls, self.lost = n_calls, lost
         self.passes = self.shared = 0
         self.share = 0.0
 
@@ -317,17 +310,17 @@ class _Partner:
 
     def sums(self, Yp, mp, j0, yq, tiles, slope):
         """``kernels._tile_sums`` over all ``tiles``, the other process
-        summing those it claims from the back while it is idle."""
+        summing those it claims from the back once it is out of calls."""
         self.passes += 1
-        if len(tiles) < 2 or not self.idle[1 - self.me]:
+        if len(tiles) < 2 or self.state[0] <= self.n_calls:
             return kernels._tile_sums(Yp, mp, j0, yq, tiles, slope)
         with self.lock:
-            n = self.claims[0] + 1
-            self.claims[:] = [n, 0, len(tiles)]
+            n = self.state[1] + 1
+            self.state[1:] = [n, 0, len(tiles)]
         self.send(("share", (n, Yp, mp, j0, yq, tiles, slope)))
         acc, dacc = kernels._tile_sums(Yp, mp, j0, yq, tiles, slope, self._claim(n, front=True))
         with self.lock:
-            split = self.claims[2]
+            split = self.state[3]
         if split < len(tiles):
             row = tiles[split][0]
             theirs, dtheirs = self._recv()[1]
@@ -358,13 +351,13 @@ class _Partner:
         index of each and append it to ``taken``."""
         while True:
             with self.lock:
-                pass_n, lo, hi = self.claims
+                pass_n, lo, hi = self.state[1:]
                 if pass_n != n or lo >= hi:
                     return
                 if front:
-                    i, self.claims[1] = lo, lo + 1
+                    i, self.state[2] = lo, lo + 1
                 else:
-                    i = self.claims[2] = hi - 1
+                    i = self.state[3] = hi - 1
             if taken is not None:
                 taken.append(i)
             yield i
@@ -398,24 +391,24 @@ def _pool(jobs):
     stats entry for each, in the order of ``jobs``.
 
     With two calls or more on a platform that can fork, a forked helper
-    process works beside this one, each taking the next call from a
-    shared counter. A process that finds the calls run out marks
-    itself idle under the counter's lock. The first to do so does not wait:
-    it serves the other, which still runs a call, over a persistent duplex
-    pipe, summing tiles of that call's particle passes (``_Partner``,
-    ``kernels._atom_sums``) with the same bits. The second releases it: the
-    parent sends ``done``, or the helper its answer. The helper inherits the
-    calls, so only its results cross the pipe, in its answer once both
-    processes have run out: it never waits on a full pipe while this process
-    computes. The answer is a count, then one message per result, so this
-    process holds one result's pickle at a time. The helper's exceptions are
-    re-raised here with their class, chained to a ChildProcessError that
-    holds its traceback; a helper that dies before its whole answer raises
-    ChildProcessError naming its exit code, also where this process was
-    serving it or waiting for its sums. A ``NumericalFailure``
-    raised in either process names the call's label and k (its ``run``).
-    Leaving, also by an exception, terminates and reaps a helper that still
-    runs. A single call, or a platform without fork, runs here, in order.
+    process works beside this one, each drawing the next call from a counter
+    shared under one lock. A process that draws past the last call is out of
+    calls. The first to do so does not wait: it serves the other, which still
+    runs a call, over a persistent duplex pipe, summing tiles of that call's
+    particle passes (``_Partner``, ``kernels._atom_sums``) with the same bits.
+    The second releases it: the parent sends ``done``, or the helper its
+    answer. The helper inherits the calls, so only its results cross the pipe,
+    in its answer once both processes have run out: it never waits on a full
+    pipe while this process computes. The answer is a count, then one message
+    per result, so this process holds one result's pickle at a time. The
+    helper's exceptions are re-raised here with their class, chained to a
+    ChildProcessError that holds its traceback; a helper that dies before its
+    whole answer raises ChildProcessError naming its exit code, also where
+    this process was serving it or waiting for its sums. A
+    ``NumericalFailure`` raised in either process names the call's label and k
+    (its ``run``). Leaving, also by an exception, terminates and reaps a
+    helper that still runs. A single call, or a platform without fork, runs
+    here, in order.
 
     A stats entry holds the label, k, the process that made the call
     (``parent`` or ``helper``), its wall seconds, the keys of
@@ -430,11 +423,13 @@ def _pool(jobs):
 
     def run(i, process):
         label, k, call = jobs[i]
+        t0 = time.monotonic()
         try:
-            out, seconds = _timed(call)
+            out = call()
         except NumericalFailure as exc:
             exc.run = f"run {label!r} at k={k}"
             raise
+        seconds = time.monotonic() - t0
         info = getattr(out, "info", {})
         partner = kernels._partner
         return out, {"label": label, "k": k, "process": process, "wall_s": seconds,
@@ -445,29 +440,27 @@ def _pool(jobs):
         return [run(i, "parent") for i in range(len(jobs))]
 
     ctx = multiprocessing.get_context("fork")
-    counter = ctx.Value("i", 0)
-    idle = ctx.RawArray("b", 2)  # per process, set under the counter's lock
-    claims, lock = ctx.RawArray("q", 3), ctx.Lock()
+    # the next call to draw, then the shared pass's number, front and back (``_Partner``)
+    state, lock = ctx.RawArray("q", 4), ctx.Lock()
 
-    def work(me, process):
-        """Run calls until they run out, then mark this process idle; return
-        the results and whether the other process was idle first."""
+    def work(process):
+        """Run calls until they run out; return the results and whether this
+        process ran out last, its draw the second past the last call."""
         results = []
         while True:
-            with counter.get_lock():
-                i = counter.value
-                counter.value += 1
-                if i >= len(jobs):
-                    idle[me] = 1
-                    return results, bool(idle[1 - me])
+            with lock:
+                i = state[0]
+                state[0] += 1
+            if i >= len(jobs):
+                return results, i > len(jobs)
             results.append((i, run(i, process)))
 
     def helper():
         here.close()  # a parent that is gone then reads as a broken pipe, not a full one
         kernels._partner = partner = _Partner(
-            there, idle, claims, lock, 1, lambda: EOFError("the pool's parent process is gone"))
+            there, state, lock, len(jobs), lambda: EOFError("the pool's parent process is gone"))
         try:
-            results, last = work(1, "helper")
+            results, last = work("helper")
             if not last:
                 partner.serve()  # until the parent runs out too and sends done
         except Exception as exc:
@@ -487,9 +480,9 @@ def _pool(jobs):
     child = ctx.Process(target=helper, daemon=True)
     child.start()
     there.close()  # the helper now holds the only other end: its death reads as EOF
-    kernels._partner = partner = _Partner(here, idle, claims, lock, 0, lost)
+    kernels._partner = partner = _Partner(here, state, lock, len(jobs), lost)
     try:
-        results, last = work(0, "parent")
+        results, last = work("parent")
         if last:
             partner.send(("done", None))
         _, n = partner.serve()  # until the helper's count of results
@@ -550,6 +543,9 @@ def counterexample_1(
                                                window=window, n_outputs=25),
         }
         if k == 1:
+            if eps < diag_grid.dx:  # the fv run's kernel check, made before any run
+                raise ValueError(f"kernel under-resolved: eps={eps} < dx={diag_grid.dx} of "
+                                 "the resolved Lax-Friedrichs run")
             out["fv"] = lambda: _final(run_nonlocal, odd_datum(diag_grid), kernel, t_end,
                                        scheme="lax_friedrichs", n_outputs=25, window=window)
             out["lf_coarse"] = lambda: _final(run_nonlocal, odd_datum(lf_grid), kernel, t_end,

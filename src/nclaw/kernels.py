@@ -288,11 +288,11 @@ def _atom_sums(X, m, k: Kernel, xq, slope: bool):
     buffers: NumPy's AVX-512 loops run up to twice as slow when their stores
     straddle cache lines.
 
-    In a forked pool the pass goes to ``_partner.sums``: while the other
-    process is idle and the pass has two tiles or more, this process sums
-    tiles from the front and the other one from the back, each claiming the
-    next, until they meet at a split index. Each row is still summed whole
-    in its own tile, so the split changes no bit.
+    In a forked pool the pass goes to ``_partner.sums``: once the other
+    process is out of calls and the pass has two tiles or more, this process
+    sums tiles from the front and the other one from the back, each claiming
+    the next, until they meet at a split index. Each row is still summed
+    whole in its own tile, so the split changes no bit.
 
     Atoms with 1 - s^2 <= 1/700 weigh an exact +-0: their mass is masked
     and 1 - s^2 is clamped at 1/700, so exp never sees an argument below

@@ -125,14 +125,16 @@ _TIME_TOL = 1e-13
 def output_times(t_end: float, n_outputs: int) -> np.ndarray:
     """n_outputs evenly spaced output times in (0, t_end], t_end included.
 
-    Refuses a t_end whose output interval is not longer than ``march``'s
-    time tolerance: no step would reach the first output time.
+    Refuses an infinite t_end and one whose output interval is not longer
+    than ``march``'s time tolerance: no step would reach the first output.
     """
     n = max(n_outputs, 1)
     if not t_end / n > _TIME_TOL:
         raise ValueError(f"t_end={t_end} gives {n} output intervals of {t_end / n:.3g}, not "
                          f"longer than the runs' time tolerance {_TIME_TOL:g}: no step "
                          "would reach an output")
+    if math.isinf(t_end):
+        raise ValueError(f"t_end={t_end} must be finite")
     return np.linspace(0.0, t_end, n + 1)[1:]
 
 

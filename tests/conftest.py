@@ -19,3 +19,17 @@ def fresh_lapack():
     yield
     for cache in caches:
         cache.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test after which a child process of this one still runs, and
+    ends it there, so that the next test starts without it."""
+    yield
+    import multiprocessing
+
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert left == [], f"child processes left running: {left}"

@@ -8,6 +8,7 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,6 +226,71 @@ def test_a_viscous_input_without_a_verdict_is_refused_before_any_run(
     monkeypatch.setattr(nclaw.experiments, "_pool", lambda *a, **kw: pytest.fail("ran"))
     with pytest.raises(ValueError, match=message):
         scenario(gate=False, **kwargs)
+
+
+def _ce(**kwargs):
+    """A counterexample's tiny settings, with ``kwargs`` on top."""
+    return dict(godunov_n=64, t_end=0.01, gate=False) | kwargs
+
+
+def _viscous(**kwargs):
+    return dict(t_end=0.01, gate=False) | kwargs
+
+
+@pytest.mark.parametrize("scenario, kwargs, refused", [
+    # particles eps apart see no other: 2/n apart in ce1, 1/n in ce2 and ce3,
+    # and the gate's rerun takes n/2
+    (counterexample_1, _ce(n_particles=40), True),
+    (counterexample_1, _ce(n_particles=44), False),
+    (counterexample_1, _ce(n_particles=80, gate=True), True),
+    (counterexample_1, _ce(n_particles=88, gate=True), False),
+    (counterexample_2, _ce(n_particles=20), True),
+    (counterexample_2, _ce(n_particles=21), False),
+    (counterexample_3, _ce(n_particles=20), True),
+    (counterexample_3, _ce(n_particles=21), False),
+    # the Lax-Friedrichs grids: ce1's resolved run on cells of 0.002, the
+    # coarse runs' cells exactly eps wide at eps = 1/16 (144 and 112 cells),
+    # ce2's at eps/2 with its one-sided kernel
+    (counterexample_1, _ce(eps=0.0019, n_particles=1200), True),
+    (counterexample_1, _ce(eps=0.002, n_particles=1004), False),
+    (counterexample_1, _ce(eps=0.0625, n_particles=36), False),
+    (counterexample_3, _ce(eps=0.0625, n_particles=17), False),
+    (counterexample_2, _ce(eps=0.0011, n_particles=1000), False),
+    # the IMEX grids: rate's cells are a tenth of its smallest eps, visc's 0.0025
+    (vanishing_viscosity, _viscous(eps=0.0024, nu_list=(0.1, 0.03)), True),
+    (vanishing_viscosity, _viscous(eps=0.0025, nu_list=(0.1, 0.03)), False),
+    # the domain margin 4 sqrt(nu t_end) + eps around the datum's support
+    (singular_limit_rate, _viscous(eps_list=(1.56, 0.2)), True),
+    (singular_limit_rate, _viscous(eps_list=(1.55, 0.2)), False),
+    (vanishing_viscosity, _viscous(width=0.75, nu_list=(0.1, 0.03)), True),
+    (vanishing_viscosity, _viscous(width=0.74, nu_list=(0.1, 0.03)), False),
+    # a Gaussian width of 4 cells
+    (singular_limit_rate, _viscous(eps_list=(0.4, 0.2), width=0.079), True),
+    (singular_limit_rate, _viscous(eps_list=(0.4, 0.2), width=0.08), False),
+    (vanishing_viscosity, _viscous(width=0.0099, nu_list=(0.1, 0.03)), True),
+    (vanishing_viscosity, _viscous(width=0.01, nu_list=(0.1, 0.03)), False),
+], ids=["ce1_spacing", "ce1_spacing_ok", "ce1_rerun_spacing", "ce1_rerun_spacing_ok",
+        "ce2_spacing", "ce2_spacing_ok", "ce3_spacing", "ce3_spacing_ok",
+        "ce1_fv_eps", "ce1_fv_eps_ok", "ce1_lf_eps_ok", "ce3_lf_eps_ok", "ce2_lf_eps_ok",
+        "visc_eps", "visc_eps_ok", "rate_margin", "rate_margin_ok", "visc_margin",
+        "visc_margin_ok", "rate_width", "rate_width_ok", "visc_width", "visc_width_ok"])
+def test_real_solvers_at_the_edge_of_a_grid_rule_refuse_only_before_the_pool(
+    monkeypatch, scenario, kwargs, refused
+):
+    # the solvers are not patched, so a refusal that one of them makes
+    # inside the pool shows; ce1 ran its resolved Lax-Friedrichs run into
+    # "kernel under-resolved" after starting the pool
+    import nclaw.experiments
+
+    pooled, pool = [], nclaw.experiments._pool
+    monkeypatch.setattr(nclaw.experiments, "_pool", lambda jobs: pooled.append(1) or pool(jobs))
+    try:
+        scenario(**kwargs)
+    except ValueError as exc:
+        assert not pooled, f"refused inside the pool: {exc}"
+        assert refused, exc
+    else:
+        assert pooled and not refused
 
 
 @pytest.mark.parametrize("width", [-0.3, 0.0, math.nan, math.inf])
@@ -708,3 +774,54 @@ def test_a_helper_lost_while_it_serves_is_named_not_awaited(monkeypatch, fate):
     if fate == "raises":
         assert "raised in the pool helper process" in str(info.value.__cause__)
     assert multiprocessing.active_children() == [] and kernels._partner is None
+
+
+def test_a_partner_shares_a_pass_only_once_the_other_process_drew_past_the_last_call(
+    monkeypatch
+):
+    # no other process: the draws are written into the counter by hand, and
+    # this process claims every tile of a pass it shares, so no answer is due
+    monkeypatch.setattr(kernels, "_TILE_CELLS", 512)
+    state, sent = multiprocessing.RawArray("q", 4), []
+    partner = _Partner(SimpleNamespace(send=sent.append), state, multiprocessing.Lock(), 3,
+                       lost=None)
+    X = np.linspace(-1.0, 0.0, 200)  # about 20 in each one's reach: 2 tiles or more
+    m, k = np.full(200, 0.005), Kernel(EVEN_BUMP, 0.05)
+    whole = kernels.convolve_particles(X, m, k, X)
+    monkeypatch.setattr(kernels, "_partner", partner)
+    for drawn, shared in [(0, []), (3, []), (4, [1]), (5, [1, 2])]:
+        state[0] = drawn  # the next call to draw of the 3
+        assert np.array_equal(kernels.convolve_particles(X, m, k, X), whole)
+        assert [msg[1][0] for msg in sent if msg[0] == "share"] == shared
+    assert len(sent) == 2
+    assert partner.tally() == {"passes": 4, "shared_passes": 0, "partner_share": None}
+
+
+@needs_fork
+@pytest.mark.parametrize("where", ["parent", "helper"])
+def test_only_the_second_process_to_draw_past_the_last_call_is_last(monkeypatch, where):
+    # the two calls meet at a barrier, so they run in different processes;
+    # the one in ``where`` returns only once the other process has drawn
+    # past the last call, so ``where`` runs out second. Only the last
+    # releases the other: this process sends ``done`` exactly when it is
+    # last, and were neither last, both would serve until the deadline
+    both = multiprocessing.Barrier(2, timeout=20)
+    pid = os.getpid()
+    sent, send = [], _Partner.send
+
+    def meet_then():
+        both.wait()
+        if (os.getpid() == pid) == (where == "parent"):
+            while kernels._partner.state[0] <= 2:
+                time.sleep(0.001)
+        return os.getpid()
+
+    def spy(self, msg):
+        sent.append(msg[0])  # in this process: the helper's list is its own
+        send(self, msg)
+
+    monkeypatch.setattr(_Partner, "send", spy)
+    with _deadline(30):
+        stats = [entry for _, entry in _pool(_jobs(meet_then, meet_then))]
+    assert {s["process"] for s in stats} == {"parent", "helper"}
+    assert sent == (["done"] if where == "parent" else [])

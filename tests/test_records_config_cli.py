@@ -337,6 +337,10 @@ class TestOutputSchedule:
         assert output_times(1.01e-12, 10)[0] > 1e-13
         with pytest.raises(ValueError, match=r"^t_end=1e-14 gives 50 output intervals"):
             run_local(step_datum(Grid1D(-2.0, 2.0, 64)), 1e-14)
+        # an infinite t_end gave NaN output times, and a RuntimeWarning
+        # before `visc --nu-list= --t-end inf` was refused for its list
+        with pytest.raises(ValueError, match=r"^t_end=inf must be finite$"):
+            output_times(math.inf, 5)
 
 
 def _bytes(state) -> tuple:
@@ -787,6 +791,9 @@ class TestCLI:
         (["ce2", "--eps", "0"], "eps=0.0 must be positive and finite"),
         (["ce3", "--eps", "0"], "eps=0.0 must be positive and finite"),
         (["visc", "--eps", "0"], "eps=0.0 must be positive and finite"),
+        # below the cells of ce1's resolved Lax-Friedrichs run (0.002)
+        (["ce1", "--eps", "0.0019", "--t-end", "0.01", "--no-gate"],
+         "kernel under-resolved: eps=0.0019"),
         # output intervals within the runs' time tolerance: no step would be taken
         (["ce3", "--t-end", "1e-14", "--no-gate"], "t_end=1e-14 gives 50 output intervals"),
         (["ce1", "--t-end", "1e-12"], "t_end=1e-12 gives 25 output intervals"),
